@@ -70,15 +70,15 @@ class RunTrace:
 def optimality_gap(suite: ObjectiveSuite, output: np.ndarray, xstar, fstar) -> float:
     """Mean over agents of f(estimate_i) - f*, f being the average objective.
 
-    Evaluated in extended precision against a re-evaluated reference so the
-    deep tail of the gap is resolvable.
+    Given x*, the gap comes from `suite.gap_values`, which works in float64
+    on the displacement estimate - x* and so resolves the deep tail of the
+    gap. With only f* it is the plain float64 difference, which cannot
+    resolve gaps below about 1e-16 |f*|.
     """
-    rows = np.asarray(output, dtype=np.longdouble)
+    rows = np.asarray(output, dtype=float)
     if xstar is not None:
-        ref = suite.average_value(np.asarray(xstar, dtype=np.longdouble))
-    else:
-        ref = np.longdouble(fstar)
-    return float(suite.average_values(rows).mean() - ref)
+        return float(suite.gap_values(rows, xstar).mean())
+    return float(suite.average_values(rows).mean() - fstar)
 
 
 def consensus_error(state: SolverState, p: np.ndarray) -> tuple:
@@ -249,10 +249,10 @@ def iterations_to_threshold(trace: RunTrace, threshold: float):
 class TraceRecorder:
     """Hook that accumulates a RunTrace while a solver runs.
 
-    Pass as `hooks=` to any run; the run returns recorder.trace(). The
-    reference value for the loss column is re-evaluated in extended
-    precision at x*. With stride="auto" every iteration is recorded up to
-    k = 10_000 and every 10th beyond.
+    Pass as `hooks=` to any run; the run returns recorder.trace(). The loss
+    column is `optimality_gap` of the estimates: exact in float64 when x* is
+    given, the plain difference to f* when only f* is. With stride="auto"
+    every iteration is recorded up to k = 10_000 and every 10th beyond.
     """
 
     def __init__(
@@ -274,12 +274,8 @@ class TraceRecorder:
         self.estimate = estimate
         self.stride = stride
         self.label = label
-        if xstar is not None:
-            self._ref = suite.average_value(np.asarray(xstar, dtype=np.longdouble))
-        elif fstar is not None:
-            self._ref = np.longdouble(fstar)
-        else:
-            self._ref = None
+        self.xstar = xstar
+        self.fstar = fstar
         self._rows = {name: [] for name in TRACE_COLUMNS}
 
     def _due(self, k: int) -> bool:
@@ -292,11 +288,11 @@ class TraceRecorder:
             return
         r = self._rows
         r["k"].append(state.k)
-        if self._ref is not None:
-            est = np.asarray(state.ratio(self.estimate), dtype=np.longdouble)
-            r["loss"].append(float(self.suite.average_values(est).mean() - self._ref))
-        else:
+        if self.xstar is None and self.fstar is None:
             r["loss"].append(np.nan)
+        else:
+            est = state.ratio(self.estimate)
+            r["loss"].append(optimality_gap(self.suite, est, self.xstar, self.fstar))
         u_err, proj_err = consensus_error(state, self.mixing.p)
         r["consensus_error"].append(u_err)
         r["projection_error"].append(proj_err)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,13 +24,13 @@ __all__ = [
 
 
 def _log1pexp(t):
-    """log(1 + exp(t)), stable and dtype-preserving (works in longdouble)."""
+    """log(1 + exp(t)) in float64 without overflow for large |t|."""
     t = np.asarray(t)
     return np.maximum(t, 0) + np.log1p(np.exp(-np.abs(t)))
 
 
 def _sigmoid(t):
-    """1 / (1 + exp(-t)), stable and dtype-preserving."""
+    """1 / (1 + exp(-t)), stable for large |t|."""
     t = np.asarray(t)
     out = np.empty_like(t)
     pos = t >= 0
@@ -145,8 +146,10 @@ def synthetic_logistic_dataset(
 class ObjectiveSuite:
     """n per-agent convex functions with certified constants L and mu.
 
-    Subclasses provide per-agent values/gradients; evaluation preserves the
-    input dtype so callers may evaluate in extended precision.
+    Subclasses provide per-agent values/gradients, the average objective with
+    its gradient and Hessian, and `gap_values`, which measures f(row) - f(x*)
+    in float64 from the displacement row - x*, so that gaps far below the
+    resolution of f itself stay accurate.
     """
 
     kind = "abstract"
@@ -158,6 +161,8 @@ class ObjectiveSuite:
         self.mu = float(mu)
         if not (0 <= self.mu <= self.L):
             raise ValueError("constants must satisfy 0 <= mu <= L")
+        self._ref_key = None
+        self._ref = None
 
     def value(self, i: int, x: np.ndarray):
         raise NotImplementedError
@@ -184,6 +189,29 @@ class ObjectiveSuite:
         for i in range(self.n):
             out = out + self.grad(i, x)
         return out / self.n
+
+    def average_hessian(self, x: np.ndarray) -> np.ndarray:
+        """(dim, dim) Hessian of the average objective at x."""
+        raise NotImplementedError
+
+    def gap_values(self, rows: np.ndarray, xstar: np.ndarray) -> np.ndarray:
+        """f(row) - f(x*) for each row of a (m, dim) stack.
+
+        Evaluated from the displacement row - x*, so gaps far below
+        1e-16 |f(x*)| stay accurate.
+        """
+        raise NotImplementedError
+
+    def _reference(self, xstar) -> tuple:
+        """The x*-only terms of `gap_values`, recomputed only for a new x*."""
+        xstar = np.array(xstar, dtype=float)
+        key = xstar.tobytes()
+        if key != self._ref_key:
+            self._ref_key, self._ref = key, self._reference_terms(xstar)
+        return self._ref
+
+    def _reference_terms(self, xstar: np.ndarray) -> tuple:
+        raise NotImplementedError
 
 
 class QuadraticSuite(ObjectiveSuite):
@@ -219,6 +247,24 @@ class QuadraticSuite(ObjectiveSuite):
     def average_grad(self, x):
         return self.mean_H @ x - self.mean_b
 
+    def average_hessian(self, x):
+        return self.mean_H
+
+    def _reference_terms(self, xstar):
+        # grad f(x*) is itself at rounding level, so it is formed exactly in
+        # rationals; a float64 residual would swamp gaps below about 1e-20.
+        grad = [
+            sum(Fraction(h) * Fraction(x) for h, x in zip(row, xstar)) - Fraction(b)
+            for row, b in zip(self.mean_H, self.mean_b)
+        ]
+        return xstar, np.array(grad, dtype=float)
+
+    def gap_values(self, rows, xstar):
+        """The exact expansion D' H D / 2 + D' grad f(x*), D = row - x*."""
+        xstar, grad = self._reference(xstar)
+        D = rows - xstar
+        return 0.5 * np.einsum("ri,ij,rj->r", D, self.mean_H, D) + D @ grad
+
     def minimizer(self) -> tuple:
         """Closed-form minimizer of the average objective."""
         xstar = np.linalg.solve(self.mean_H, self.mean_b)
@@ -241,9 +287,14 @@ class LogisticSuite(ObjectiveSuite):
             n=len(shards), dim=shards[0][0].shape[1], L=worst + mu, mu=mu
         )
         self.shards = shards
-        # Stacked copy of every example, for fast average-objective queries.
-        self._Z_all = np.vstack([Z for Z, _ in shards])
-        self._lam_all = np.concatenate([lam for _, lam in shards])
+        # lam * z per example, stacked for the average objective and padded
+        # with zero rows to (n, m_max, dim) for the batch gradient, where a
+        # zero row adds nothing.
+        LZ = [lam[:, None] * Z for Z, lam in shards]
+        self._LZ_all = np.vstack(LZ)
+        self._LZ_pad = np.zeros((self.n, max(len(a) for a in LZ), self.dim))
+        for i, a in enumerate(LZ):
+            self._LZ_pad[i, : len(a)] = a
 
     def value(self, i, x):
         Z, lam = self.shards[i]
@@ -255,10 +306,46 @@ class LogisticSuite(ObjectiveSuite):
         t = lam * (Z @ x)
         return -(Z.T @ (lam * _sigmoid(-t))) + self.mu * x
 
+    def batch_grad(self, U):
+        t = np.einsum("nmd,nd->nm", self._LZ_pad, U)
+        return self.mu * U - np.einsum("nmd,nm->nd", self._LZ_pad, _sigmoid(-t))
+
     def average_values(self, rows):
-        T = self._lam_all[:, None] * (self._Z_all @ rows.T)
+        T = self._LZ_all @ rows.T
         vals = _log1pexp(-T).sum(axis=0) / self.n
         return vals + 0.5 * self.mu * (rows * rows).sum(axis=1)
+
+    def average_grad(self, x):
+        s = _sigmoid(-(self._LZ_all @ x))
+        return self.mu * x - (s @ self._LZ_all) / self.n
+
+    def average_hessian(self, x):
+        t = self._LZ_all @ x
+        w = _sigmoid(t) * _sigmoid(-t)
+        H = (self._LZ_all.T * w) @ self._LZ_all / self.n
+        return H + self.mu * np.eye(self.dim)
+
+    def _reference_terms(self, xstar):
+        t = self._LZ_all @ xstar
+        return xstar, t, _sigmoid(-t), _log1pexp(-t)
+
+    def gap_values(self, rows, xstar):
+        """Per example, with dt = lam z'(row - x*), the loss moves by
+        log1p(sigmoid(-t*) expm1(-dt)), accurate to rounding however small
+        dt is. Entries with |dt| >= 1, where expm1 could overflow, take the
+        plain difference of log1pexp instead; it is accurate there because
+        the change is not small.
+        """
+        xstar, t_star, s_star, l_star = self._reference(xstar)
+        D = rows - xstar
+        dT = D @ self._LZ_all.T
+        terms = np.log1p(s_star * np.expm1(-np.clip(dT, -1.0, 1.0)))
+        far = np.abs(dT) >= 1.0
+        if far.any():
+            _, cols_far = np.nonzero(far)
+            terms[far] = _log1pexp(-t_star[cols_far] - dT[far]) - l_star[cols_far]
+        reg = 0.5 * self.mu * (D * (rows + xstar)).sum(axis=1)
+        return terms.sum(axis=1) / self.n + reg
 
 
 def make_quadratic_suite(
@@ -308,38 +395,37 @@ def make_logistic_suite(
 def global_minimizer(
     suite: ObjectiveSuite,
     tol: float = 1e-14,
-    max_iter: int = 200_000,
+    max_iter: int = 100,
     force_iterative: bool = False,
 ) -> tuple:
-    """High-precision minimizer (x*, f*) of the average objective.
+    """Minimizer (x*, f*) of the average objective, to gradient norm tol.
 
-    Quadratic suites use the closed form. Otherwise runs accelerated descent
-    with adaptive restarts in extended precision until the gradient norm
-    falls below tol.
+    Quadratic suites use the closed form. Otherwise damped Newton from the
+    origin: each step solves with `average_hessian`, then halves its length
+    until the decrease, measured with `gap_values` so it stays exact near x*,
+    meets the Armijo condition. Raises RuntimeError, naming the final gradient
+    norm, if max_iter steps do not reach tol.
     """
     if isinstance(suite, QuadraticSuite) and not force_iterative:
         return suite.minimizer()
 
-    L = suite.L
-    x = np.zeros(suite.dim, dtype=np.longdouble)
-    y = x.copy()
-    x_prev = x.copy()
-    t = 1.0
-    for _ in range(max_iter):
-        g_y = suite.average_grad(y)
-        x = y - g_y / L
-        g_x = suite.average_grad(x)
-        gnorm = float(np.sqrt((g_x * g_x).sum()))
+    x = np.zeros(suite.dim)
+    for it in range(max_iter + 1):
+        g = suite.average_grad(x)
+        gnorm = float(np.linalg.norm(g))
         if gnorm <= tol:
-            return np.asarray(x, dtype=float), float(suite.average_value(x))
-        if float(g_y @ (x - x_prev)) > 0.0:
-            t = 1.0  # adaptive restart: momentum was overshooting
-            y = x.copy()
-        else:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            y = x + ((t - 1.0) / t_next) * (x - x_prev)
-            t = t_next
-        x_prev = x
+            return x, float(suite.average_value(x))
+        if it == max_iter:
+            break
+        step = -np.linalg.solve(suite.average_hessian(x), g)
+        slope = float(g @ step)
+        t = 1.0
+        while t > 1e-10:
+            change = suite.gap_values((x + t * step)[None, :], x)[0]
+            if change <= 0.25 * t * slope:
+                break
+            t *= 0.5
+        x = x + t * step
     raise RuntimeError(
         f"minimizer did not reach gradient norm {tol} in {max_iter} iterations "
         f"(final gradient norm {gnorm})"

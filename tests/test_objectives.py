@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,17 @@ from pushopt import (
     synthetic_logistic_dataset,
     write_labeled_csv,
 )
+from pushopt.experiments import (
+    REPRO_AGENTS,
+    REPRO_DATA_SEED,
+    REPRO_PARTITION_SEED,
+)
+
+
+def repro_suite(mu):
+    """The n = 20 logistic problem of `pushopt reproduce` on synthetic data."""
+    data = synthetic_logistic_dataset(1000, 4, seed=REPRO_DATA_SEED)
+    return make_logistic_suite(data, REPRO_AGENTS, mu, REPRO_PARTITION_SEED)
 
 
 def fd_gradient(fun, x, h=1e-6):
@@ -191,3 +204,75 @@ def test_minimizer_cap_reports_gradient_norm():
     suite = make_logistic_suite(synthetic_logistic_dataset(200, 4, 3), 5, 0.05, 1)
     with pytest.raises(RuntimeError, match="gradient norm"):
         global_minimizer(suite, tol=1e-14, max_iter=3)
+
+
+def test_quadratic_gap_matches_exact_form():
+    suite = make_quadratic_suite(10, 5, 100.0, 0.01, 3)
+    xstar, _ = global_minimizer(suite)
+    H = [[Fraction(h) for h in row] for row in suite.mean_H]
+    b = [Fraction(v) for v in suite.mean_b]
+
+    def f(x):  # the average objective in exact rational arithmetic
+        x = [Fraction(v) for v in x]
+        quad = sum(x[i] * H[i][j] * x[j] for i in range(5) for j in range(5))
+        return quad / 2 - sum(bi * xi for bi, xi in zip(b, x))
+
+    rng = np.random.default_rng(1)
+    fstar = f(xstar)
+    assert np.array_equal(suite.gap_values(xstar[None, :], xstar), [0.0])
+    for scale in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-11):
+        rows = xstar + scale * rng.standard_normal((3, 5))
+        exact = np.array([float(f(r) - fstar) for r in rows])
+        gaps = suite.gap_values(rows, xstar)
+        assert (gaps > 0).all()
+        assert np.abs(gaps - exact).max() <= 1e-13 * exact.min()
+
+
+@pytest.mark.parametrize("mu", [0.05, 0.0])
+def test_logistic_gap_matches_second_order_model(mu):
+    suite = repro_suite(mu)
+    xstar, _ = global_minimizer(suite)
+    H = suite.average_hessian(xstar)
+    g = suite.average_grad(xstar)
+    assert np.array_equal(suite.gap_values(xstar[None, :], xstar), [0.0])
+    rng = np.random.default_rng(2)
+    for target in (1e-8, 1e-10, 1e-12, 1e-14, 1e-16, 1e-18, 1e-20):
+        D = rng.standard_normal((4, suite.dim))
+        D *= np.sqrt(2 * target / np.einsum("ri,ij,rj->r", D, H, D))[:, None]
+        rows = xstar + D
+        D = rows - xstar  # the displacement as the suite sees it
+        model = 0.5 * np.einsum("ri,ij,rj->r", D, H, D) + D @ g
+        gaps = suite.gap_values(rows, xstar)
+        assert (gaps > 0).all()
+        assert np.abs(gaps / model - 1).max() <= 1e-4, target
+
+
+@pytest.mark.parametrize("mu", [0.05, 0.0])
+def test_logistic_gap_far_from_minimizer_matches_direct_difference(mu):
+    suite = repro_suite(mu)
+    xstar, fstar = global_minimizer(suite)
+    rows = xstar + 3.0 * np.random.default_rng(3).standard_normal((5, suite.dim))
+    dt = (rows - xstar) @ np.vstack([lam[:, None] * Z for Z, lam in suite.shards]).T
+    assert (np.abs(dt) >= 1).any() and (np.abs(dt) < 1).any()
+    direct = suite.average_values(rows) - fstar
+    assert np.allclose(suite.gap_values(rows, xstar), direct, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.05])
+def test_stacked_gradients_match_per_agent_on_uneven_shards(mu):
+    suite = make_logistic_suite(synthetic_logistic_dataset(1003, 4, 8), 20, mu, 4)
+    assert len({Z.shape[0] for Z, _ in suite.shards}) == 2  # zero-padded
+    U = 2.0 * np.random.default_rng(6).standard_normal((20, 4))
+    ref = np.stack([suite.grad(i, U[i]) for i in range(20)])
+    err = np.abs(suite.batch_grad(U) - ref).max()
+    assert err <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("mu", [0.05, 0.0])
+def test_newton_minimizer_reaches_gradient_floor(mu):
+    suite = repro_suite(mu)
+    xstar, fstar = global_minimizer(suite)
+    assert np.linalg.norm(suite.average_grad(xstar)) <= 1e-14
+    per_agent = np.mean([suite.grad(i, xstar) for i in range(suite.n)], axis=0)
+    assert np.linalg.norm(per_agent) <= 1e-13
+    assert fstar == suite.average_value(xstar)
