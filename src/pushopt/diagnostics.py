@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixing import MixingMatrix, NormTransform
+from .mixing import MixingMatrix, NormTransform, _minus_perron
 from .objectives import ObjectiveSuite, global_minimizer
 from .solvers import APDParams, APDSCParams, SolverState
 
@@ -88,13 +88,16 @@ def consensus_error(state: SolverState, p: np.ndarray) -> tuple:
     stack of the plain row average of X; proj_err projects X onto the
     complement of the Perron direction.
     """
-    n = state.n
+    u_err, PX = _consensus_terms(state, _minus_perron(p))
+    return u_err, float(np.linalg.norm(PX))
+
+
+def _consensus_terms(state: SolverState, Pi: np.ndarray) -> tuple:
+    """(u_err, Pi @ X); the product also feeds the Lyapunov X-term."""
     xbar = state.X.mean(axis=0)
     U = state.X / state.v[:, None]
     u_err = float(np.linalg.norm(U - xbar[None, :]))
-    Pi = np.eye(n) - np.outer(p, np.ones(n)) / n
-    proj_err = float(np.linalg.norm(Pi @ state.X))
-    return u_err, proj_err
+    return u_err, Pi @ state.X
 
 
 def _c3(pa: float, delta: float) -> float:
@@ -107,6 +110,38 @@ def _c5(alpha_tau: float, delta: float) -> float:
     )
 
 
+def _smooth_coefficients(params: APDParams, k: int, d: float) -> tuple:
+    """(tau_k, Z weight, G weight) of (phi1, phi2)."""
+    return params.tau(k), 6.0 / d**2, _c3(params.pa, d) * params.eta**2 / d**4
+
+
+def _sc_coefficients(params: APDSCParams, k: int, d: float) -> tuple:
+    """(tau, Z weight, G weight) of (phi3, phi4)."""
+    at = params.alpha * params.tau
+    return params.tau, 24.0 / (7.0 * d**2), _c5(at, d) * params.eta**2 / d**4
+
+
+def _lyapunov(state, k, nt, Pi, PX, tau, z_weight, g_weight) -> tuple:
+    """(average part, consensus part) of a Lyapunov pair.
+
+    The average part weights xbar and zbar by the decayed push-sum error;
+    the consensus part combines the weighted-norm consensus errors of X, Z
+    and G, with PX = Pi @ X given by the caller.
+    """
+    d = nt.delta
+    xbar = state.X.mean(axis=0)
+    zbar = state.Z.mean(axis=0)
+    phi_avg = (1.0 - d) ** (2 * k) * (
+        float(xbar @ xbar) + (8.0 / d**2) * tau**2 * float(zbar @ zbar)
+    )
+    phi_cons = (
+        nt.mat_norm(PX) ** 2
+        + z_weight * nt.mat_norm(Pi @ state.Z) ** 2
+        + g_weight * nt.mat_norm(Pi @ state.G) ** 2
+    )
+    return float(phi_avg), float(phi_cons)
+
+
 def lyapunov_smooth(
     state: SolverState, k: int, params: APDParams, nt: NormTransform
 ) -> tuple:
@@ -115,40 +150,18 @@ def lyapunov_smooth(
     phi1 weights the average parts by the decayed push-sum error; phi2
     combines the weighted-norm consensus errors of X, Z and G.
     """
-    d = nt.delta
-    tau_k = params.tau(k)
-    xbar = state.X.mean(axis=0)
-    zbar = state.Z.mean(axis=0)
-    phi1 = (1.0 - d) ** (2 * k) * (
-        float(xbar @ xbar) + (8.0 / d**2) * tau_k**2 * float(zbar @ zbar)
-    )
     Pi = nt.projector()
-    phi2 = (
-        nt.mat_norm(Pi @ state.X) ** 2
-        + (6.0 / d**2) * nt.mat_norm(Pi @ state.Z) ** 2
-        + (_c3(params.pa, d) * params.eta**2 / d**4) * nt.mat_norm(Pi @ state.G) ** 2
-    )
-    return float(phi1), float(phi2)
+    coefs = _smooth_coefficients(params, k, nt.delta)
+    return _lyapunov(state, k, nt, Pi, Pi @ state.X, *coefs)
 
 
 def lyapunov_sc(
     state: SolverState, k: int, params: APDSCParams, nt: NormTransform
 ) -> tuple:
     """(phi3, phi4), the constant-coefficient analogues of (phi1, phi2)."""
-    d = nt.delta
-    xbar = state.X.mean(axis=0)
-    zbar = state.Z.mean(axis=0)
-    phi3 = (1.0 - d) ** (2 * k) * (
-        float(xbar @ xbar) + (8.0 / d**2) * params.tau**2 * float(zbar @ zbar)
-    )
     Pi = nt.projector()
-    at = params.alpha * params.tau
-    phi4 = (
-        nt.mat_norm(Pi @ state.X) ** 2
-        + (24.0 / (7.0 * d**2)) * nt.mat_norm(Pi @ state.Z) ** 2
-        + (_c5(at, d) * params.eta**2 / d**4) * nt.mat_norm(Pi @ state.G) ** 2
-    )
-    return float(phi3), float(phi4)
+    coefs = _sc_coefficients(params, k, nt.delta)
+    return _lyapunov(state, k, nt, Pi, Pi @ state.X, *coefs)
 
 
 @dataclass(frozen=True)
@@ -253,6 +266,12 @@ class TraceRecorder:
     column is `optimality_gap` of the estimates: exact in float64 when x* is
     given, the plain difference to f* when only f* is. With stride="auto"
     every iteration is recorded up to k = 10_000 and every 10th beyond.
+
+    The projector I - p 1^T / n is built once, from the mixing's Perron
+    vector, when the recorder is made; a norm transform, if given, must
+    carry the same vector. Each record forms Pi @ X once, for the
+    projection error and the Lyapunov X-term, and Pi @ Z and Pi @ G only
+    when Lyapunov values are recorded.
     """
 
     def __init__(
@@ -277,6 +296,15 @@ class TraceRecorder:
         self.xstar = xstar
         self.fstar = fstar
         self._rows = {name: [] for name in TRACE_COLUMNS}
+        if norm_transform is not None and not np.array_equal(norm_transform.p, mixing.p):
+            raise ValueError("norm_transform was built for a different Perron vector")
+        self._Pi = _minus_perron(mixing.p)
+        if norm_transform is not None and isinstance(params, APDParams):
+            self._lyapunov = ("phi1", "phi2", _smooth_coefficients)
+        elif norm_transform is not None and isinstance(params, APDSCParams):
+            self._lyapunov = ("phi3", "phi4", _sc_coefficients)
+        else:
+            self._lyapunov = None
 
     def _due(self, k: int) -> bool:
         if self.stride == "auto":
@@ -293,19 +321,17 @@ class TraceRecorder:
         else:
             est = state.ratio(self.estimate)
             r["loss"].append(optimality_gap(self.suite, est, self.xstar, self.fstar))
-        u_err, proj_err = consensus_error(state, self.mixing.p)
+        u_err, PX = _consensus_terms(state, self._Pi)
         r["consensus_error"].append(u_err)
-        r["projection_error"].append(proj_err)
+        r["projection_error"].append(float(np.linalg.norm(PX)))
         r["grad_avg_norm"].append(float(np.linalg.norm(state.G.mean(axis=0))))
         r["v_min"].append(float(state.v.min()))
-        if self.nt is not None and isinstance(self.params, APDParams):
-            phi1, phi2 = lyapunov_smooth(state, state.k, self.params, self.nt)
-            r["phi1"].append(phi1)
-            r["phi2"].append(phi2)
-        elif self.nt is not None and isinstance(self.params, APDSCParams):
-            phi3, phi4 = lyapunov_sc(state, state.k, self.params, self.nt)
-            r["phi3"].append(phi3)
-            r["phi4"].append(phi4)
+        if self._lyapunov is not None:
+            avg_name, cons_name, coefficients = self._lyapunov
+            coefs = coefficients(self.params, state.k, self.nt.delta)
+            phi_avg, phi_cons = _lyapunov(state, state.k, self.nt, self._Pi, PX, *coefs)
+            r[avg_name].append(phi_avg)
+            r[cons_name].append(phi_cons)
 
     def trace(self) -> RunTrace:
         r = self._rows

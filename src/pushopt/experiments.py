@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import (
+    TRACE_COLUMNS,
     RunTrace,
     TraceRecorder,
     fit_linear_rate,
@@ -99,12 +100,14 @@ class ExperimentConfig:
             raise ConfigError(f"missing or malformed config section: {exc}") from None
         if not algorithms:
             raise ConfigError("need at least one algorithm")
-        iterations = int(run.get("iterations", 1000))
-        if iterations < 1:
-            raise ConfigError("iterations must be >= 1")
+        iterations = run.get("iterations", 1000)
+        if not _is_positive_int(iterations):
+            raise ConfigError(f"iterations must be a positive integer, got {iterations!r}")
         stride = run.get("record_stride", "auto")
-        if stride != "auto" and (not isinstance(stride, int) or stride < 1):
-            raise ConfigError('record_stride must be a positive integer or "auto"')
+        if stride != "auto" and not _is_positive_int(stride):
+            raise ConfigError(
+                f'record_stride must be a positive integer or "auto", got {stride!r}'
+            )
         for alg in algorithms:
             if alg.get("name") not in ALGORITHMS:
                 raise ConfigError(
@@ -138,6 +141,11 @@ class ExperimentConfig:
             record_stride=stride,
             out_dir=str(run.get("out_dir", "results")),
         )
+
+
+def _is_positive_int(value) -> bool:
+    """True for a JSON integer >= 1; bools and integral floats are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 def _build_graph(cfg: dict) -> DirectedGraph:
@@ -503,18 +511,11 @@ def emit_csv(trace: RunTrace, path) -> None:
     Absent diagnostics columns (the Lyapunov values) are written as empty
     fields; the format round-trips floats bit-exactly.
     """
-    header = "k,loss,consensus_error,projection_error,grad_avg_norm,phi1,phi2,phi3,phi4,v_min"
-    lines = [header]
+    lines = [",".join(TRACE_COLUMNS)]
+    values = [trace.column(name) for name in TRACE_COLUMNS[1:]]
     for i in range(len(trace)):
         row = [str(int(trace.k[i]))]
-        row.append(_format_value(trace.loss[i]))
-        row.append(_format_value(trace.consensus_error[i]))
-        row.append(_format_value(trace.projection_error[i]))
-        row.append(_format_value(trace.grad_avg_norm[i]))
-        for col in ("phi1", "phi2", "phi3", "phi4"):
-            vals = getattr(trace, col)
-            row.append("" if vals is None else _format_value(vals[i]))
-        row.append(_format_value(trace.v_min[i]))
+        row += ["" if vals is None else _format_value(vals[i]) for vals in values]
         lines.append(",".join(row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 

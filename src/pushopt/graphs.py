@@ -72,15 +72,15 @@ def build_cycle_plus_random(n: int, extra_edges: int, seed: int) -> DirectedGrap
     if extra_edges < 0:
         raise ValueError("extra_edges must be nonnegative")
     ring = _ring_edges(n)
-    candidates = sorted(
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if i != j and (i, j) not in ring
-    )
-    if extra_edges > len(candidates):
+    # np.nonzero walks the mask in row-major order, which is the sorted
+    # order of the (i, j) pairs that the sampled indices refer to.
+    allowed = ~np.eye(n, dtype=bool)
+    ring_i, ring_j = np.array(list(ring)).T
+    allowed[ring_i, ring_j] = False
+    rows, cols = np.nonzero(allowed)
+    if extra_edges > len(rows):
         raise ValueError(
-            f"extra_edges={extra_edges} exceeds the {len(candidates)} "
+            f"extra_edges={extra_edges} exceeds the {len(rows)} "
             f"available non-ring pairs for n={n}"
         )
 
@@ -88,8 +88,8 @@ def build_cycle_plus_random(n: int, extra_edges: int, seed: int) -> DirectedGrap
     # retry loop is a safeguard for future generators, not a hot path.
     for attempt in range(16):
         rng = np.random.default_rng(seed + attempt)
-        idx = rng.choice(len(candidates), size=extra_edges, replace=False)
-        edges = ring | {candidates[i] for i in idx}
+        idx = rng.choice(len(rows), size=extra_edges, replace=False)
+        edges = ring | set(zip(rows[idx].tolist(), cols[idx].tolist()))
         g = DirectedGraph(n=n, edges=frozenset(edges), seed=seed)
         if is_strongly_connected(g):
             return g

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -17,6 +18,20 @@ __all__ = [
     "contraction_factor",
     "build_contraction_norm",
 ]
+
+
+def _minus_perron(p: np.ndarray, A: np.ndarray | None = None) -> np.ndarray:
+    """A - p 1^T / n, with A = I by default (the projector off the Perron
+    direction).
+
+    The rank-one term is broadcast from p / n rather than formed with
+    np.outer: p_i * 1 is exact, so the entries are bitwise those of
+    A - np.outer(p, np.ones(n)) / n without the n-by-n temporary.
+    """
+    n = p.shape[0]
+    if A is None:
+        A = np.eye(n)
+    return A - (p / n)[:, None]
 
 
 @dataclass(frozen=True)
@@ -40,7 +55,7 @@ class MixingMatrix:
 
     def error_map(self) -> np.ndarray:
         """The mixing-error matrix C - p 1^T / n."""
-        return self.C - np.outer(self.p, np.ones(self.n)) / self.n
+        return _minus_perron(self.p, self.C)
 
 
 @dataclass(frozen=True)
@@ -70,8 +85,17 @@ class NormTransform:
         return float(np.linalg.norm(self.Ctilde @ A))
 
     def projector(self) -> np.ndarray:
-        n = self.p.shape[0]
-        return np.eye(n) - np.outer(self.p, np.ones(n)) / n
+        """The projector I - p 1^T / n, built on first use and then shared.
+
+        Every call returns the same read-only array.
+        """
+        return self._projector
+
+    @cached_property
+    def _projector(self) -> np.ndarray:
+        Pi = _minus_perron(self.p)
+        Pi.flags.writeable = False
+        return Pi
 
 
 def uniform_out_weights(g: DirectedGraph) -> MixingMatrix:
@@ -124,8 +148,7 @@ def perron_vector(C: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 def contraction_factor(C: np.ndarray, p: np.ndarray) -> float:
     """Spectral radius of C - p 1^T / n; must be below 1 for valid mixing."""
-    n = C.shape[0]
-    M = C - np.outer(p, np.ones(n)) / n
+    M = _minus_perron(p, C)
     sigma = float(np.abs(np.linalg.eigvals(M)).max())
     if sigma >= 1.0:
         raise ValueError(f"spectral radius {sigma} >= 1: invalid mixing matrix")
@@ -168,7 +191,6 @@ def build_contraction_norm(
     spectral norm falls below sigma + epsilon. Defaults to
     epsilon = (1 - sigma) / 2.
     """
-    n = C.shape[0]
     sigma = contraction_factor(C, p)
     if epsilon is None:
         epsilon = (1.0 - sigma) / 2.0
@@ -177,7 +199,7 @@ def build_contraction_norm(
             f"epsilon must lie in (0, {1.0 - sigma}); got {epsilon}"
         )
     target = sigma + epsilon
-    M = C - np.outer(p, np.ones(n)) / n
+    M = _minus_perron(p, C)
     T, Q = scipy.linalg.schur(M, output="real")
     s, block_id = _standardize_blocks(T)
 
@@ -203,7 +225,7 @@ def build_contraction_norm(
     theta = float(sd.max() / sd.min())
 
     contraction = float(np.linalg.norm(Ctilde @ M @ Ctilde_inv, 2))
-    Pi = np.eye(n) - np.outer(p, np.ones(n)) / n
+    Pi = _minus_perron(p)
     projector_norm = float(np.linalg.norm(Ctilde @ Pi @ Ctilde_inv, 2))
     return NormTransform(
         Ctilde=Ctilde,

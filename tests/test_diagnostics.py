@@ -9,6 +9,7 @@ from pushopt import (
     apd_run,
     apdsc_run,
     build_contraction_norm,
+    build_cycle_plus_random,
     check_inexact_bounds,
     consensus_error,
     default_params_sc,
@@ -19,9 +20,12 @@ from pushopt import (
     iterations_to_threshold,
     lyapunov_sc,
     lyapunov_smooth,
+    make_quadratic_suite,
     optimality_gap,
+    push_diging_run,
     uniform_out_weights,
 )
+from pushopt.diagnostics import TRACE_COLUMNS
 from pushopt.graphs import DirectedGraph
 from pushopt.solvers import SolverState
 
@@ -277,3 +281,103 @@ def test_trace_recorder_accepts_reference_value_only(small_mixing, small_suite, 
     tr = rec.trace()
     assert np.isfinite(tr.loss).all()
     assert tr.loss.min() >= -1e-12
+
+
+def _oracle_rows(states, suite, mixing, xstar, params, nt, estimate):
+    """Recorder columns from the per-call formulas: a fresh projector and a
+    fresh Pi @ X in each of the consensus and the Lyapunov terms."""
+    rows = {name: [] for name in TRACE_COLUMNS}
+    for s in states:
+        n = s.n
+        rows["k"].append(s.k)
+        rows["loss"].append(optimality_gap(suite, s.ratio(estimate), xstar, None))
+        xbar = s.X.mean(axis=0)
+        U = s.X / s.v[:, None]
+        rows["consensus_error"].append(float(np.linalg.norm(U - xbar[None, :])))
+        Pi = np.eye(n) - np.outer(mixing.p, np.ones(n)) / n
+        rows["projection_error"].append(float(np.linalg.norm(Pi @ s.X)))
+        rows["grad_avg_norm"].append(float(np.linalg.norm(s.G.mean(axis=0))))
+        rows["v_min"].append(float(s.v.min()))
+        if nt is None:
+            continue
+        d = nt.delta
+        zbar = s.Z.mean(axis=0)
+        Pi = np.eye(n) - np.outer(nt.p, np.ones(n)) / n
+        def nrm(A):
+            return float(np.linalg.norm(nt.Ctilde @ A))
+        if isinstance(params, APDParams):
+            names, tau = ("phi1", "phi2"), params.tau(s.k)
+            c3 = 3.0 * (d**2 + 2.0 * params.pa**2 * d + 4.0 * params.pa**2)
+            z_w, g_w = 6.0 / d**2, c3 * params.eta**2 / d**4
+        else:
+            names, tau = ("phi3", "phi4"), params.tau
+            at = params.alpha * params.tau
+            c5 = (8.0 / 7.0) * (1.5 * d + 6.0 * at**2 * d + 48.0 * at**2 / 7.0)
+            z_w, g_w = 24.0 / (7.0 * d**2), c5 * params.eta**2 / d**4
+        phi_avg = (1.0 - d) ** (2 * s.k) * (
+            float(xbar @ xbar) + (8.0 / d**2) * tau**2 * float(zbar @ zbar)
+        )
+        phi_cons = (
+            nrm(Pi @ s.X) ** 2 + z_w * nrm(Pi @ s.Z) ** 2 + g_w * nrm(Pi @ s.G) ** 2
+        )
+        rows[names[0]].append(float(phi_avg))
+        rows[names[1]].append(float(phi_cons))
+    return rows
+
+
+@pytest.mark.parametrize("name", ["apd", "apdsc", "pushdiging"])
+def test_trace_recorder_bit_exact_against_per_call_formulas(name):
+    mixing = uniform_out_weights(build_cycle_plus_random(40, 120, 3))
+    nt = build_contraction_norm(mixing.C, mixing.p)
+    suite = make_quadratic_suite(40, 5, 100.0, 0.01, 4)
+    xstar, _ = suite.minimizer()
+    X0 = np.random.default_rng(8).standard_normal((40, 5))
+    v0 = np.ones(40)
+    K = 60
+    if name == "apd":
+        params = default_params_smooth(suite.L, K=K)
+        def run(hook):
+            return apd_run(X0, v0, mixing, suite, params, hook)
+    elif name == "apdsc":
+        params = default_params_sc(suite.L, suite.mu, K=K, delta=nt.delta)
+        def run(hook):
+            return apdsc_run(X0, v0, mixing, suite, params, hook)
+    else:
+        params = None
+        def run(hook):
+            return push_diging_run(X0, v0, mixing, suite, 0.3 / suite.L, K, hook)
+    accel = params is not None
+    estimate = "Y" if accel else "X"
+    rec = TraceRecorder(
+        suite, mixing, xstar=xstar, params=params,
+        norm_transform=nt if accel else None, estimate=estimate,
+    )
+    states = []
+
+    def hook(state):
+        states.append(state)
+        rec(state)
+
+    run(hook)
+    tr = rec.trace()
+    expect = _oracle_rows(states, suite, mixing, xstar, params, nt if accel else None, estimate)
+    assert len(tr) == K + 1
+    for col in TRACE_COLUMNS:
+        if expect[col]:
+            assert np.array_equal(tr.column(col), np.array(expect[col])), col
+        else:
+            assert tr.column(col) is None, col
+
+
+def test_projector_is_cached_read_only_and_exact(small_mixing, small_norm, small_suite):
+    n, p = small_mixing.n, small_mixing.p
+    Pi = small_norm.projector()
+    assert small_norm.projector() is Pi
+    assert not Pi.flags.writeable
+    with pytest.raises(ValueError):
+        Pi[0, 0] = 0.0
+    assert np.array_equal(Pi, np.eye(n) - np.outer(p, np.ones(n)) / n)
+    assert np.array_equal(small_mixing.error_map(), small_mixing.C - np.outer(p, np.ones(n)) / n)
+    other = build_contraction_norm(small_mixing.C, p * (1.0 + 1e-12))
+    with pytest.raises(ValueError, match="Perron vector"):
+        TraceRecorder(small_suite, small_mixing, norm_transform=other)

@@ -59,6 +59,22 @@ def test_config_validation(tmp_path):
         ExperimentConfig.from_dict(cfg, tmp_path)
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("iterations", 2.7), ("iterations", True), ("iterations", "abc"), ("record_stride", True)],
+)
+def test_config_rejects_non_integer_counts(tmp_path, capsys, key, value):
+    cfg = base_config(tmp_path / "o")
+    cfg["run"][key] = value
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig.from_dict(cfg, tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_experiment_outputs(tmp_path):
     cfg = ExperimentConfig.from_dict(base_config(tmp_path / "out"), tmp_path)
     summary, traces = run_experiment(cfg)

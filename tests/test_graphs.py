@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from pushopt import (
@@ -91,3 +92,30 @@ def test_edge_list_parse_errors(tmp_path):
     bad.write_text("n 3\n1 2 3\n", encoding="utf-8")
     with pytest.raises(ValueError, match="2"):
         load_edge_list(bad)
+
+
+def _reference_cycle_plus_random(n, extra_edges, seed):
+    """The generator written with a plain loop over ordered pairs."""
+    ring = {(i, (i + 1) % n) for i in range(n)} | {((i + 1) % n, i) for i in range(n)}
+    candidates = sorted(
+        (i, j) for i in range(n) for j in range(n) if i != j and (i, j) not in ring
+    )
+    idx = np.random.default_rng(seed).choice(len(candidates), size=extra_edges, replace=False)
+    return frozenset(ring | {candidates[i] for i in idx})
+
+
+_RNG = np.random.default_rng(2024)
+_RANDOM_CASES = [
+    (int(n), int(_RNG.integers(0, n * (n - 3) + 1)), int(_RNG.integers(0, 1000)))
+    for n in _RNG.integers(4, 60, size=5)
+]
+
+
+@pytest.mark.parametrize(
+    "n,extra,seed",
+    [(400, 1200, 7), (100, 300, 0), (20, 50, 3), (3, 0, 0), (2, 0, 1)] + _RANDOM_CASES,
+)
+def test_generator_matches_pairwise_reference(n, extra, seed):
+    g = build_cycle_plus_random(n, extra, seed)
+    assert g.edges == _reference_cycle_plus_random(n, extra, seed)
+    assert all(type(i) is int and type(j) is int for i, j in g.edges)
