@@ -101,10 +101,10 @@ class ExperimentConfig:
         if not algorithms:
             raise ConfigError("need at least one algorithm")
         iterations = run.get("iterations", 1000)
-        if not _is_positive_int(iterations):
+        if not _is_int(iterations):
             raise ConfigError(f"iterations must be a positive integer, got {iterations!r}")
         stride = run.get("record_stride", "auto")
-        if stride != "auto" and not _is_positive_int(stride):
+        if stride != "auto" and not _is_int(stride):
             raise ConfigError(
                 f'record_stride must be a positive integer or "auto", got {stride!r}'
             )
@@ -117,6 +117,13 @@ class ExperimentConfig:
         names = [a["name"] for a in algorithms]
         if len(set(names)) != len(names):
             raise ConfigError("algorithm names must be unique within one experiment")
+        sections = {"graph": graph, "objective": objective, "init": init}
+        for name, least in _INTEGER_FIELDS.items():
+            section, key = name.split(".")
+            value = sections[section].get(key, least)
+            if not _is_int(value, least):
+                kind = "positive" if least else "non-negative"
+                raise ConfigError(f"{name} must be a {kind} integer, got {value!r}")
         if "edge_list" in graph:
             graph["edge_list"] = str(base / graph["edge_list"])
             if not Path(graph["edge_list"]).exists():
@@ -143,9 +150,22 @@ class ExperimentConfig:
         )
 
 
-def _is_positive_int(value) -> bool:
-    """True for a JSON integer >= 1; bools and integral floats are not integers."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+# Config fields that must be JSON integers, with their least value; int()
+# would otherwise truncate them (8.9 agents would run as 8).
+_INTEGER_FIELDS = {
+    "graph.n": 1,
+    "graph.extra_edges": 0,
+    "graph.seed": 0,
+    "objective.dim": 1,
+    "objective.seed": 0,
+    "objective.partition_seed": 0,
+    "init.x0_seed": 0,
+}
+
+
+def _is_int(value, least: int = 1) -> bool:
+    """True for a JSON integer >= least; bools and integral floats are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
 def _build_graph(cfg: dict) -> DirectedGraph:

@@ -263,7 +263,7 @@ class QuadraticSuite(ObjectiveSuite):
         """The exact expansion D' H D / 2 + D' grad f(x*), D = row - x*."""
         xstar, grad = self._reference(xstar)
         D = rows - xstar
-        return 0.5 * np.einsum("ri,ij,rj->r", D, self.mean_H, D) + D @ grad
+        return 0.5 * ((D @ self.mean_H) * D).sum(axis=1) + D @ grad
 
     def minimizer(self) -> tuple:
         """Closed-form minimizer of the average objective."""

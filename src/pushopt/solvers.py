@@ -2,7 +2,8 @@
 
 All solvers share the stacked-iterate layout: X, Y, Z, G are (n, dim) with
 one agent per row, v is the push-sum weight vector, and the mixing matrix
-multiplies from the left. Each step costs exactly one gradient batch; the
+multiplies from the left, in the form `MixingMatrix.op` picks (CSR on large
+sparse graphs). Each step costs exactly one gradient batch; the
 previous batch is cached on the state.
 """
 
@@ -184,7 +185,7 @@ def apd_step(
     params: APDParams,
 ) -> SolverState:
     """One accelerated gradient-tracking step with the time-varying schedule."""
-    C = mixing.C
+    C = mixing.op
     eta = params.eta
     alpha_k = params.alpha(state.k)
     tau_next = params.tau(state.k + 1)
@@ -204,7 +205,7 @@ def apdsc_step(
     params: APDSCParams,
 ) -> SolverState:
     """One accelerated gradient-tracking step with constant coefficients."""
-    C = mixing.C
+    C = mixing.op
     eta = params.eta
     v1 = C @ state.v
     Y1 = C @ (state.X - eta * state.G)
@@ -259,7 +260,7 @@ def push_diging_run(X0, v0, mixing, suite, eta: float, K: int, hooks=None):
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    C = mixing.C
+    C = mixing.op
     state = init_state(X0, v0, suite)
     if hooks is not None:
         hooks(state)
@@ -283,7 +284,7 @@ def subgradient_push_run(X0, v0, mixing, suite, step_c: float, K: int, hooks=Non
     """
     if step_c <= 0:
         raise ValueError("step_c must be positive")
-    C = mixing.C
+    C = mixing.op
     state = init_state(X0, v0, suite)
     if hooks is not None:
         hooks(state)
@@ -366,7 +367,7 @@ def calibrate_theory_inputs(
     v = np.array(v0, dtype=float)
     vhat = 1.0 / v.min()
     for _ in range(iters):
-        v = mixing.C @ v
+        v = mixing.op @ v
         vhat = max(vhat, 1.0 / v.min())
     return TheoryInputs(
         n=mixing.n,

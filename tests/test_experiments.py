@@ -61,11 +61,24 @@ def test_config_validation(tmp_path):
 
 @pytest.mark.parametrize(
     "key,value",
-    [("iterations", 2.7), ("iterations", True), ("iterations", "abc"), ("record_stride", True)],
+    [
+        ("iterations", 2.7),
+        ("iterations", True),
+        ("iterations", "abc"),
+        ("record_stride", True),
+        ("graph.n", 8.9),
+        ("graph.extra_edges", True),
+        ("graph.seed", -1),
+        ("objective.dim", 3.5),
+        ("objective.seed", "2"),
+        ("objective.partition_seed", 1.0),
+        ("init.x0_seed", True),
+    ],
 )
 def test_config_rejects_non_integer_counts(tmp_path, capsys, key, value):
     cfg = base_config(tmp_path / "o")
-    cfg["run"][key] = value
+    section, _, field = key.rpartition(".")
+    cfg[section or "run"][field] = value
     with pytest.raises(ConfigError, match=key):
         ExperimentConfig.from_dict(cfg, tmp_path)
     path = tmp_path / "cfg.json"

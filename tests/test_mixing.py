@@ -126,3 +126,22 @@ def test_projector_norm_recorded(small_norm):
     # the actual value instead of assuming it
     assert small_norm.projector_norm >= 1.0 - 1e-12
     assert np.isfinite(small_norm.projector_norm)
+
+
+@pytest.mark.parametrize(
+    "n,extra,csr",
+    [(20, 50, False), (160, 2000, False), (160, 480, True), (400, 1200, True)],
+)
+def test_solver_operator_is_csr_only_on_large_sparse_graphs(n, extra, csr):
+    # (160, 2000) has 2480 nonzeros, above n^2 / 16 = 1600, so it stays dense.
+    mix = uniform_out_weights(build_cycle_plus_random(n, extra, 7))
+    op = mix.op
+    assert op is mix.op
+    if not csr:
+        assert op is mix.C
+        return
+    assert op.format == "csr"
+    assert op.nnz == np.count_nonzero(mix.C)
+    assert np.array_equal(op.toarray(), mix.C)
+    for a in (op.data, op.indices, op.indptr):
+        assert not a.flags.writeable

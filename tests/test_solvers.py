@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,13 @@ from pushopt import (
     apdsc_run,
     apdsc_step,
     build_contraction_norm,
+    build_cycle_plus_random,
     calibrate_theory_inputs,
     centralized_agm_run,
     default_params_sc,
     default_params_smooth,
     init_state,
+    make_quadratic_suite,
     push_diging_run,
     subgradient_push_run,
     uniform_out_weights,
@@ -349,3 +353,61 @@ def test_param_validation():
         APDSCParams(eta=0.1, alpha=1.0, beta=0.5, tau=0.2)
     with pytest.raises(ValueError):
         default_params_sc(1.0, 2.0)  # mu > L
+
+
+@pytest.fixture(scope="module")
+def sparse_problem():
+    """n = 160 ring plus 480 links: large and sparse enough for the CSR form."""
+    n = 160
+    mixing = uniform_out_weights(build_cycle_plus_random(n, 480, 1))
+    assert mixing.op.format == "csr"
+    # The same matrix with the dense product, as the reference.
+    dense = MixingMatrix(C=mixing.C, p=mixing.p, sigma=mixing.sigma)
+    vars(dense)["op"] = dense.C
+    suite = make_quadratic_suite(n, 5, 100.0, 0.01, 3)
+    X0 = np.random.default_rng(11).standard_normal((n, 5))
+    return mixing, dense, suite, X0, np.ones(n)
+
+
+def _sparse_runs(suite, X0, v0, K=60):
+    """name -> (run(mixing, hooks), IdentityMonitor kind, params) on one problem."""
+    pa = default_params_smooth(suite.L, K=K)
+    ps = default_params_sc(suite.L, suite.mu, K=K)
+    eta = 0.3 / suite.L
+    return {
+        "apd": (lambda m, h: apd_run(X0, v0, m, suite, pa, h), "apd", pa),
+        "apdsc": (lambda m, h: apdsc_run(X0, v0, m, suite, ps, h), "apdsc", ps),
+        "pushdiging": (
+            lambda m, h: push_diging_run(X0, v0, m, suite, eta, K, h),
+            "pushdiging",
+            SimpleNamespace(eta=eta),
+        ),
+        "subgradpush": (
+            lambda m, h: subgradient_push_run(X0, v0, m, suite, 0.18, K, h),
+            None,
+            None,
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["apd", "apdsc", "pushdiging", "subgradpush"])
+def test_csr_mixing_matches_dense_and_keeps_identities(sparse_problem, name):
+    mixing, dense, suite, X0, v0 = sparse_problem
+    run, kind, params = _sparse_runs(suite, X0, v0)[name]
+    states, again, ref = [], [], []
+    run(mixing, states.append)
+    run(mixing, again.append)
+    run(dense, ref.append)
+    assert len(states) == len(ref) == 61
+    for s, t, r in zip(states, again, ref):
+        for field in "XYZGv":
+            a, b, c = getattr(s, field), getattr(t, field), getattr(r, field)
+            assert np.array_equal(a, b)
+            assert np.abs(a - c).max() <= 1e-12 * np.abs(c).max()
+    if kind is None:
+        return
+    mon = IdentityMonitor(mixing, params, kind=kind)
+    run(mixing, mon)
+    worst = mon.worst()
+    for key in ("mass", "tracking", "ybar", "zbar", "xbar", "coupling"):
+        assert worst[key] <= 1e-10, (key, worst[key])
