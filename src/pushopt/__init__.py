@@ -48,7 +48,9 @@ from .solvers import (
     default_params_smooth,
     init_state,
     push_diging_run,
+    push_diging_step,
     subgradient_push_run,
+    subgradient_push_step,
 )
 from .diagnostics import (
     IdentityMonitor,

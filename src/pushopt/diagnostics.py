@@ -8,7 +8,7 @@ import numpy as np
 
 from .mixing import MixingMatrix, NormTransform, _minus_perron
 from .objectives import ObjectiveSuite, global_minimizer
-from .solvers import APDParams, APDSCParams, SolverState
+from .solvers import APDParams, APDSCParams, SolverState, _c3, _c5
 
 __all__ = [
     "RunTrace",
@@ -98,16 +98,6 @@ def _consensus_terms(state: SolverState, Pi: np.ndarray) -> tuple:
     U = state.X / state.v[:, None]
     u_err = float(np.linalg.norm(U - xbar[None, :]))
     return u_err, Pi @ state.X
-
-
-def _c3(pa: float, delta: float) -> float:
-    return 3.0 * (delta**2 + 2.0 * pa**2 * delta + 4.0 * pa**2)
-
-
-def _c5(alpha_tau: float, delta: float) -> float:
-    return (8.0 / 7.0) * (
-        1.5 * delta + 6.0 * alpha_tau**2 * delta + 48.0 * alpha_tau**2 / 7.0
-    )
 
 
 def _smooth_coefficients(params: APDParams, k: int, d: float) -> tuple:
@@ -334,22 +324,13 @@ class TraceRecorder:
             r[cons_name].append(phi_cons)
 
     def trace(self) -> RunTrace:
-        r = self._rows
-        def col(name):
-            return np.array(r[name]) if r[name] else None
-        return RunTrace(
-            label=self.label,
-            k=np.array(r["k"], dtype=int),
-            loss=np.array(r["loss"]),
-            consensus_error=np.array(r["consensus_error"]),
-            projection_error=np.array(r["projection_error"]),
-            grad_avg_norm=np.array(r["grad_avg_norm"]),
-            v_min=np.array(r["v_min"]),
-            phi1=col("phi1"),
-            phi2=col("phi2"),
-            phi3=col("phi3"),
-            phi4=col("phi4"),
-        )
+        # Lyapunov columns this run did not record are None, not empty arrays.
+        cols = {
+            name: np.array(vals, dtype=int if name == "k" else float)
+            for name, vals in self._rows.items()
+            if vals or not name.startswith("phi")
+        }
+        return RunTrace(label=self.label, **cols)
 
 
 class IdentityMonitor:

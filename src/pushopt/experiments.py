@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import sys
+from contextlib import suppress
+from dataclasses import dataclass, fields, make_dataclass
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -50,11 +54,65 @@ __all__ = [
 ]
 
 THRESHOLDS = (1e-6, 1e-10, 1e-14)
-ALGORITHMS = ("apd", "apdsc", "pushdiging", "subgradpush")
 
 
 class ConfigError(ValueError):
     """The experiment configuration is invalid."""
+
+
+# The baselines' parameters; they carry K as APDParams does.
+_PushDIGingParams = make_dataclass("PushDIGingParams", [("eta", float), ("K", int)])
+_SubgradPushParams = make_dataclass("SubgradPushParams", [("step_c", float), ("K", int)])
+
+
+@dataclass(frozen=True)
+class _Algorithm:
+    """How the runner resolves, runs and records one algorithm.
+
+    An explicit params table holds the fields of params_type other than K.
+    defaults(suite, nt, K, mode=, theory=) gives the "auto" params, and the
+    "theoretical" ones when theoretical is set; run(X0, v0, mixing, suite,
+    params, hooks) returns (output, trace). Accelerated runs report the Y
+    estimate and record the Lyapunov pair; the others report X.
+    """
+
+    params_type: type
+    defaults: Callable
+    run: Callable
+    theoretical: bool = False
+    accelerated: bool = False
+    strongly_convex: bool = False
+
+
+ALGORITHMS = {
+    "apd": _Algorithm(
+        APDParams,
+        defaults=lambda suite, nt, K, **mode: default_params_smooth(suite.L, K=K, **mode),
+        run=apd_run,
+        theoretical=True,
+        accelerated=True,
+    ),
+    "apdsc": _Algorithm(
+        APDSCParams,
+        defaults=lambda suite, nt, K, **mode: default_params_sc(
+            suite.L, suite.mu, K=K, delta=nt.delta, **mode
+        ),
+        run=apdsc_run,
+        theoretical=True,
+        accelerated=True,
+        strongly_convex=True,
+    ),
+    "pushdiging": _Algorithm(
+        _PushDIGingParams,
+        defaults=lambda suite, nt, K: _PushDIGingParams(eta=0.3 / suite.L, K=K),
+        run=lambda X0, v0, m, s, p, h: push_diging_run(X0, v0, m, s, p.eta, p.K, h),
+    ),
+    "subgradpush": _Algorithm(
+        _SubgradPushParams,
+        defaults=lambda suite, nt, K: _SubgradPushParams(step_c=0.18, K=K),
+        run=lambda X0, v0, m, s, p, h: subgradient_push_run(X0, v0, m, s, p.step_c, p.K, h),
+    ),
+}
 
 
 @dataclass
@@ -109,11 +167,16 @@ class ExperimentConfig:
                 f'record_stride must be a positive integer or "auto", got {stride!r}'
             )
         for alg in algorithms:
-            if alg.get("name") not in ALGORITHMS:
+            name = alg.get("name")
+            if name not in ALGORITHMS:
                 raise ConfigError(
-                    f"unknown algorithm {alg.get('name')!r}; choose from {ALGORITHMS}"
+                    f"unknown algorithm {name!r}; choose from {tuple(ALGORITHMS)}"
                 )
-            alg.setdefault("params", "auto")
+            params = alg.setdefault("params", "auto")
+            if params == "theoretical" and not ALGORITHMS[name].theoretical:
+                raise ConfigError(f"{name} has no theoretical stepsize mode")
+            if params not in ("auto", "theoretical"):
+                _explicit_params(name, params, iterations)
         names = [a["name"] for a in algorithms]
         if len(set(names)) != len(names):
             raise ConfigError("algorithm names must be unique within one experiment")
@@ -139,6 +202,8 @@ class ExperimentConfig:
                 raise ConfigError(f"dataset {objective['data']} does not exist")
         elif kind != "quadratic":
             raise ConfigError(f"unknown objective kind {kind!r}")
+        for key in _FLOAT_FIELDS[kind]:
+            _check_number(f"objective.{key}", objective.get(key))
         return cls(
             graph=graph,
             objective=objective,
@@ -162,10 +227,35 @@ _INTEGER_FIELDS = {
     "init.x0_seed": 0,
 }
 
+# Objective fields that must be finite JSON numbers, by objective kind;
+# float() would otherwise turn true into 1.0 and accept the string "100".
+_FLOAT_FIELDS = {"quadratic": ("kappa", "mu_base"), "logistic": ("mu",)}
+
 
 def _is_int(value, least: int = 1) -> bool:
     """True for a JSON integer >= least; bools and integral floats are not integers."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _check_number(name: str, value) -> None:
+    """Raise unless value is a finite JSON number; bools and numeric strings are not."""
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if not finite or isinstance(value, bool):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def _explicit_params(name: str, table, K: int):
+    """The params an explicit table gives; a ConfigError names a bad key."""
+    if not isinstance(table, dict):
+        raise ConfigError(
+            f'{name} params must be "auto", "theoretical" or an object, got {table!r}'
+        )
+    for key, value in table.items():
+        _check_number(f"{name} params.{key}", value)
+    try:
+        return ALGORITHMS[name].params_type(K=K, **{k: float(v) for k, v in table.items()})
+    except (TypeError, ValueError) as exc:  # unknown, missing or out-of-range keys
+        raise ConfigError(f"{name} params: {exc}") from None
 
 
 def _build_graph(cfg: dict) -> DirectedGraph:
@@ -191,81 +281,18 @@ def _build_suite(cfg: dict, n: int):
     )
 
 
-def _resolve_params(alg: dict, suite, mixing, nt, v0, K):
+def _resolve_params(alg: dict, prob, K: int):
     """Turn an algorithm config entry into concrete runnable parameters."""
-    name = alg["name"]
-    params = alg["params"]
-    try:
-        return _resolve_params_inner(name, params, suite, mixing, nt, v0, K)
-    except KeyError as exc:
-        raise ConfigError(f"{name} params missing required key {exc}") from None
-
-
-def _resolve_params_inner(name, params, suite, mixing, nt, v0, K):
-    if name == "apd":
-        if params == "auto":
-            return default_params_smooth(suite.L, K=K)
-        if params == "theoretical":
-            theory = calibrate_theory_inputs(mixing, nt, v0)
-            return default_params_smooth(suite.L, mode="theoretical", theory=theory, K=K)
-        return APDParams(
-            eta=float(params["eta"]),
-            pa=float(params.get("pa", 0.25)),
-            wa=float(params.get("wa", 0.25)),
-            wb=float(params.get("wb", 1.0)),
-            K=K,
-        )
-    if name == "apdsc":
-        if suite.mu <= 0:
-            raise ConfigError("apdsc needs a strongly convex suite (mu > 0)")
-        if params == "auto":
-            return default_params_sc(suite.L, suite.mu, K=K, delta=nt.delta)
-        if params == "theoretical":
-            theory = calibrate_theory_inputs(mixing, nt, v0)
-            return default_params_sc(suite.L, suite.mu, mode="theoretical", theory=theory, K=K)
-        return APDSCParams(
-            eta=float(params["eta"]),
-            alpha=float(params["alpha"]),
-            beta=float(params["beta"]),
-            tau=float(params["tau"]),
-            K=K,
-        )
-    if name == "pushdiging":
-        if params == "auto":
-            return {"eta": 0.3 / suite.L}
-        if params == "theoretical":
-            raise ConfigError("pushdiging has no theoretical stepsize mode")
-        return {"eta": float(params["eta"])}
-    if name == "subgradpush":
-        if params == "auto":
-            return {"step_c": 0.18}
-        if params == "theoretical":
-            raise ConfigError("subgradpush has no theoretical stepsize mode")
-        return {"step_c": float(params["step_c"])}
-    raise ConfigError(f"unknown algorithm {name!r}")
-
-
-def _params_dict(params) -> dict:
-    if isinstance(params, APDParams):
-        return {"eta": params.eta, "pa": params.pa, "wa": params.wa, "wb": params.wb}
-    if isinstance(params, APDSCParams):
-        return {
-            "eta": params.eta,
-            "alpha": params.alpha,
-            "beta": params.beta,
-            "tau": params.tau,
-        }
-    return dict(params)
-
-
-def _run_algorithm(name, params, X0, v0, mixing, suite, recorder, K):
-    if name == "apd":
-        return apd_run(X0, v0, mixing, suite, params, recorder)
-    if name == "apdsc":
-        return apdsc_run(X0, v0, mixing, suite, params, recorder)
-    if name == "pushdiging":
-        return push_diging_run(X0, v0, mixing, suite, params["eta"], K, recorder)
-    return subgradient_push_run(X0, v0, mixing, suite, params["step_c"], K, recorder)
+    name, params = alg["name"], alg["params"]
+    spec = ALGORITHMS[name]
+    if spec.strongly_convex and prob.suite.mu <= 0:
+        raise ConfigError(f"{name} needs a strongly convex suite (mu > 0)")
+    if params == "auto":
+        return spec.defaults(prob.suite, prob.nt, K)
+    if params == "theoretical":
+        theory = calibrate_theory_inputs(prob.mixing, prob.nt, prob.v0)
+        return spec.defaults(prob.suite, prob.nt, K, mode="theoretical", theory=theory)
+    return _explicit_params(name, params, K)
 
 
 def _trace_summary(trace: RunTrace, K: int) -> dict:
@@ -286,6 +313,78 @@ def _trace_summary(trace: RunTrace, K: int) -> dict:
     return out
 
 
+def _problem(graph: DirectedGraph, suite, x0_seed: int) -> SimpleNamespace:
+    """The set-up every algorithm of one experiment shares: mixing, norm,
+    reference minimizer, the Gaussian start with all-ones weights, and the
+    summary's facts about them."""
+    mixing = uniform_out_weights(graph)
+    nt = build_contraction_norm(mixing.C, mixing.p)
+    xstar, fstar = global_minimizer(suite)
+    resolved = {
+        "n": graph.n,
+        "edge_count": len(graph.edges),
+        "sigma": mixing.sigma,
+        "delta": nt.delta,
+        "theta": nt.theta,
+        "L": suite.L,
+        "mu": suite.mu,
+        "fstar": fstar,
+        "xstar": [float(v) for v in xstar],
+    }
+    X0 = np.random.default_rng(x0_seed).standard_normal((graph.n, suite.dim))
+    return SimpleNamespace(
+        mixing=mixing, nt=nt, suite=suite, xstar=xstar, fstar=fstar, X0=X0,
+        v0=np.ones(graph.n), resolved=resolved,
+    )
+
+
+def _run_and_write(prob, algorithms, K, stride, out: Path, summary: dict, finish=None):
+    """Run each algorithm entry from prob's start and write its trace, then
+    summary.json (summary plus one block per algorithm) under out. finish(summary,
+    traces) may add to the summary and returns the files it wrote. On any
+    failure every file written is removed."""
+    plan = [(alg["name"], _resolve_params(alg, prob, K)) for alg in algorithms]
+    written = []
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        summary["algorithms"] = {}
+        traces = {}
+        for name, params in plan:
+            spec = ALGORITHMS[name]
+            recorder = TraceRecorder(
+                prob.suite,
+                prob.mixing,
+                xstar=prob.xstar,
+                params=params if spec.accelerated else None,
+                norm_transform=prob.nt if spec.accelerated else None,
+                estimate="Y" if spec.accelerated else "X",
+                stride=stride,
+                label=name,
+            )
+            _, trace = spec.run(prob.X0, prob.v0, prob.mixing, prob.suite, params, recorder)
+            traces[name] = trace
+            written.append(out / f"trace_{name}.csv")
+            emit_csv(trace, written[-1])
+            summary["algorithms"][name] = {
+                "params": {
+                    f.name: getattr(params, f.name) for f in fields(params) if f.name != "K"
+                },
+                **_trace_summary(trace, K),
+            }
+        if finish is not None:
+            written += finish(summary, traces)
+        written.append(out / "summary.json")
+        written[-1].write_text(
+            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        return summary, traces
+    except Exception:
+        for path in written:
+            with suppress(OSError):
+                path.unlink()
+        raise
+
+
 def run_experiment(config: ExperimentConfig, out_dir=None, x0_seed=None):
     """Build the shared graph/suite/minimizer, run every configured algorithm
     from identical initial conditions, and write traces plus a summary.
@@ -295,80 +394,24 @@ def run_experiment(config: ExperimentConfig, out_dir=None, x0_seed=None):
     """
     out = Path(out_dir if out_dir is not None else config.out_dir)
     seed0 = config.x0_seed if x0_seed is None else int(x0_seed)
-    written = []
-    try:
-        graph = _build_graph(config.graph)
-        mixing = uniform_out_weights(graph)
-        nt = build_contraction_norm(mixing.C, mixing.p)
-        suite = _build_suite(config.objective, graph.n)
-        xstar, fstar = global_minimizer(suite)
-        rng = np.random.default_rng(seed0)
-        X0 = rng.standard_normal((graph.n, suite.dim))
-        v0 = np.ones(graph.n)
-        K = config.iterations
-
-        out.mkdir(parents=True, exist_ok=True)
-        summary = {
-            "experiment": {
-                "graph": config.graph,
-                "objective": {
-                    k: v for k, v in config.objective.items() if k != "standardize"
-                },
-                "standardize": bool(config.objective.get("standardize", False)),
-                "iterations": K,
-                "x0_seed": seed0,
-                "record_stride": config.record_stride,
+    graph = _build_graph(config.graph)
+    prob = _problem(graph, _build_suite(config.objective, graph.n), seed0)
+    summary = {
+        "experiment": {
+            "graph": config.graph,
+            "objective": {
+                k: v for k, v in config.objective.items() if k != "standardize"
             },
-            "resolved": {
-                "n": graph.n,
-                "edge_count": len(graph.edges),
-                "sigma": mixing.sigma,
-                "delta": nt.delta,
-                "theta": nt.theta,
-                "L": suite.L,
-                "mu": suite.mu,
-                "fstar": fstar,
-                "xstar": [float(v) for v in xstar],
-            },
-            "algorithms": {},
-        }
-        traces = {}
-        for alg in config.algorithms:
-            name = alg["name"]
-            params = _resolve_params(alg, suite, mixing, nt, v0, K)
-            estimate = "Y" if name in ("apd", "apdsc") else "X"
-            recorder = TraceRecorder(
-                suite,
-                mixing,
-                xstar=xstar,
-                params=params if name in ("apd", "apdsc") else None,
-                norm_transform=nt if name in ("apd", "apdsc") else None,
-                estimate=estimate,
-                stride=config.record_stride,
-                label=name,
-            )
-            _, trace = _run_algorithm(name, params, X0, v0, mixing, suite, recorder, K)
-            traces[name] = trace
-            path = out / f"trace_{name}.csv"
-            emit_csv(trace, path)
-            written.append(path)
-            summary["algorithms"][name] = {
-                "params": _params_dict(params),
-                **_trace_summary(trace, K),
-            }
-        spath = out / "summary.json"
-        spath.write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        written.append(spath)
-        return summary, traces
-    except Exception:
-        for path in written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        raise
+            "standardize": bool(config.objective.get("standardize", False)),
+            "iterations": config.iterations,
+            "x0_seed": seed0,
+            "record_stride": config.record_stride,
+        },
+        "resolved": prob.resolved,
+    }
+    return _run_and_write(
+        prob, config.algorithms, config.iterations, config.record_stride, out, summary
+    )
 
 
 # Hand-tuned parameter sets of the benchmark comparison.
@@ -409,9 +452,9 @@ def reproduce_paper_experiment(data_path, case: str, out_dir, iters: int = 3000)
         raise ConfigError(f"case must be 'nonstrongly' or 'strongly', got {case!r}")
     block = REPRODUCTION_PARAMS[case]
     rows_needed = REPRO_AGENTS * EXAMPLES_PER_AGENT
-    if data_path is not None and not Path(data_path).exists():
-        raise ConfigError(f"dataset {data_path} does not exist")
     if data_path is not None:
+        if not Path(data_path).exists():
+            raise ConfigError(f"dataset {data_path} does not exist")
         data = load_labeled_csv(data_path)
         data_source = str(data_path)
         if len(data) < rows_needed:
@@ -427,96 +470,42 @@ def reproduce_paper_experiment(data_path, case: str, out_dir, iters: int = 3000)
         data = synthetic_logistic_dataset(rows_needed, 4, seed=REPRO_DATA_SEED)
         data_source = "synthetic"
 
+    prob = _problem(
+        build_cycle_plus_random(REPRO_AGENTS, REPRO_EXTRA_EDGES, REPRO_GRAPH_SEED),
+        make_logistic_suite(data, REPRO_AGENTS, block["mu"], REPRO_PARTITION_SEED),
+        REPRO_X0_SEED,
+    )
+    summary = {
+        "experiment": {
+            "case": case,
+            "data": data_source,
+            "agents": REPRO_AGENTS,
+            "examples_per_agent": EXAMPLES_PER_AGENT,
+            "iterations": iters,
+            "mu": block["mu"],
+        },
+        "resolved": {k: prob.resolved[k] for k in ("sigma", "delta", "theta", "L", "fstar")},
+    }
     out = Path(out_dir)
-    written = []
-    try:
-        graph = build_cycle_plus_random(REPRO_AGENTS, REPRO_EXTRA_EDGES, REPRO_GRAPH_SEED)
-        mixing = uniform_out_weights(graph)
-        nt = build_contraction_norm(mixing.C, mixing.p)
-        suite = make_logistic_suite(
-            data, REPRO_AGENTS, block["mu"], REPRO_PARTITION_SEED
-        )
-        xstar, fstar = global_minimizer(suite)
-        rng = np.random.default_rng(REPRO_X0_SEED)
-        X0 = rng.standard_normal((REPRO_AGENTS, suite.dim))
-        v0 = np.ones(REPRO_AGENTS)
 
-        out.mkdir(parents=True, exist_ok=True)
-        summary = {
-            "experiment": {
-                "case": case,
-                "data": data_source,
-                "agents": REPRO_AGENTS,
-                "examples_per_agent": EXAMPLES_PER_AGENT,
-                "iterations": iters,
-                "mu": block["mu"],
-            },
-            "resolved": {
-                "sigma": mixing.sigma,
-                "delta": nt.delta,
-                "theta": nt.theta,
-                "L": suite.L,
-                "fstar": fstar,
-            },
-            "algorithms": {},
-        }
-        traces = {}
-        for name in (n for n in ALGORITHMS if n in block):
-            params_cfg = block[name]
-            if name == "apd":
-                params = APDParams(K=iters, **params_cfg)
-            elif name == "apdsc":
-                params = APDSCParams(K=iters, **params_cfg)
-            else:
-                params = params_cfg
-            estimate = "Y" if name in ("apd", "apdsc") else "X"
-            recorder = TraceRecorder(
-                suite,
-                mixing,
-                xstar=xstar,
-                params=params if name in ("apd", "apdsc") else None,
-                norm_transform=nt if name in ("apd", "apdsc") else None,
-                estimate=estimate,
-                label=name,
-            )
-            _, trace = _run_algorithm(name, params, X0, v0, mixing, suite, recorder, iters)
-            traces[name] = trace
-            path = out / f"trace_{name}.csv"
-            emit_csv(trace, path)
-            written.append(path)
-            summary["algorithms"][name] = {
-                "params": _params_dict(params),
-                **_trace_summary(trace, iters),
-            }
-
+    def compare(summary, traces):
+        gaps = {name: info["final_gap"] for name, info in summary["algorithms"].items()}
         accel = "apd" if case == "nonstrongly" else "apdsc"
         summary["comparison"] = {
             "accelerated": accel,
-            "accelerated_final_gap": summary["algorithms"][accel]["final_gap"],
-            "pushdiging_final_gap": summary["algorithms"]["pushdiging"]["final_gap"],
+            "accelerated_final_gap": gaps[accel],
+            "pushdiging_final_gap": gaps["pushdiging"],
             "accelerated_no_worse": bool(
-                summary["algorithms"][accel]["final_gap"]
-                <= summary["algorithms"]["pushdiging"]["final_gap"]
-                + 1e-15 * (1.0 + abs(fstar))
+                gaps[accel] <= gaps["pushdiging"] + 1e-15 * (1.0 + abs(prob.fstar))
             ),
-            "subgradpush_final_gap": summary["algorithms"]["subgradpush"]["final_gap"],
+            "subgradpush_final_gap": gaps["subgradpush"],
         }
         svg = out / "comparison.svg"
         emit_svg_plot(list(traces.values()), svg, axes="semilogy")
-        written.append(svg)
-        spath = out / "summary.json"
-        spath.write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        written.append(spath)
-        return summary, traces
-    except Exception:
-        for path in written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        raise
+        return [svg]
+
+    algorithms = [{"name": n, "params": block[n]} for n in ALGORITHMS if n in block]
+    return _run_and_write(prob, algorithms, iters, "auto", out, summary, compare)
 
 
 def _format_value(x) -> str:
@@ -557,15 +546,7 @@ def read_trace_csv(path) -> RunTrace:
     return RunTrace(
         label=Path(path).stem.replace("trace_", ""),
         k=np.array([int(v) for v in raw["k"]]),
-        loss=fcol("loss"),
-        consensus_error=fcol("consensus_error"),
-        projection_error=fcol("projection_error"),
-        grad_avg_norm=fcol("grad_avg_norm"),
-        v_min=fcol("v_min"),
-        phi1=fcol("phi1"),
-        phi2=fcol("phi2"),
-        phi3=fcol("phi3"),
-        phi4=fcol("phi4"),
+        **{name: fcol(name) for name in TRACE_COLUMNS[1:]},
     )
 
 

@@ -27,7 +27,9 @@ __all__ = [
     "apd_run",
     "apdsc_step",
     "apdsc_run",
+    "push_diging_step",
     "push_diging_run",
+    "subgradient_push_step",
     "subgradient_push_run",
     "centralized_agm_run",
     "AGMTrace",
@@ -178,6 +180,19 @@ def _advance(state, X1, Y1, Z1, G1, v1, gU1) -> SolverState:
     )
 
 
+def _accelerated_step(state, mixing, suite, eta: float, Zmix, tau: float) -> SolverState:
+    """The step both accelerated solvers share: mix Y = X - eta G and the
+    solver's Z update Zmix, couple X = (1 - tau) Y + tau Z, track G."""
+    C = mixing.op
+    v1 = C @ state.v
+    Y1 = C @ (state.X - eta * state.G)
+    Z1 = C @ Zmix
+    X1 = (1.0 - tau) * Y1 + tau * Z1
+    gU1 = suite.batch_grad(X1 / v1[:, None])
+    G1 = C @ state.G + gU1 - state.grad_U
+    return _advance(state, X1, Y1, Z1, G1, v1, gU1)
+
+
 def apd_step(
     state: SolverState,
     mixing: MixingMatrix,
@@ -185,17 +200,8 @@ def apd_step(
     params: APDParams,
 ) -> SolverState:
     """One accelerated gradient-tracking step with the time-varying schedule."""
-    C = mixing.op
-    eta = params.eta
-    alpha_k = params.alpha(state.k)
-    tau_next = params.tau(state.k + 1)
-    v1 = C @ state.v
-    Y1 = C @ (state.X - eta * state.G)
-    Z1 = C @ (state.Z - (alpha_k * eta) * state.G)
-    X1 = (1.0 - tau_next) * Y1 + tau_next * Z1
-    gU1 = suite.batch_grad(X1 / v1[:, None])
-    G1 = C @ state.G + gU1 - state.grad_U
-    return _advance(state, X1, Y1, Z1, G1, v1, gU1)
+    Zmix = state.Z - (params.alpha(state.k) * params.eta) * state.G
+    return _accelerated_step(state, mixing, suite, params.eta, Zmix, params.tau(state.k + 1))
 
 
 def apdsc_step(
@@ -205,23 +211,41 @@ def apdsc_step(
     params: APDSCParams,
 ) -> SolverState:
     """One accelerated gradient-tracking step with constant coefficients."""
+    b = params.beta
+    Zmix = (1.0 - b) * state.Z + b * state.X - (params.alpha * params.eta) * state.G
+    return _accelerated_step(state, mixing, suite, params.eta, Zmix, params.tau)
+
+
+def push_diging_step(state, mixing, suite, eta: float) -> SolverState:
+    """One push-sum gradient-tracking step with a constant stepsize."""
     C = mixing.op
-    eta = params.eta
     v1 = C @ state.v
-    Y1 = C @ (state.X - eta * state.G)
-    Z1 = C @ (
-        (1.0 - params.beta) * state.Z
-        + params.beta * state.X
-        - (params.alpha * eta) * state.G
-    )
-    X1 = (1.0 - params.tau) * Y1 + params.tau * Z1
+    X1 = C @ (state.X - eta * state.G)
     gU1 = suite.batch_grad(X1 / v1[:, None])
     G1 = C @ state.G + gU1 - state.grad_U
-    return _advance(state, X1, Y1, Z1, G1, v1, gU1)
+    return _advance(state, X1, X1, X1, G1, v1, gU1)
 
 
-def _finish(hooks):
-    return hooks.trace() if hasattr(hooks, "trace") else None
+def subgradient_push_step(state, mixing, suite, step_c: float) -> SolverState:
+    """One push-sum gradient step with stepsize step_c / sqrt(k + 1)."""
+    C = mixing.op
+    eta_k = step_c / np.sqrt(state.k + 1.0)
+    v1 = C @ state.v
+    X1 = C @ state.X - eta_k * state.grad_U
+    gU1 = suite.batch_grad(X1 / v1[:, None])
+    return _advance(state, X1, X1, X1, gU1, v1, gU1)
+
+
+def _drive(step, params, K, estimate, X0, v0, mixing, suite, hooks):
+    """Run K steps, calling hooks on every state; return (V^-1 estimate, trace)."""
+    state = init_state(X0, v0, suite)
+    if hooks is not None:
+        hooks(state)
+    for _ in range(K):
+        state = step(state, mixing, suite, params)
+        if hooks is not None:
+            hooks(state)
+    return state.ratio(estimate), hooks.trace() if hasattr(hooks, "trace") else None
 
 
 def apd_run(X0, v0, mixing, suite, params: APDParams, hooks=None):
@@ -230,26 +254,12 @@ def apd_run(X0, v0, mixing, suite, params: APDParams, hooks=None):
     Returns (output, trace) where output row i is agent i's estimate
     y_i / v_i and trace is hooks.trace() when the hook provides one.
     """
-    state = init_state(X0, v0, suite)
-    if hooks is not None:
-        hooks(state)
-    for _ in range(params.K):
-        state = apd_step(state, mixing, suite, params)
-        if hooks is not None:
-            hooks(state)
-    return state.ratio("Y"), _finish(hooks)
+    return _drive(apd_step, params, params.K, "Y", X0, v0, mixing, suite, hooks)
 
 
 def apdsc_run(X0, v0, mixing, suite, params: APDSCParams, hooks=None):
     """Run the constant-coefficient accelerated solver for params.K steps."""
-    state = init_state(X0, v0, suite)
-    if hooks is not None:
-        hooks(state)
-    for _ in range(params.K):
-        state = apdsc_step(state, mixing, suite, params)
-        if hooks is not None:
-            hooks(state)
-    return state.ratio("Y"), _finish(hooks)
+    return _drive(apdsc_step, params, params.K, "Y", X0, v0, mixing, suite, hooks)
 
 
 def push_diging_run(X0, v0, mixing, suite, eta: float, K: int, hooks=None):
@@ -260,19 +270,7 @@ def push_diging_run(X0, v0, mixing, suite, eta: float, K: int, hooks=None):
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    C = mixing.op
-    state = init_state(X0, v0, suite)
-    if hooks is not None:
-        hooks(state)
-    for _ in range(K):
-        v1 = C @ state.v
-        X1 = C @ (state.X - eta * state.G)
-        gU1 = suite.batch_grad(X1 / v1[:, None])
-        G1 = C @ state.G + gU1 - state.grad_U
-        state = _advance(state, X1, X1, X1, G1, v1, gU1)
-        if hooks is not None:
-            hooks(state)
-    return state.ratio("X"), _finish(hooks)
+    return _drive(push_diging_step, eta, K, "X", X0, v0, mixing, suite, hooks)
 
 
 def subgradient_push_run(X0, v0, mixing, suite, step_c: float, K: int, hooks=None):
@@ -284,19 +282,7 @@ def subgradient_push_run(X0, v0, mixing, suite, step_c: float, K: int, hooks=Non
     """
     if step_c <= 0:
         raise ValueError("step_c must be positive")
-    C = mixing.op
-    state = init_state(X0, v0, suite)
-    if hooks is not None:
-        hooks(state)
-    for k in range(K):
-        eta_k = step_c / np.sqrt(k + 1.0)
-        v1 = C @ state.v
-        X1 = C @ state.X - eta_k * state.grad_U
-        gU1 = suite.batch_grad(X1 / v1[:, None])
-        state = _advance(state, X1, X1, X1, gU1, v1, gU1)
-        if hooks is not None:
-            hooks(state)
-    return state.ratio("X"), _finish(hooks)
+    return _drive(subgradient_push_step, step_c, K, "X", X0, v0, mixing, suite, hooks)
 
 
 @dataclass(frozen=True)
@@ -378,9 +364,17 @@ def calibrate_theory_inputs(
     )
 
 
+def _c3(pa: float, d: float) -> float:
+    return 3.0 * (d**2 + 2.0 * pa**2 * d + 4.0 * pa**2)
+
+
+def _c5(at: float, d: float) -> float:  # at = alpha * tau
+    return (8.0 / 7.0) * (1.5 * d + 6.0 * at**2 * d + 48.0 * at**2 / 7.0)
+
+
 def _smooth_eta_ceiling(L, pa, wa, wb, ti: TheoryInputs) -> float:
     d, th, vh, dist, n = ti.delta, ti.theta, ti.vhat, ti.v0_dist, ti.n
-    c3 = 3.0 * (d**2 + 2.0 * pa**2 * d + 4.0 * pa**2)
+    c3 = _c3(pa, d)
     terms = [
         np.sqrt(pa) * d**4 / (np.sqrt(96.0 * (15.0 + 9.0 * pa) * c3 * C4) * th * vh * L),
         1.0 / (8.0 * pa * L),
@@ -397,7 +391,7 @@ def _smooth_eta_ceiling(L, pa, wa, wb, ti: TheoryInputs) -> float:
 
 def _sc_eta_ceiling(L, at, ti: TheoryInputs) -> float:
     d, th, vh, dist, n = ti.delta, ti.theta, ti.vhat, ti.v0_dist, ti.n
-    c5 = (8.0 / 7.0) * (1.5 * d + 6.0 * at**2 * d + 48.0 * at**2 / 7.0)
+    c5 = _c5(at, d)
     terms = [
         np.sqrt(at) * d**3 / (8.0 * np.sqrt(5.0 * c5 * (15.0 + 9.0 * at)) * th * vh * L),
         1.0 / (24.0 * at * L),

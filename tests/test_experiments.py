@@ -1,5 +1,6 @@
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from pushopt import (
     write_labeled_csv,
 )
 from pushopt.cli import main
+from pushopt.diagnostics import TRACE_COLUMNS
 
 SVG_NS = {"svg": "http://www.w3.org/2000/svg"}
 
@@ -73,6 +75,12 @@ def test_config_validation(tmp_path):
         ("objective.seed", "2"),
         ("objective.partition_seed", 1.0),
         ("init.x0_seed", True),
+        ("objective.kappa", True),
+        ("objective.kappa", "100"),
+        ("objective.mu_base", False),
+        ("objective.mu_base", "0.1"),
+        ("objective.kappa", float("nan")),
+        pytest.param("objective.kappa", 10**400, id="objective.kappa-huge"),
     ],
 )
 def test_config_rejects_non_integer_counts(tmp_path, capsys, key, value):
@@ -85,6 +93,50 @@ def test_config_rejects_non_integer_counts(tmp_path, capsys, key, value):
     path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(path)]) == 1
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+LOGISTIC = {"kind": "logistic", "data": "d.csv", "partition_seed": 3}
+
+
+@pytest.mark.parametrize(
+    "patch,words",
+    [
+        ({"algorithms": [{"name": "apd", "params": {"eta": 0.1, "pA": 0.5}}]}, ("apd", "pA")),
+        ({"algorithms": [{"name": "apd", "params": {"pa": 0.5}}]}, ("apd", "eta")),
+        ({"algorithms": [{"name": "apdsc", "params": {"eta": 0.01, "alpha": 6.0}}]},
+         ("apdsc", "beta")),
+        ({"algorithms": [{"name": "subgradpush", "params": {"eta": 0.1}}]},
+         ("subgradpush", "eta")),
+        ({"algorithms": [{"name": "pushdiging", "params": {}}]}, ("pushdiging", "eta")),
+        ({"algorithms": [{"name": "apd", "params": {"eta": True}}]}, ("apd", "eta")),
+        ({"algorithms": [{"name": "pushdiging", "params": {"eta": "0.01"}}]},
+         ("pushdiging", "eta")),
+        ({"algorithms": [{"name": "apd", "params": {"eta": float("inf")}}]}, ("apd", "eta")),
+        ({"algorithms": [{"name": "apd", "params": "fast"}]}, ("apd", "fast")),
+        ({"algorithms": [{"name": "subgradpush", "params": ["step_c", 0.1]}]},
+         ("subgradpush", "step_c")),
+        ({"objective": {**LOGISTIC, "mu": True}}, ("objective.mu",)),
+        ({"objective": {**LOGISTIC, "mu": "0.05"}}, ("objective.mu",)),
+    ],
+    ids=[
+        "unknown-key", "missing-key", "missing-apdsc-key", "other-algorithms-key",
+        "empty-table", "bool-value", "string-value", "infinite-value", "string-params",
+        "list-params", "bool-mu", "string-mu",
+    ],
+)
+def test_config_rejects_malformed_params_and_mu(tmp_path, capsys, patch, words):
+    write_labeled_csv(synthetic_logistic_dataset(120, 4, 5), tmp_path / "d.csv")
+    cfg = {**base_config(tmp_path / "o"), **patch}
+    with pytest.raises(ConfigError) as excinfo:
+        ExperimentConfig.from_dict(cfg, tmp_path)
+    for word in words:
+        assert word in str(excinfo.value)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert all(word in err for word in words)
     assert not (tmp_path / "o").exists()
 
 
@@ -283,6 +335,35 @@ def test_reproduce_smoke(tmp_path):
     assert summary["algorithms"]["apdsc"]["params"]["eta"] == pytest.approx(0.0125)
     with pytest.raises(ConfigError):
         reproduce_paper_experiment(None, "sideways", tmp_path / "rep2")
+
+
+@pytest.mark.parametrize("case", ["nonstrongly", "strongly"])
+def test_reproduce_matches_committed_demo_outputs(tmp_path, case):
+    # demos/out/benchmark_<case> comes from `python demos/logistic_benchmark.py 400`
+    # on the synthetic data (no data/banknote.csv).
+    ref = Path(__file__).resolve().parents[1] / "demos" / "out" / f"benchmark_{case}"
+    reproduce_paper_experiment(None, case, tmp_path, iters=400)
+    want = json.loads((ref / "summary.json").read_text())
+    got = json.loads((tmp_path / "summary.json").read_text())
+    for flag in ("accelerated", "accelerated_no_worse"):
+        assert got["comparison"][flag] == want["comparison"][flag]
+    assert list(got["algorithms"]) == list(want["algorithms"])
+    for name, expect in want["algorithms"].items():
+        info = got["algorithms"][name]
+        assert info["params"] == expect["params"]
+        assert info["iterations_to"] == expect["iterations_to"]
+        assert info["final_gap"] == pytest.approx(expect["final_gap"], rel=1e-9, abs=0)
+        old = read_trace_csv(ref / f"trace_{name}.csv")
+        new = read_trace_csv(tmp_path / f"trace_{name}.csv")
+        assert np.array_equal(new.k, old.k)
+        for col in TRACE_COLUMNS[1:]:
+            if old.column(col) is None:
+                assert new.column(col) is None, col
+            else:
+                np.testing.assert_allclose(
+                    new.column(col), old.column(col), rtol=1e-9, atol=0, equal_nan=True,
+                    err_msg=f"{name} {col}",
+                )
 
 
 def test_reproduce_subsamples_large_dataset(tmp_path):
