@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixing import MixingMatrix, NormTransform, _minus_perron
+from .mixing import MixingMatrix, NormTransform
 from .objectives import ObjectiveSuite, global_minimizer
 from .solvers import APDParams, APDSCParams, SolverState, _c3, _c5
 
@@ -88,16 +88,25 @@ def consensus_error(state: SolverState, p: np.ndarray) -> tuple:
     stack of the plain row average of X; proj_err projects X onto the
     complement of the Perron direction.
     """
-    u_err, PX = _consensus_terms(state, _minus_perron(p))
+    u_err, PX = _consensus_terms(state, p, state.X.mean(axis=0))
     return u_err, float(np.linalg.norm(PX))
 
 
-def _consensus_terms(state: SolverState, Pi: np.ndarray) -> tuple:
-    """(u_err, Pi @ X); the product also feeds the Lyapunov X-term."""
-    xbar = state.X.mean(axis=0)
+def _off_perron(A: np.ndarray, p: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Pi A = A - p m, m = 1^T A / n, in O(n d) from A's column mean.
+
+    The mean is refined once, m += 1^T (A - p m) / n: near consensus (A
+    close to p c^T) Pi A is small and the plain mean's rounding would rule it.
+    """
+    m = mean + np.ones_like(p) @ (A - p[:, None] * mean) / len(p)
+    return A - p[:, None] * m
+
+
+def _consensus_terms(state: SolverState, p: np.ndarray, xbar: np.ndarray) -> tuple:
+    """(u_err, Pi X) from the row average xbar; Pi X also feeds phi's X-term."""
     U = state.X / state.v[:, None]
     u_err = float(np.linalg.norm(U - xbar[None, :]))
-    return u_err, Pi @ state.X
+    return u_err, _off_perron(state.X, p, xbar)
 
 
 def _smooth_coefficients(params: APDParams, k: int, d: float) -> tuple:
@@ -111,23 +120,22 @@ def _sc_coefficients(params: APDSCParams, k: int, d: float) -> tuple:
     return params.tau, 24.0 / (7.0 * d**2), _c5(at, d) * params.eta**2 / d**4
 
 
-def _lyapunov(state, k, nt, Pi, PX, tau, z_weight, g_weight) -> tuple:
+def _lyapunov(state, k, nt, xbar, PX, gbar, tau, z_weight, g_weight) -> tuple:
     """(average part, consensus part) of a Lyapunov pair.
 
     The average part weights xbar and zbar by the decayed push-sum error;
     the consensus part combines the weighted-norm consensus errors of X, Z
-    and G, with PX = Pi @ X given by the caller.
+    and G (three products with Ctilde), given xbar, gbar and PX = Pi X.
     """
     d = nt.delta
-    xbar = state.X.mean(axis=0)
     zbar = state.Z.mean(axis=0)
     phi_avg = (1.0 - d) ** (2 * k) * (
         float(xbar @ xbar) + (8.0 / d**2) * tau**2 * float(zbar @ zbar)
     )
     phi_cons = (
         nt.mat_norm(PX) ** 2
-        + z_weight * nt.mat_norm(Pi @ state.Z) ** 2
-        + g_weight * nt.mat_norm(Pi @ state.G) ** 2
+        + z_weight * nt.mat_norm(_off_perron(state.Z, nt.p, zbar)) ** 2
+        + g_weight * nt.mat_norm(_off_perron(state.G, nt.p, gbar)) ** 2
     )
     return float(phi_avg), float(phi_cons)
 
@@ -140,18 +148,20 @@ def lyapunov_smooth(
     phi1 weights the average parts by the decayed push-sum error; phi2
     combines the weighted-norm consensus errors of X, Z and G.
     """
-    Pi = nt.projector()
+    xbar = state.X.mean(axis=0)
+    PX = _off_perron(state.X, nt.p, xbar)
     coefs = _smooth_coefficients(params, k, nt.delta)
-    return _lyapunov(state, k, nt, Pi, Pi @ state.X, *coefs)
+    return _lyapunov(state, k, nt, xbar, PX, state.G.mean(axis=0), *coefs)
 
 
 def lyapunov_sc(
     state: SolverState, k: int, params: APDSCParams, nt: NormTransform
 ) -> tuple:
     """(phi3, phi4), the constant-coefficient analogues of (phi1, phi2)."""
-    Pi = nt.projector()
+    xbar = state.X.mean(axis=0)
+    PX = _off_perron(state.X, nt.p, xbar)
     coefs = _sc_coefficients(params, k, nt.delta)
-    return _lyapunov(state, k, nt, Pi, Pi @ state.X, *coefs)
+    return _lyapunov(state, k, nt, xbar, PX, state.G.mean(axis=0), *coefs)
 
 
 @dataclass(frozen=True)
@@ -257,11 +267,11 @@ class TraceRecorder:
     given, the plain difference to f* when only f* is. With stride="auto"
     every iteration is recorded up to k = 10_000 and every 10th beyond.
 
-    The projector I - p 1^T / n is built once, from the mixing's Perron
-    vector, when the recorder is made; a norm transform, if given, must
-    carry the same vector. Each record forms Pi @ X once, for the
-    projection error and the Lyapunov X-term, and Pi @ Z and Pi @ G only
-    when Lyapunov values are recorded.
+    Pi A = A - p (1^T A / n) is formed in O(n d) from the mixing's Perron
+    vector (a norm transform must carry the same one) and the row averages
+    the record already takes. Each record projects X once; Lyapunov records
+    also project Z and G and make three products with Ctilde, the others
+    none with an n-by-n matrix.
     """
 
     def __init__(
@@ -288,7 +298,6 @@ class TraceRecorder:
         self._rows = {name: [] for name in TRACE_COLUMNS}
         if norm_transform is not None and not np.array_equal(norm_transform.p, mixing.p):
             raise ValueError("norm_transform was built for a different Perron vector")
-        self._Pi = _minus_perron(mixing.p)
         if norm_transform is not None and isinstance(params, APDParams):
             self._lyapunov = ("phi1", "phi2", _smooth_coefficients)
         elif norm_transform is not None and isinstance(params, APDSCParams):
@@ -311,15 +320,17 @@ class TraceRecorder:
         else:
             est = state.ratio(self.estimate)
             r["loss"].append(optimality_gap(self.suite, est, self.xstar, self.fstar))
-        u_err, PX = _consensus_terms(state, self._Pi)
+        xbar = state.X.mean(axis=0)
+        gbar = state.G.mean(axis=0)
+        u_err, PX = _consensus_terms(state, self.mixing.p, xbar)
         r["consensus_error"].append(u_err)
         r["projection_error"].append(float(np.linalg.norm(PX)))
-        r["grad_avg_norm"].append(float(np.linalg.norm(state.G.mean(axis=0))))
+        r["grad_avg_norm"].append(float(np.linalg.norm(gbar)))
         r["v_min"].append(float(state.v.min()))
         if self._lyapunov is not None:
             avg_name, cons_name, coefficients = self._lyapunov
             coefs = coefficients(self.params, state.k, self.nt.delta)
-            phi_avg, phi_cons = _lyapunov(state, state.k, self.nt, self._Pi, PX, *coefs)
+            phi_avg, phi_cons = _lyapunov(state, state.k, self.nt, xbar, PX, gbar, *coefs)
             r[avg_name].append(phi_avg)
             r[cons_name].append(phi_cons)
 

@@ -123,19 +123,6 @@ class NormTransform:
     def mat_norm(self, A: np.ndarray) -> float:
         return float(np.linalg.norm(self.Ctilde @ A))
 
-    def projector(self) -> np.ndarray:
-        """The projector I - p 1^T / n, built on first use and then shared.
-
-        Every call returns the same read-only array.
-        """
-        return self._projector
-
-    @cached_property
-    def _projector(self) -> np.ndarray:
-        Pi = _minus_perron(self.p)
-        Pi.flags.writeable = False
-        return Pi
-
 
 def uniform_out_weights(g: DirectedGraph) -> MixingMatrix:
     """Mixing matrix where each sender splits weight evenly over itself and

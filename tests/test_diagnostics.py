@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from pushopt import (
     push_diging_run,
     uniform_out_weights,
 )
-from pushopt.diagnostics import TRACE_COLUMNS
+from pushopt.diagnostics import TRACE_COLUMNS, _off_perron
 from pushopt.graphs import DirectedGraph
 from pushopt.solvers import SolverState
 
@@ -81,7 +83,8 @@ def test_consensus_error_bound_from_weighted_norm(small_mixing, small_suite, sma
     states = []
     apd_run(X0, v0, small_mixing, small_suite, params, states.append)
     d0 = nt.vec_norm(v0 - small_mixing.p)
-    Pi = nt.projector()
+    n = small_mixing.n
+    Pi = np.eye(n) - np.outer(small_mixing.p, np.ones(n)) / n
     for s in states[:: 25]:
         u_err, _ = consensus_error(s, small_mixing.p)
         xbar = s.X.mean(0)
@@ -284,44 +287,25 @@ def test_trace_recorder_accepts_reference_value_only(small_mixing, small_suite, 
 
 
 def _oracle_rows(states, suite, mixing, xstar, params, nt, estimate):
-    """Recorder columns from the per-call formulas: a fresh projector and a
-    fresh Pi @ X in each of the consensus and the Lyapunov terms."""
+    """Recorder columns from the public per-call functions, one state at a
+    time: `consensus_error` and `lyapunov_smooth`/`lyapunov_sc`."""
     rows = {name: [] for name in TRACE_COLUMNS}
     for s in states:
-        n = s.n
         rows["k"].append(s.k)
         rows["loss"].append(optimality_gap(suite, s.ratio(estimate), xstar, None))
-        xbar = s.X.mean(axis=0)
-        U = s.X / s.v[:, None]
-        rows["consensus_error"].append(float(np.linalg.norm(U - xbar[None, :])))
-        Pi = np.eye(n) - np.outer(mixing.p, np.ones(n)) / n
-        rows["projection_error"].append(float(np.linalg.norm(Pi @ s.X)))
+        u_err, proj_err = consensus_error(s, mixing.p)
+        rows["consensus_error"].append(u_err)
+        rows["projection_error"].append(proj_err)
         rows["grad_avg_norm"].append(float(np.linalg.norm(s.G.mean(axis=0))))
         rows["v_min"].append(float(s.v.min()))
         if nt is None:
             continue
-        d = nt.delta
-        zbar = s.Z.mean(axis=0)
-        Pi = np.eye(n) - np.outer(nt.p, np.ones(n)) / n
-        def nrm(A):
-            return float(np.linalg.norm(nt.Ctilde @ A))
         if isinstance(params, APDParams):
-            names, tau = ("phi1", "phi2"), params.tau(s.k)
-            c3 = 3.0 * (d**2 + 2.0 * params.pa**2 * d + 4.0 * params.pa**2)
-            z_w, g_w = 6.0 / d**2, c3 * params.eta**2 / d**4
+            names, phis = ("phi1", "phi2"), lyapunov_smooth(s, s.k, params, nt)
         else:
-            names, tau = ("phi3", "phi4"), params.tau
-            at = params.alpha * params.tau
-            c5 = (8.0 / 7.0) * (1.5 * d + 6.0 * at**2 * d + 48.0 * at**2 / 7.0)
-            z_w, g_w = 24.0 / (7.0 * d**2), c5 * params.eta**2 / d**4
-        phi_avg = (1.0 - d) ** (2 * s.k) * (
-            float(xbar @ xbar) + (8.0 / d**2) * tau**2 * float(zbar @ zbar)
-        )
-        phi_cons = (
-            nrm(Pi @ s.X) ** 2 + z_w * nrm(Pi @ s.Z) ** 2 + g_w * nrm(Pi @ s.G) ** 2
-        )
-        rows[names[0]].append(float(phi_avg))
-        rows[names[1]].append(float(phi_cons))
+            names, phis = ("phi3", "phi4"), lyapunov_sc(s, s.k, params, nt)
+        rows[names[0]].append(phis[0])
+        rows[names[1]].append(phis[1])
     return rows
 
 
@@ -369,15 +353,43 @@ def test_trace_recorder_bit_exact_against_per_call_formulas(name):
             assert tr.column(col) is None, col
 
 
-def test_projector_is_cached_read_only_and_exact(small_mixing, small_norm, small_suite):
+def test_error_map_exact_and_recorder_checks_perron_vector(small_mixing, small_suite):
     n, p = small_mixing.n, small_mixing.p
-    Pi = small_norm.projector()
-    assert small_norm.projector() is Pi
-    assert not Pi.flags.writeable
-    with pytest.raises(ValueError):
-        Pi[0, 0] = 0.0
-    assert np.array_equal(Pi, np.eye(n) - np.outer(p, np.ones(n)) / n)
     assert np.array_equal(small_mixing.error_map(), small_mixing.C - np.outer(p, np.ones(n)) / n)
     other = build_contraction_norm(small_mixing.C, p * (1.0 + 1e-12))
     with pytest.raises(ValueError, match="Perron vector"):
         TraceRecorder(small_suite, small_mixing, norm_transform=other)
+
+
+def _exact_off_perron(A, p):
+    """(I - p 1^T / n) A in rationals, from the float64 entries of A and p."""
+    n = A.shape[0]
+    rows = [[Fraction(a) for a in row] for row in A.tolist()]
+    means = [sum(col) / n for col in zip(*rows)]
+    return [
+        [a - Fraction(pi) * m for a, m in zip(row, means)]
+        for row, pi in zip(rows, p.tolist())
+    ]
+
+
+@pytest.mark.parametrize("n", [40, 400])
+def test_off_perron_projection_against_exact_rationals(n):
+    """The rank-one projection, and the dense Pi @ A as a reference, stay
+    within 8 n eps ||A||_F of (I - p 1^T / n) A evaluated exactly, on a
+    random stack and on a near-consensus one (A = p c^T + 1e-7 noise)."""
+    p = uniform_out_weights(build_cycle_plus_random(n, 3 * n, 7)).p
+    rng = np.random.default_rng(n)
+    Pi = np.eye(n) - np.outer(p, np.ones(n)) / n
+    bound_unit = 8 * n * np.finfo(float).eps
+    random = rng.standard_normal((n, 5))
+    near = np.outer(p, rng.standard_normal(5)) + 1e-7 * rng.standard_normal((n, 5))
+    for A in (random, near):
+        exact = _exact_off_perron(A, p)
+        for got in (_off_perron(A, p, A.mean(axis=0)), Pi @ A):
+            err = np.array(
+                [
+                    [float(Fraction(g) - e) for g, e in zip(grow, erow)]
+                    for grow, erow in zip(got.tolist(), exact)
+                ]
+            )
+            assert np.linalg.norm(err) <= bound_unit * np.linalg.norm(A)
