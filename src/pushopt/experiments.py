@@ -318,7 +318,7 @@ def _problem(graph: DirectedGraph, suite, x0_seed: int) -> SimpleNamespace:
     reference minimizer, the Gaussian start with all-ones weights, and the
     summary's facts about them."""
     mixing = uniform_out_weights(graph)
-    nt = build_contraction_norm(mixing.C, mixing.p)
+    nt = build_contraction_norm(mixing.C, mixing.p, sigma=mixing.sigma)
     xstar, fstar = global_minimizer(suite)
     resolved = {
         "n": graph.n,

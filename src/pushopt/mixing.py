@@ -208,16 +208,18 @@ def _standardize_blocks(T: np.ndarray) -> tuple:
 
 
 def build_contraction_norm(
-    C: np.ndarray, p: np.ndarray, epsilon: float | None = None
+    C: np.ndarray, p: np.ndarray, epsilon: float | None = None, *, sigma: float | None = None
 ) -> NormTransform:
     """Construct the weighted norm under which C - p 1^T / n contracts.
 
     Uses a real Schur decomposition of the mixing-error map with a graded
     diagonal rescaling of the off-diagonal part, shrunk until the induced
     spectral norm falls below sigma + epsilon. Defaults to
-    epsilon = (1 - sigma) / 2.
+    epsilon = (1 - sigma) / 2. sigma is `contraction_factor(C, p)`, a dense
+    eigensolve; pass `MixingMatrix.sigma`, which holds it, to skip that.
     """
-    sigma = contraction_factor(C, p)
+    if sigma is None:
+        sigma = contraction_factor(C, p)
     if epsilon is None:
         epsilon = (1.0 - sigma) / 2.0
     if not (0.0 < epsilon < 1.0 - sigma):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -351,6 +352,95 @@ def test_trace_recorder_bit_exact_against_per_call_formulas(name):
             assert np.array_equal(tr.column(col), np.array(expect[col])), col
         else:
             assert tr.column(col) is None, col
+
+
+def test_trace_recorder_shared_kernel_at_n400():
+    """At n = 400 a skinny Ctilde product rounds differently from the same
+    columns of the block's wide one, so recorder rows equal the per-call
+    functions only if both go through one kernel."""
+    mixing = uniform_out_weights(build_cycle_plus_random(400, 1200, 7))
+    nt = build_contraction_norm(mixing.C, mixing.p, sigma=mixing.sigma)
+    suite = make_quadratic_suite(400, 5, 100.0, 0.01, 4)
+    xstar, _ = suite.minimizer()
+    X0 = np.random.default_rng(8).standard_normal((400, 5))
+    params = default_params_sc(suite.L, suite.mu, K=40, delta=nt.delta)
+    rec = TraceRecorder(suite, mixing, xstar=xstar, params=params, norm_transform=nt)
+    states = []
+
+    def hook(state):
+        states.append(state)
+        rec(state)
+
+    apdsc_run(X0, np.ones(400), mixing, suite, params, hook)
+    tr = rec.trace()
+    expect = _oracle_rows(states, suite, mixing, xstar, params, nt, "Y")
+    assert len(tr) == 41
+    for col in TRACE_COLUMNS:
+        if expect[col]:
+            assert np.array_equal(tr.column(col), np.array(expect[col])), col
+        else:
+            assert tr.column(col) is None, col
+
+
+def test_trace_record_depends_only_on_its_state():
+    """Rows of one apdsc run are bitwise equal whatever block, slot or run
+    length they were evaluated with: stride 1 against stride 2 (each state
+    in another slot), and K against K + 1, both ending in a partial block."""
+    mixing = uniform_out_weights(build_cycle_plus_random(40, 120, 3))
+    nt = build_contraction_norm(mixing.C, mixing.p)
+    suite = make_quadratic_suite(40, 5, 100.0, 0.01, 4)
+    xstar, _ = suite.minimizer()
+    X0 = np.random.default_rng(8).standard_normal((40, 5))
+    K = 70  # 71 records: blocks of 32, 32 and 7
+    params = default_params_sc(suite.L, suite.mu, K=K, delta=nt.delta)
+
+    def record(stride, steps):
+        rec = TraceRecorder(
+            suite, mixing, xstar=xstar, params=params, norm_transform=nt, stride=stride
+        )
+        return apdsc_run(X0, np.ones(40), mixing, suite, replace(params, K=steps), rec)[1]
+
+    base = record(1, K)
+    assert np.array_equal(base.k, np.arange(K + 1))
+    for other in (record(2, K), record(1, K + 1)):
+        ks = other.k[other.k <= K]
+        for col in TRACE_COLUMNS:
+            if base.column(col) is None:
+                assert other.column(col) is None, col
+            else:
+                got = other.column(col)[: len(ks)]
+                assert np.array_equal(got, base.column(col)[ks]), col
+
+
+def test_trace_recorder_copies_the_state(small_mixing, small_suite, small_norm, small_init):
+    """Overwriting a state's arrays after the call changes nothing, also for
+    records still waiting in a partial block."""
+    X0, v0 = small_init
+    xstar, _ = small_suite.minimizer()
+    params = default_params_sc(small_suite.L, small_suite.mu, K=40, delta=small_norm.delta)
+    states = []
+    apdsc_run(X0, v0, small_mixing, small_suite, params, states.append)
+
+    def copy(s):
+        return replace(s, X=s.X.copy(), Z=s.Z.copy(), G=s.G.copy(), v=s.v.copy())
+
+    fed, clean = (
+        TraceRecorder(small_suite, small_mixing, xstar=xstar, params=params, norm_transform=small_norm)
+        for _ in range(2)
+    )
+    for s in states:
+        s = copy(s)
+        fed(s)
+        for a in (s.X, s.Z, s.G, s.v):
+            a.fill(np.nan)
+    for s in states:
+        clean(s)
+    got, expect = fed.trace(), clean.trace()
+    for col in TRACE_COLUMNS:
+        if expect.column(col) is None:
+            assert got.column(col) is None, col
+        else:
+            assert np.array_equal(got.column(col), expect.column(col)), col
 
 
 def test_error_map_exact_and_recorder_checks_perron_vector(small_mixing, small_suite):

@@ -113,6 +113,19 @@ def test_norm_transform_invariants(small_mixing):
         assert b <= nt.theta * a * (1 + 1e-10)
 
 
+@pytest.mark.parametrize("n", [10, 160])
+def test_norm_transform_same_with_given_sigma(n, small_mixing):
+    """Passing the mixing's stored sigma skips one eigenvalue solve and
+    changes no field of the transform."""
+    mix = small_mixing if n == 10 else uniform_out_weights(build_cycle_plus_random(n, 3 * n, 7))
+    a = build_contraction_norm(mix.C, mix.p)
+    b = build_contraction_norm(mix.C, mix.p, sigma=mix.sigma)
+    for name in ("Ctilde", "p"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for name in ("delta", "theta", "contraction_norm", "projector_norm"):
+        assert getattr(a, name) == getattr(b, name), name
+
+
 def test_norm_transform_epsilon_validation(small_mixing):
     sigma = small_mixing.sigma
     with pytest.raises(ValueError):
