@@ -36,7 +36,9 @@ from .solvers import (
     APDParams,
     APDSCParams,
     DivergenceError,
+    PushDIGingParams,
     SolverState,
+    SubgradPushParams,
     TheoryInputs,
     apd_run,
     apd_step,

@@ -8,7 +8,7 @@ import numpy as np
 
 from .mixing import MixingMatrix, NormTransform
 from .objectives import ObjectiveSuite, global_minimizer
-from .solvers import APDParams, APDSCParams, SolverState, _c3, _c5
+from .solvers import APDParams, APDSCParams, PushDIGingParams, SolverState, _c3, _c5
 
 __all__ = [
     "RunTrace",
@@ -133,6 +133,8 @@ def _sc_coefficients(params: APDSCParams, k: int, d: float) -> tuple:
 # A Lyapunov pair: its (average, consensus) trace columns and coefficients.
 _SMOOTH_PAIR = ("phi1", "phi2", _smooth_coefficients)
 _SC_PAIR = ("phi3", "phi4", _sc_coefficients)
+# The pair a run records, by params type.
+_LYAPUNOV = {APDParams: _SMOOTH_PAIR, APDSCParams: _SC_PAIR}
 
 
 def _records(p, block: dict, lyapunov=None) -> dict:
@@ -293,8 +295,10 @@ class TraceRecorder:
 
     Pass as `hooks=` to any run; the run returns recorder.trace(). The loss
     column is `optimality_gap` of the estimates: exact in float64 when x* is
-    given, the plain difference to f* when only f* is. With stride="auto"
-    every iteration is recorded up to k = 10_000 and every 10th beyond.
+    given, the plain difference to f* when only f* is. Given a norm
+    transform, the recorder adds the Lyapunov pair of the params type
+    (`_LYAPUNOV`), if it has one. With stride="auto" every iteration is
+    recorded up to k = 10_000 and every 10th beyond.
 
     A call takes the loss and copies X, Z, G and v into block buffers. The
     other columns are evaluated B = 32 records at a time, when a block fills
@@ -339,12 +343,7 @@ class TraceRecorder:
         self._block["v"] = np.empty((_BLOCK, mixing.n))
         if norm_transform is not None and not np.array_equal(norm_transform.p, mixing.p):
             raise ValueError("norm_transform was built for a different Perron vector")
-        if norm_transform is not None and isinstance(params, APDParams):
-            self._lyapunov = _SMOOTH_PAIR
-        elif norm_transform is not None and isinstance(params, APDSCParams):
-            self._lyapunov = _SC_PAIR
-        else:
-            self._lyapunov = None
+        self._lyapunov = None if norm_transform is None else _LYAPUNOV.get(type(params))
 
     def _due(self, k: int) -> bool:
         if self.stride == "auto":
@@ -390,102 +389,79 @@ class TraceRecorder:
         return RunTrace(label=self.label, **cols)
 
 
+def _apd_identity(params: APDParams, k: int) -> tuple:
+    return params.tau(k), 0.0, params.alpha(k) * params.eta
+
+
+def _apdsc_identity(params: APDSCParams, k: int) -> tuple:
+    return params.tau, params.beta, params.alpha * params.eta
+
+
+# The average-iterate identities by params type. An accelerated method gives
+# (tau_k, beta, alpha_k eta): xbar = (1 - tau_k) ybar + tau_k zbar, and
+# zbar_{k+1} = (1 - beta) zbar_k + beta xbar_k - alpha_k eta gbar_k (APD has
+# beta = 0). Push-DIGing has no Y/Z recursion (None).
+_IDENTITIES = {APDParams: _apd_identity, APDSCParams: _apdsc_identity, PushDIGingParams: None}
+
+
 class IdentityMonitor:
     """Hook that tracks the worst residuals of the exact average-iterate
     identities along a run.
 
-    kind is "apd", "apdsc", or "pushdiging". Residuals are normalized by
+    The params type selects the identities (`_IDENTITIES`). Every run
+    conserves push-sum mass, tracks the gradient average and steps its
+    estimate as ybar_{k+1} = xbar_k - eta gbar_k, reported as "ybar", or as
+    "xbar" for Push-DIGing, whose Y is its X. The accelerated methods add
+    the zbar step and the coupling of xbar to ybar and zbar, at each state
+    ("coupling") and along each step ("xbar"). Residuals are normalized by
     1 + the norms of the terms entering each identity, so the recorded
     maxima are directly comparable against a tolerance.
     """
 
-    def __init__(self, mixing: MixingMatrix, params=None, kind: str = "apd"):
-        if kind not in ("apd", "apdsc", "pushdiging"):
-            raise ValueError(f"unknown kind {kind!r}")
+    def __init__(self, mixing: MixingMatrix, params):
+        if type(params) not in _IDENTITIES:
+            raise ValueError(f"no average-iterate identities for {type(params).__name__}")
         self.n = mixing.n
         self.params = params
-        self.kind = kind
-        self.prev: SolverState | None = None
-        self.max_mass_err = 0.0
-        self.max_tracking_err = 0.0
-        self.max_ybar_res = 0.0
-        self.max_zbar_res = 0.0
-        self.max_xbar_res = 0.0
-        self.max_coupling_res = 0.0  # x - z vs (1 - tau)/tau (y - x)
+        self._identity = _IDENTITIES[type(params)]
+        self._prev = None  # (k, xbar, zbar, gbar) of the last state
+        self._worst = dict.fromkeys(("mass", "tracking", "ybar", "zbar", "xbar", "coupling"), 0.0)
+
+    @property
+    def max_mass_err(self) -> float:
+        return self._worst["mass"]
+
+    def _note(self, key: str, res, scale) -> None:
+        self._worst[key] = max(self._worst[key], float(res / scale))
 
     def __call__(self, state: SolverState) -> None:
         nrm = np.linalg.norm
-        self.max_mass_err = max(self.max_mass_err, abs(float(state.v.sum()) - self.n))
+        xbar, ybar, zbar, gbar = (getattr(state, f).mean(axis=0) for f in "XYZG")
         gbar_true = state.grad_U.mean(axis=0)
-        track = nrm(state.G.mean(axis=0) - gbar_true) / (1.0 + nrm(gbar_true))
-        self.max_tracking_err = max(self.max_tracking_err, float(track))
-
-        if self.kind in ("apd", "apdsc"):
-            tau_k = (
-                self.params.tau(state.k)
-                if self.kind == "apd"
-                else self.params.tau
-            )
-            xbar = state.X.mean(axis=0)
-            ybar = state.Y.mean(axis=0)
-            zbar = state.Z.mean(axis=0)
-            coef = (1.0 - tau_k) / tau_k
+        self._note("mass", abs(float(state.v.sum()) - self.n), 1.0)
+        self._note("tracking", nrm(gbar - gbar_true), 1.0 + nrm(gbar_true))
+        prev, self._prev = self._prev, (state.k, xbar, zbar, gbar)
+        if self._identity is not None:
+            tau = self._identity(self.params, state.k)[0]
+            coef = (1.0 - tau) / tau
             res = nrm((xbar - zbar) - coef * (ybar - xbar))
             scale = 1.0 + nrm(xbar) + nrm(zbar) + coef * (nrm(ybar) + nrm(xbar))
-            self.max_coupling_res = max(self.max_coupling_res, float(res / scale))
-
-        prev = self.prev
-        if prev is not None and state.k == prev.k + 1:
-            eta = self.params.eta if self.params is not None else None
-            xbar0 = prev.X.mean(axis=0)
-            zbar0 = prev.Z.mean(axis=0)
-            gbar0 = prev.G.mean(axis=0)
-            ybar1 = state.Y.mean(axis=0)
-            zbar1 = state.Z.mean(axis=0)
-            xbar1 = state.X.mean(axis=0)
-            if self.kind == "pushdiging":
-                res = nrm(xbar1 - (xbar0 - eta * gbar0))
-                scale = 1.0 + nrm(xbar0) + eta * nrm(gbar0)
-                self.max_xbar_res = max(self.max_xbar_res, float(res / scale))
-            else:
-                res = nrm(ybar1 - (xbar0 - eta * gbar0))
-                scale = 1.0 + nrm(xbar0) + eta * nrm(gbar0)
-                self.max_ybar_res = max(self.max_ybar_res, float(res / scale))
-                if self.kind == "apd":
-                    a_k = self.params.alpha(prev.k)
-                    expect_z = zbar0 - a_k * eta * gbar0
-                    scale_z = 1.0 + nrm(zbar0) + a_k * eta * nrm(gbar0)
-                    tau1 = self.params.tau(state.k)
-                else:
-                    b = self.params.beta
-                    expect_z = (
-                        (1.0 - b) * zbar0
-                        + b * xbar0
-                        - self.params.alpha * eta * gbar0
-                    )
-                    scale_z = (
-                        1.0
-                        + nrm(zbar0)
-                        + nrm(xbar0)
-                        + self.params.alpha * eta * nrm(gbar0)
-                    )
-                    tau1 = self.params.tau
-                self.max_zbar_res = max(
-                    self.max_zbar_res, float(nrm(zbar1 - expect_z) / scale_z)
-                )
-                expect_x = (1.0 - tau1) * ybar1 + tau1 * zbar1
-                scale_x = 1.0 + nrm(ybar1) + nrm(zbar1)
-                self.max_xbar_res = max(
-                    self.max_xbar_res, float(nrm(xbar1 - expect_x) / scale_x)
-                )
-        self.prev = state
+            self._note("coupling", res, scale)
+        if prev is None or state.k != prev[0] + 1:
+            return
+        k0, xbar0, zbar0, gbar0 = prev
+        eta = self.params.eta
+        step = nrm(ybar - (xbar0 - eta * gbar0)), 1.0 + nrm(xbar0) + eta * nrm(gbar0)
+        if self._identity is None:
+            self._note("xbar", *step)
+            return
+        self._note("ybar", *step)
+        _, beta, gain = self._identity(self.params, k0)
+        res = nrm(zbar - ((1.0 - beta) * zbar0 + beta * xbar0 - gain * gbar0))
+        scale = 1.0 + nrm(zbar0) + (nrm(xbar0) if beta else 0.0) + gain * nrm(gbar0)
+        self._note("zbar", res, scale)
+        res = nrm(xbar - ((1.0 - tau) * ybar + tau * zbar))
+        self._note("xbar", res, 1.0 + nrm(ybar) + nrm(zbar))
 
     def worst(self) -> dict:
-        return {
-            "mass": self.max_mass_err,
-            "tracking": self.max_tracking_err,
-            "ybar": self.max_ybar_res,
-            "zbar": self.max_zbar_res,
-            "xbar": self.max_xbar_res,
-            "coupling": self.max_coupling_res,
-        }
+        return dict(self._worst)

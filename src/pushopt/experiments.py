@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import suppress
-from dataclasses import dataclass, fields, make_dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
@@ -34,6 +34,8 @@ from .objectives import (
 from .solvers import (
     APDParams,
     APDSCParams,
+    PushDIGingParams,
+    SubgradPushParams,
     apd_run,
     apdsc_run,
     calibrate_theory_inputs,
@@ -60,11 +62,6 @@ class ConfigError(ValueError):
     """The experiment configuration is invalid."""
 
 
-# The baselines' parameters; they carry K as APDParams does.
-_PushDIGingParams = make_dataclass("PushDIGingParams", [("eta", float), ("K", int)])
-_SubgradPushParams = make_dataclass("SubgradPushParams", [("step_c", float), ("K", int)])
-
-
 @dataclass(frozen=True)
 class _Algorithm:
     """How the runner resolves, runs and records one algorithm.
@@ -72,15 +69,14 @@ class _Algorithm:
     An explicit params table holds the fields of params_type other than K.
     defaults(suite, nt, K, mode=, theory=) gives the "auto" params, and the
     "theoretical" ones when theoretical is set; run(X0, v0, mixing, suite,
-    params, hooks) returns (output, trace). Accelerated runs report the Y
-    estimate and record the Lyapunov pair; the others report X.
+    params, hooks) returns (output, trace). What the recorder and the
+    identity monitor compute for a run follows from params_type.
     """
 
     params_type: type
     defaults: Callable
     run: Callable
     theoretical: bool = False
-    accelerated: bool = False
     strongly_convex: bool = False
 
 
@@ -90,7 +86,6 @@ ALGORITHMS = {
         defaults=lambda suite, nt, K, **mode: default_params_smooth(suite.L, K=K, **mode),
         run=apd_run,
         theoretical=True,
-        accelerated=True,
     ),
     "apdsc": _Algorithm(
         APDSCParams,
@@ -99,17 +94,16 @@ ALGORITHMS = {
         ),
         run=apdsc_run,
         theoretical=True,
-        accelerated=True,
         strongly_convex=True,
     ),
     "pushdiging": _Algorithm(
-        _PushDIGingParams,
-        defaults=lambda suite, nt, K: _PushDIGingParams(eta=0.3 / suite.L, K=K),
+        PushDIGingParams,
+        defaults=lambda suite, nt, K: PushDIGingParams(eta=0.3 / suite.L, K=K),
         run=lambda X0, v0, m, s, p, h: push_diging_run(X0, v0, m, s, p.eta, p.K, h),
     ),
     "subgradpush": _Algorithm(
-        _SubgradPushParams,
-        defaults=lambda suite, nt, K: _SubgradPushParams(step_c=0.18, K=K),
+        SubgradPushParams,
+        defaults=lambda suite, nt, K: SubgradPushParams(step_c=0.18, K=K),
         run=lambda X0, v0, m, s, p, h: subgradient_push_run(X0, v0, m, s, p.step_c, p.K, h),
     ),
 }
@@ -355,9 +349,8 @@ def _run_and_write(prob, algorithms, K, stride, out: Path, summary: dict, finish
                 prob.suite,
                 prob.mixing,
                 xstar=prob.xstar,
-                params=params if spec.accelerated else None,
-                norm_transform=prob.nt if spec.accelerated else None,
-                estimate="Y" if spec.accelerated else "X",
+                params=params,
+                norm_transform=prob.nt,
                 stride=stride,
                 label=name,
             )

@@ -83,17 +83,10 @@ def build_cycle_plus_random(n: int, extra_edges: int, seed: int) -> DirectedGrap
             f"extra_edges={extra_edges} exceeds the {len(rows)} "
             f"available non-ring pairs for n={n}"
         )
-
-    # The bidirected ring already makes the graph strongly connected, so the
-    # retry loop is a safeguard for future generators, not a hot path.
-    for attempt in range(16):
-        rng = np.random.default_rng(seed + attempt)
-        idx = rng.choice(len(rows), size=extra_edges, replace=False)
-        edges = ring | set(zip(rows[idx].tolist(), cols[idx].tolist()))
-        g = DirectedGraph(n=n, edges=frozenset(edges), seed=seed)
-        if is_strongly_connected(g):
-            return g
-    raise RuntimeError("failed to generate a strongly connected graph")
+    # The bidirected ring already makes the graph strongly connected.
+    idx = np.random.default_rng(seed).choice(len(rows), size=extra_edges, replace=False)
+    edges = ring | set(zip(rows[idx].tolist(), cols[idx].tolist()))
+    return DirectedGraph(n=n, edges=frozenset(edges), seed=seed)
 
 
 def _reachable(n: int, adj: list, start: int) -> np.ndarray:

@@ -152,8 +152,6 @@ class ObjectiveSuite:
     resolution of f itself stay accurate.
     """
 
-    kind = "abstract"
-
     def __init__(self, n: int, dim: int, L: float, mu: float):
         self.n = n
         self.dim = dim
@@ -173,9 +171,6 @@ class ObjectiveSuite:
     def batch_grad(self, U: np.ndarray) -> np.ndarray:
         """Stacked gradients; row i is agent i's gradient at U[i]."""
         return np.stack([self.grad(i, U[i]) for i in range(self.n)])
-
-    def batch_values(self, U: np.ndarray) -> np.ndarray:
-        return np.array([self.value(i, U[i]) for i in range(self.n)])
 
     def average_value(self, x: np.ndarray):
         return self.average_values(x[None, :])[0]
@@ -217,8 +212,6 @@ class ObjectiveSuite:
 class QuadraticSuite(ObjectiveSuite):
     """f_i(x) = x' H_i x / 2 - b_i' x with known per-agent spectra."""
 
-    kind = "quadratic"
-
     def __init__(self, H: np.ndarray, b: np.ndarray, L: float, mu: float):
         super().__init__(n=H.shape[0], dim=H.shape[1], L=L, mu=mu)
         self.H = H
@@ -234,11 +227,6 @@ class QuadraticSuite(ObjectiveSuite):
 
     def batch_grad(self, U):
         return np.einsum("nij,nj->ni", self.H, U) - self.b
-
-    def batch_values(self, U):
-        return 0.5 * np.einsum("ni,nij,nj->n", U, self.H, U) - np.einsum(
-            "ni,ni->n", self.b, U
-        )
 
     def average_values(self, rows):
         quad = 0.5 * np.einsum("ri,ij,rj->r", rows, self.mean_H, rows)
@@ -278,8 +266,6 @@ class LogisticSuite(ObjectiveSuite):
     The per-agent loss sums over that agent's examples without dividing by
     the shard size. L is the standard bound max_i sum_j ||z_ij||^2 / 4 + mu.
     """
-
-    kind = "logistic"
 
     def __init__(self, shards: list, mu: float):
         worst = max(0.25 * (Z**2).sum() for Z, _ in shards)

@@ -20,6 +20,8 @@ __all__ = [
     "DivergenceError",
     "APDParams",
     "APDSCParams",
+    "PushDIGingParams",
+    "SubgradPushParams",
     "SolverState",
     "TheoryInputs",
     "init_state",
@@ -103,13 +105,42 @@ class APDSCParams:
 
 
 @dataclass(frozen=True)
+class PushDIGingParams:
+    """Parameters of push-sum gradient tracking with a constant stepsize."""
+
+    eta: float
+    K: int = 1000
+
+    def __post_init__(self):
+        if self.eta <= 0:
+            raise ValueError("eta must be positive")
+        if self.K < 0:
+            raise ValueError("K must be nonnegative")
+
+
+@dataclass(frozen=True)
+class SubgradPushParams:
+    """Parameters of push-sum gradient descent with stepsize step_c / sqrt(k + 1)."""
+
+    step_c: float
+    K: int = 1000
+
+    def __post_init__(self):
+        if self.step_c <= 0:
+            raise ValueError("step_c must be positive")
+        if self.K < 0:
+            raise ValueError("K must be nonnegative")
+
+
+@dataclass(frozen=True)
 class SolverState:
     """Stacked iterates of one solver run.
 
+    Y is every solver's reported estimate, read as V^{-1} Y. The baselines
+    have no Y/Z recursion: from k = 1 their Y and Z are X itself (equal
+    copies at k = 0), and subgradient push's G is the raw gradient batch.
     grad_U caches the gradient batch at V^{-1} X so a step evaluates only the
-    new batch. vhat_seen tracks the running max of 1 / min_i v_i. For the
-    baselines without Y/Z (or G) recursions the unused fields mirror X (or
-    the raw gradient batch).
+    new batch. vhat_seen tracks the running max of 1 / min_i v_i.
     """
 
     X: np.ndarray
@@ -216,36 +247,36 @@ def apdsc_step(
     return _accelerated_step(state, mixing, suite, params.eta, Zmix, params.tau)
 
 
-def push_diging_step(state, mixing, suite, eta: float) -> SolverState:
+def push_diging_step(state, mixing, suite, params: PushDIGingParams) -> SolverState:
     """One push-sum gradient-tracking step with a constant stepsize."""
     C = mixing.op
     v1 = C @ state.v
-    X1 = C @ (state.X - eta * state.G)
+    X1 = C @ (state.X - params.eta * state.G)
     gU1 = suite.batch_grad(X1 / v1[:, None])
     G1 = C @ state.G + gU1 - state.grad_U
     return _advance(state, X1, X1, X1, G1, v1, gU1)
 
 
-def subgradient_push_step(state, mixing, suite, step_c: float) -> SolverState:
+def subgradient_push_step(state, mixing, suite, params: SubgradPushParams) -> SolverState:
     """One push-sum gradient step with stepsize step_c / sqrt(k + 1)."""
     C = mixing.op
-    eta_k = step_c / np.sqrt(state.k + 1.0)
+    eta_k = params.step_c / np.sqrt(state.k + 1.0)
     v1 = C @ state.v
     X1 = C @ state.X - eta_k * state.grad_U
     gU1 = suite.batch_grad(X1 / v1[:, None])
     return _advance(state, X1, X1, X1, gU1, v1, gU1)
 
 
-def _drive(step, params, K, estimate, X0, v0, mixing, suite, hooks):
-    """Run K steps, calling hooks on every state; return (V^-1 estimate, trace)."""
+def _drive(step, params, X0, v0, mixing, suite, hooks):
+    """Run params.K steps, calling hooks on every state; return (V^-1 Y, trace)."""
     state = init_state(X0, v0, suite)
     if hooks is not None:
         hooks(state)
-    for _ in range(K):
+    for _ in range(params.K):
         state = step(state, mixing, suite, params)
         if hooks is not None:
             hooks(state)
-    return state.ratio(estimate), hooks.trace() if hasattr(hooks, "trace") else None
+    return state.ratio(), hooks.trace() if hasattr(hooks, "trace") else None
 
 
 def apd_run(X0, v0, mixing, suite, params: APDParams, hooks=None):
@@ -254,12 +285,12 @@ def apd_run(X0, v0, mixing, suite, params: APDParams, hooks=None):
     Returns (output, trace) where output row i is agent i's estimate
     y_i / v_i and trace is hooks.trace() when the hook provides one.
     """
-    return _drive(apd_step, params, params.K, "Y", X0, v0, mixing, suite, hooks)
+    return _drive(apd_step, params, X0, v0, mixing, suite, hooks)
 
 
 def apdsc_run(X0, v0, mixing, suite, params: APDSCParams, hooks=None):
     """Run the constant-coefficient accelerated solver for params.K steps."""
-    return _drive(apdsc_step, params, params.K, "Y", X0, v0, mixing, suite, hooks)
+    return _drive(apdsc_step, params, X0, v0, mixing, suite, hooks)
 
 
 def push_diging_run(X0, v0, mixing, suite, eta: float, K: int, hooks=None):
@@ -268,9 +299,7 @@ def push_diging_run(X0, v0, mixing, suite, eta: float, K: int, hooks=None):
     The Y/Z fields of the state mirror X so trace handling is uniform
     across solvers. Output rows are x_i / v_i.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    return _drive(push_diging_step, eta, K, "X", X0, v0, mixing, suite, hooks)
+    return _drive(push_diging_step, PushDIGingParams(eta, K), X0, v0, mixing, suite, hooks)
 
 
 def subgradient_push_run(X0, v0, mixing, suite, step_c: float, K: int, hooks=None):
@@ -280,9 +309,8 @@ def subgradient_push_run(X0, v0, mixing, suite, step_c: float, K: int, hooks=Non
     with the schedule 1-based so the first step is well defined. The G field
     of the state mirrors the current raw gradient batch.
     """
-    if step_c <= 0:
-        raise ValueError("step_c must be positive")
-    return _drive(subgradient_push_step, step_c, K, "X", X0, v0, mixing, suite, hooks)
+    params = SubgradPushParams(step_c, K)
+    return _drive(subgradient_push_step, params, X0, v0, mixing, suite, hooks)
 
 
 @dataclass(frozen=True)

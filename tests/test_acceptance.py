@@ -12,6 +12,7 @@ import pytest
 from pushopt import (
     APDParams,
     IdentityMonitor,
+    PushDIGingParams,
     QuadraticSuite,
     TraceRecorder,
     apd_run,
@@ -85,16 +86,14 @@ def identity_battery():
         X0 = rng.standard_normal((n, suite.dim))
         v0 = np.ones(n)
         params_apd = default_params_smooth(suite.L, K=500)
-        mon = IdentityMonitor(mixing, params_apd, kind="apd")
+        mon = IdentityMonitor(mixing, params_apd)
         apd_run(X0, v0, mixing, suite, params_apd, mon)
         monitors = [mon]
         params_sc = default_params_sc(suite.L, suite.mu, K=500)
-        mon = IdentityMonitor(mixing, params_sc, kind="apdsc")
+        mon = IdentityMonitor(mixing, params_sc)
         apdsc_run(X0, v0, mixing, suite, params_sc, mon)
         monitors.append(mon)
-        class _Eta:
-            eta = 0.3 / suite.L
-        mon = IdentityMonitor(mixing, _Eta, kind="pushdiging")
+        mon = IdentityMonitor(mixing, PushDIGingParams(0.3 / suite.L, K=500))
         push_diging_run(X0, v0, mixing, suite, 0.3 / suite.L, 500, mon)
         monitors.append(mon)
         for m in monitors:

@@ -9,19 +9,26 @@ from pushopt import (
     ConfigError,
     DivergenceError,
     ExperimentConfig,
+    IdentityMonitor,
     RunTrace,
+    TraceRecorder,
+    build_contraction_norm,
     build_cycle_plus_random,
+    calibrate_theory_inputs,
     emit_csv,
     emit_svg_plot,
+    make_quadratic_suite,
     read_trace_csv,
     reproduce_paper_experiment,
     run_experiment,
     save_edge_list,
     synthetic_logistic_dataset,
+    uniform_out_weights,
     write_labeled_csv,
 )
 from pushopt.cli import main
-from pushopt.diagnostics import TRACE_COLUMNS
+from pushopt.diagnostics import _LYAPUNOV, TRACE_COLUMNS
+from pushopt.experiments import ALGORITHMS
 
 SVG_NS = {"svg": "http://www.w3.org/2000/svg"}
 
@@ -116,13 +123,18 @@ LOGISTIC = {"kind": "logistic", "data": "d.csv", "partition_seed": 3}
         ({"algorithms": [{"name": "apd", "params": "fast"}]}, ("apd", "fast")),
         ({"algorithms": [{"name": "subgradpush", "params": ["step_c", 0.1]}]},
          ("subgradpush", "step_c")),
+        ({"algorithms": [{"name": "pushdiging", "params": {"eta": -0.5}}]},
+         ("pushdiging", "eta")),
+        ({"algorithms": [{"name": "pushdiging", "params": {"eta": 0}}]}, ("pushdiging", "eta")),
+        ({"algorithms": [{"name": "subgradpush", "params": {"step_c": -1}}]},
+         ("subgradpush", "step_c")),
         ({"objective": {**LOGISTIC, "mu": True}}, ("objective.mu",)),
         ({"objective": {**LOGISTIC, "mu": "0.05"}}, ("objective.mu",)),
     ],
     ids=[
         "unknown-key", "missing-key", "missing-apdsc-key", "other-algorithms-key",
         "empty-table", "bool-value", "string-value", "infinite-value", "string-params",
-        "list-params", "bool-mu", "string-mu",
+        "list-params", "negative-eta", "zero-eta", "negative-step_c", "bool-mu", "string-mu",
     ],
 )
 def test_config_rejects_malformed_params_and_mu(tmp_path, capsys, patch, words):
@@ -138,6 +150,35 @@ def test_config_rejects_malformed_params_and_mu(tmp_path, capsys, patch, words):
     err = capsys.readouterr().err
     assert all(word in err for word in words)
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name", list(ALGORITHMS))
+def test_params_type_keys_the_diagnostics(name):
+    """An algorithm's defaults are its params_type, and that type alone picks
+    the recorder's Lyapunov columns and the identity monitor's identities."""
+    spec = ALGORITHMS[name]
+    mixing = uniform_out_weights(build_cycle_plus_random(8, 10, 4))
+    nt = build_contraction_norm(mixing.C, mixing.p)
+    suite = make_quadratic_suite(8, 3, 10.0, 0.1, 2)
+    X0, v0 = np.random.default_rng(1).standard_normal((8, 3)), np.ones(8)
+    params = spec.defaults(suite, nt, 20)
+    assert type(params) is spec.params_type
+    if spec.theoretical:
+        theory = calibrate_theory_inputs(mixing, nt, v0)
+        theoretical = spec.defaults(suite, nt, 20, mode="theoretical", theory=theory)
+        assert type(theoretical) is spec.params_type
+    rec = TraceRecorder(suite, mixing, params=params, norm_transform=nt)
+    _, trace = spec.run(X0, v0, mixing, suite, params, rec)
+    phis = {c for c in ("phi1", "phi2", "phi3", "phi4") if trace.column(c) is not None}
+    pair = _LYAPUNOV.get(type(params))
+    assert phis == (set(pair[:2]) if pair else set())
+    if name == "subgradpush":
+        with pytest.raises(ValueError, match="SubgradPushParams"):
+            IdentityMonitor(mixing, params)
+        return
+    mon = IdentityMonitor(mixing, params)
+    spec.run(X0, v0, mixing, suite, params, mon)
+    assert max(mon.worst().values()) <= 1e-10
 
 
 def test_run_experiment_outputs(tmp_path):

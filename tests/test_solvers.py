@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,9 @@ from pushopt import (
     DivergenceError,
     IdentityMonitor,
     MixingMatrix,
+    PushDIGingParams,
     QuadraticSuite,
+    SubgradPushParams,
     TheoryInputs,
     apd_run,
     apd_step,
@@ -336,7 +336,7 @@ def test_theoretical_sc_runs_stably(small_mixing, small_suite, small_init):
     assert ti.vhat >= 1.0
     params = default_params_sc(small_suite.L, small_suite.mu, mode="theoretical", theory=ti, K=50)
     assert params.eta > 0
-    mon = IdentityMonitor(small_mixing, params, kind="apdsc")
+    mon = IdentityMonitor(small_mixing, params)
     apdsc_run(X0, v0, small_mixing, small_suite, params, mon)
     assert mon.max_mass_err <= 1e-10
     params_s = default_params_smooth(small_suite.L, mode="theoretical", theory=ti, K=50)
@@ -353,6 +353,30 @@ def test_param_validation():
         APDSCParams(eta=0.1, alpha=1.0, beta=0.5, tau=0.2)
     with pytest.raises(ValueError):
         default_params_sc(1.0, 2.0)  # mu > L
+    with pytest.raises(ValueError, match="eta"):
+        PushDIGingParams(eta=0.0)
+    with pytest.raises(ValueError, match="step_c"):
+        SubgradPushParams(step_c=-1.0)
+    with pytest.raises(ValueError, match="K"):
+        PushDIGingParams(eta=0.1, K=-1)
+
+
+@pytest.mark.parametrize("run", [push_diging_run, subgradient_push_run])
+def test_baselines_report_x_as_their_y(small_mixing, small_suite, small_init, run):
+    """A baseline's Y is its X from k = 1 on (an equal copy at k = 0), so the
+    V^{-1} Y that every run returns is the baseline's V^{-1} X."""
+    X0, v0 = small_init
+    states = []
+    out, _ = run(X0, v0, small_mixing, small_suite, 0.3 / small_suite.L, 20, states.append)
+    assert np.array_equal(states[0].Y, states[0].X) and states[0].Y is not states[0].X
+    assert all(s.Y is s.X for s in states[1:])
+    assert np.array_equal(out, states[-1].X / states[-1].v[:, None])
+
+
+@pytest.mark.parametrize("params", [SubgradPushParams(step_c=0.18), None])
+def test_identity_monitor_rejects_params_without_identities(small_mixing, params):
+    with pytest.raises(ValueError, match=type(params).__name__):
+        IdentityMonitor(small_mixing, params)
 
 
 @pytest.fixture(scope="module")
@@ -370,21 +394,19 @@ def sparse_problem():
 
 
 def _sparse_runs(suite, X0, v0, K=60):
-    """name -> (run(mixing, hooks), IdentityMonitor kind, params) on one problem."""
+    """name -> (run(mixing, hooks), IdentityMonitor params or None) on one problem."""
     pa = default_params_smooth(suite.L, K=K)
     ps = default_params_sc(suite.L, suite.mu, K=K)
     eta = 0.3 / suite.L
     return {
-        "apd": (lambda m, h: apd_run(X0, v0, m, suite, pa, h), "apd", pa),
-        "apdsc": (lambda m, h: apdsc_run(X0, v0, m, suite, ps, h), "apdsc", ps),
+        "apd": (lambda m, h: apd_run(X0, v0, m, suite, pa, h), pa),
+        "apdsc": (lambda m, h: apdsc_run(X0, v0, m, suite, ps, h), ps),
         "pushdiging": (
             lambda m, h: push_diging_run(X0, v0, m, suite, eta, K, h),
-            "pushdiging",
-            SimpleNamespace(eta=eta),
+            PushDIGingParams(eta, K),
         ),
         "subgradpush": (
             lambda m, h: subgradient_push_run(X0, v0, m, suite, 0.18, K, h),
-            None,
             None,
         ),
     }
@@ -393,7 +415,7 @@ def _sparse_runs(suite, X0, v0, K=60):
 @pytest.mark.parametrize("name", ["apd", "apdsc", "pushdiging", "subgradpush"])
 def test_csr_mixing_matches_dense_and_keeps_identities(sparse_problem, name):
     mixing, dense, suite, X0, v0 = sparse_problem
-    run, kind, params = _sparse_runs(suite, X0, v0)[name]
+    run, params = _sparse_runs(suite, X0, v0)[name]
     states, again, ref = [], [], []
     run(mixing, states.append)
     run(mixing, again.append)
@@ -404,9 +426,9 @@ def test_csr_mixing_matches_dense_and_keeps_identities(sparse_problem, name):
             a, b, c = getattr(s, field), getattr(t, field), getattr(r, field)
             assert np.array_equal(a, b)
             assert np.abs(a - c).max() <= 1e-12 * np.abs(c).max()
-    if kind is None:
+    if params is None:
         return
-    mon = IdentityMonitor(mixing, params, kind=kind)
+    mon = IdentityMonitor(mixing, params)
     run(mixing, mon)
     worst = mon.worst()
     for key in ("mass", "tracking", "ybar", "zbar", "xbar", "coupling"):
