@@ -4,7 +4,9 @@
 Reproduces the 20-agent comparison (accelerated solver vs gradient tracking
 vs diminishing-step push-sum descent) for both the unpenalized and the
 l2-penalized model. Uses `data/banknote.csv` if present, otherwise the
-deterministic synthetic dataset. Pass an iteration count to shorten the run.
+deterministic synthetic dataset. Runs ITERS iterations, the length of the
+committed outputs under demos/out/benchmark_*; pass an iteration count
+(3000 for the paper's length) to run another length.
 """
 import sys
 from pathlib import Path
@@ -13,21 +15,28 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from pushopt import reproduce_paper_experiment
 
-iters = int(sys.argv[1]) if len(sys.argv) > 1 else 3000
+# The length of the committed outputs, which the golden test reproduces.
+ITERS = 400
 data = Path(__file__).resolve().parents[1] / "data" / "banknote.csv"
 OUT = Path(__file__).parent / "out"
 
-for case in ("nonstrongly", "strongly"):
-    out_dir = OUT / f"benchmark_{case}"
-    summary, traces = reproduce_paper_experiment(
-        data if data.exists() else None, case, out_dir, iters=iters
-    )
-    print(f"=== {case} (mu = {summary['experiment']['mu']}), K = {iters}")
-    print(f"    data: {summary['experiment']['data']}, L = {summary['resolved']['L']:.2f}")
-    for name, info in summary["algorithms"].items():
-        reached = info["iterations_to"]["1e-10"]
-        print(
-            f"    {name:>12}: final gap {info['final_gap']:.3e}"
-            + (f", reaches 1e-10 at k={reached}" if reached is not None else "")
+
+def main(iters: int) -> None:
+    for case in ("nonstrongly", "strongly"):
+        out_dir = OUT / f"benchmark_{case}"
+        summary, traces = reproduce_paper_experiment(
+            data if data.exists() else None, case, out_dir, iters=iters
         )
-    print(f"    wrote traces + comparison.svg to {out_dir}")
+        print(f"=== {case} (mu = {summary['experiment']['mu']}), K = {iters}")
+        print(f"    data: {summary['experiment']['data']}, L = {summary['resolved']['L']:.2f}")
+        for name, info in summary["algorithms"].items():
+            reached = info["iterations_to"]["1e-10"]
+            print(
+                f"    {name:>12}: final gap {info['final_gap']:.3e}"
+                + (f", reaches 1e-10 at k={reached}" if reached is not None else "")
+            )
+        print(f"    wrote traces + comparison.svg to {out_dir}")
+
+
+if __name__ == "__main__":
+    main(int(sys.argv[1]) if len(sys.argv) > 1 else ITERS)

@@ -300,13 +300,16 @@ class TraceRecorder:
     (`_LYAPUNOV`), if it has one. With stride="auto" every iteration is
     recorded up to k = 10_000 and every 10th beyond.
 
-    A call takes the loss and copies X, Z, G and v into block buffers. The
-    other columns are evaluated B = 32 records at a time, when a block fills
-    and in trace(), by the kernel behind `consensus_error` and `lyapunov_*`,
-    so they equal those functions' values bit for bit. Projections off the
-    Perron direction take O(n d) (`_off_perron`; a norm transform must carry
-    the mixing's Perron vector), and a Lyapunov block makes one product of
-    Ctilde with an n-by-(3 d B) stack, zero-padded when the block is partial.
+    A call copies X, Z, G, v and the estimate's field into block buffers.
+    Every column is evaluated B = 32 records at a time, when a block fills
+    and in trace(). The loss takes one `gap_values` (or, given only f*,
+    `average_values`) call on the block's B n ratio rows; the other columns
+    go through the kernel behind `consensus_error` and `lyapunov_*`. Each
+    column equals its per-call function's value bit for bit. Projections
+    off the Perron direction take O(n d) (`_off_perron`; a norm transform
+    must carry the mixing's Perron vector), and a Lyapunov block makes one
+    product of Ctilde with an n-by-(3 d B) stack, zero-padded when the block
+    is partial.
 
     B comes from timing that product at n = 400 with one BLAS thread on a
     2-CPU x86-64 host (numpy 2.4, OpenBLAS 0.3): per column it costs 12.6 us
@@ -339,7 +342,9 @@ class TraceRecorder:
         self.fstar = fstar
         self._rows = {name: [] for name in TRACE_COLUMNS}
         self._ks = []  # k of each record in the block
-        self._block = {f: np.empty((_BLOCK, mixing.n, suite.dim)) for f in "XZG"}
+        # The estimate's field ("Y", or "X" sharing X's buffer) feeds the loss.
+        fields = "XZG" + estimate
+        self._block = {f: np.empty((_BLOCK, mixing.n, suite.dim)) for f in fields}
         self._block["v"] = np.empty((_BLOCK, mixing.n))
         if norm_transform is not None and not np.array_equal(norm_transform.p, mixing.p):
             raise ValueError("norm_transform was built for a different Perron vector")
@@ -353,13 +358,7 @@ class TraceRecorder:
     def __call__(self, state: SolverState) -> None:
         if not self._due(state.k):
             return
-        r = self._rows
-        r["k"].append(state.k)
-        if self.xstar is None and self.fstar is None:
-            r["loss"].append(np.nan)
-        else:
-            est = state.ratio(self.estimate)
-            r["loss"].append(optimality_gap(self.suite, est, self.xstar, self.fstar))
+        self._rows["k"].append(state.k)
         for f, buf in self._block.items():
             buf[len(self._ks)] = getattr(state, f)
         self._ks.append(state.k)
@@ -371,12 +370,25 @@ class TraceRecorder:
         if not self._ks:
             return
         block = {f: buf[: len(self._ks)] for f, buf in self._block.items()}
+        self._rows["loss"].extend(self._losses(block).tolist())
         lyapunov = None
         if self._lyapunov is not None:
             lyapunov = (self.nt, self.params, self._lyapunov, self._ks)
         for name, vals in _records(self.mixing.p, block, lyapunov).items():
             self._rows[name].extend(vals.tolist())
         self._ks = []
+
+    def _losses(self, block: dict) -> np.ndarray:
+        """`optimality_gap` of each record, from one suite call on the
+        block's m n ratio rows; a record's mean is the same pairwise sum over
+        its n contiguous values as that of `optimality_gap`."""
+        m, n = block["v"].shape
+        if self.xstar is None and self.fstar is None:
+            return np.full(m, np.nan)
+        rows = (block[self.estimate] / block["v"][..., None]).reshape(m * n, -1)
+        if self.xstar is not None:
+            return self.suite.gap_values(rows, self.xstar).reshape(m, n).mean(axis=1)
+        return self.suite.average_values(rows).reshape(m, n).mean(axis=1) - self.fstar
 
     def trace(self) -> RunTrace:
         self._flush()

@@ -501,24 +501,17 @@ def reproduce_paper_experiment(data_path, case: str, out_dir, iters: int = 3000)
     return _run_and_write(prob, algorithms, iters, "auto", out, summary, compare)
 
 
-def _format_value(x) -> str:
-    if x is None or (isinstance(x, float) and np.isnan(x)):
-        return "nan"
-    return f"{x:.17g}"
-
-
 def emit_csv(trace: RunTrace, path) -> None:
     """Write one trace as CSV with 17-significant-digit decimals.
 
     Absent diagnostics columns (the Lyapunov values) are written as empty
-    fields; the format round-trips floats bit-exactly.
+    fields; the format round-trips floats bit-exactly. Each row is one
+    %-format over the columns' Python values.
     """
-    lines = [",".join(TRACE_COLUMNS)]
     values = [trace.column(name) for name in TRACE_COLUMNS[1:]]
-    for i in range(len(trace)):
-        row = [str(int(trace.k[i]))]
-        row += ["" if vals is None else _format_value(vals[i]) for vals in values]
-        lines.append(",".join(row))
+    row = ",".join(["%d"] + ["" if vals is None else "%.17g" for vals in values])
+    cols = [trace.k.tolist()] + [vals.tolist() for vals in values if vals is not None]
+    lines = [",".join(TRACE_COLUMNS)] + [row % r for r in zip(*cols)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

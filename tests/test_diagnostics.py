@@ -19,16 +19,29 @@ from pushopt import (
     default_params_smooth,
     fit_linear_rate,
     fit_sublinear_rate,
+    global_minimizer,
     init_state,
     iterations_to_threshold,
     lyapunov_sc,
     lyapunov_smooth,
+    make_logistic_suite,
     make_quadratic_suite,
     optimality_gap,
     push_diging_run,
+    synthetic_logistic_dataset,
     uniform_out_weights,
 )
 from pushopt.diagnostics import TRACE_COLUMNS, _off_perron
+from pushopt.experiments import (
+    EXAMPLES_PER_AGENT,
+    REPRO_AGENTS,
+    REPRO_DATA_SEED,
+    REPRO_EXTRA_EDGES,
+    REPRO_GRAPH_SEED,
+    REPRO_PARTITION_SEED,
+    REPRO_X0_SEED,
+    REPRODUCTION_PARAMS,
+)
 from pushopt.graphs import DirectedGraph
 from pushopt.solvers import SolverState
 
@@ -361,15 +374,17 @@ def test_trace_recorder_shared_kernel_at_n400():
     mixing = uniform_out_weights(build_cycle_plus_random(400, 1200, 7))
     nt = build_contraction_norm(mixing.C, mixing.p, sigma=mixing.sigma)
     suite = make_quadratic_suite(400, 5, 100.0, 0.01, 4)
-    xstar, _ = suite.minimizer()
+    xstar, fstar = suite.minimizer()
     X0 = np.random.default_rng(8).standard_normal((400, 5))
     params = default_params_sc(suite.L, suite.mu, K=40, delta=nt.delta)
     rec = TraceRecorder(suite, mixing, xstar=xstar, params=params, norm_transform=nt)
+    rec_f = TraceRecorder(suite, mixing, fstar=fstar)
     states = []
 
     def hook(state):
         states.append(state)
         rec(state)
+        rec_f(state)
 
     apdsc_run(X0, np.ones(400), mixing, suite, params, hook)
     tr = rec.trace()
@@ -380,6 +395,59 @@ def test_trace_recorder_shared_kernel_at_n400():
             assert np.array_equal(tr.column(col), np.array(expect[col])), col
         else:
             assert tr.column(col) is None, col
+    # Given only f*, a block's 32 n rows go through one average_values call.
+    gaps = [optimality_gap(suite, s.ratio("Y"), None, fstar) for s in states]
+    assert np.array_equal(rec_f.trace().loss, gaps)
+
+
+@pytest.mark.parametrize("case", ["nonstrongly", "strongly"])
+def test_trace_recorder_logistic_loss_bit_exact(case):
+    """On the n = 20 logistic problem of `pushopt reproduce`, the recorder's
+    loss equals per-state `optimality_gap` bit for bit, given x* and given
+    only f*, for the accelerated method (estimate Y) and Push-DIGing (X).
+    K = 70 gives blocks of 32, 32 and 7 records; the early records have
+    entries |dt| >= 1, which take the far branch of `gap_values`."""
+    block = REPRODUCTION_PARAMS[case]
+    mixing = uniform_out_weights(
+        build_cycle_plus_random(REPRO_AGENTS, REPRO_EXTRA_EDGES, REPRO_GRAPH_SEED)
+    )
+    data = synthetic_logistic_dataset(REPRO_AGENTS * EXAMPLES_PER_AGENT, 4, seed=REPRO_DATA_SEED)
+    suite = make_logistic_suite(data, REPRO_AGENTS, block["mu"], REPRO_PARTITION_SEED)
+    xstar, fstar = global_minimizer(suite)
+    LZ = np.vstack([lam[:, None] * Z for Z, lam in suite.shards])
+    X0 = np.random.default_rng(REPRO_X0_SEED).standard_normal((REPRO_AGENTS, suite.dim))
+    v0 = np.ones(REPRO_AGENTS)
+    K = 70
+    if case == "nonstrongly":
+        accel = APDParams(**block["apd"], K=K)
+        run_accel = apd_run
+    else:
+        accel = APDSCParams(**block["apdsc"], K=K)
+        run_accel = apdsc_run
+    eta = block["pushdiging"]["eta"]
+    runs = {
+        "Y": lambda hook: run_accel(X0, v0, mixing, suite, accel, hook),
+        "X": lambda hook: push_diging_run(X0, v0, mixing, suite, eta, K, hook),
+    }
+    for estimate, run in runs.items():
+        recs = [
+            TraceRecorder(suite, mixing, xstar=xstar, estimate=estimate),
+            TraceRecorder(suite, mixing, fstar=fstar, estimate=estimate),
+        ]
+        states = []
+
+        def hook(state):
+            states.append(state)
+            for rec in recs:
+                rec(state)
+
+        run(hook)
+        assert len(states) == K + 1
+        far = [np.abs((s.ratio(estimate) - xstar) @ LZ.T).max() >= 1.0 for s in states]
+        assert any(far), estimate
+        for rec, ref in zip(recs, ((xstar, None), (None, fstar))):
+            gaps = [optimality_gap(suite, s.ratio(estimate), *ref) for s in states]
+            assert np.array_equal(rec.trace().loss, gaps), (estimate, ref[0] is None)
 
 
 def test_trace_record_depends_only_on_its_state():
@@ -422,7 +490,7 @@ def test_trace_recorder_copies_the_state(small_mixing, small_suite, small_norm, 
     apdsc_run(X0, v0, small_mixing, small_suite, params, states.append)
 
     def copy(s):
-        return replace(s, X=s.X.copy(), Z=s.Z.copy(), G=s.G.copy(), v=s.v.copy())
+        return replace(s, X=s.X.copy(), Y=s.Y.copy(), Z=s.Z.copy(), G=s.G.copy(), v=s.v.copy())
 
     fed, clean = (
         TraceRecorder(small_suite, small_mixing, xstar=xstar, params=params, norm_transform=small_norm)
@@ -431,7 +499,7 @@ def test_trace_recorder_copies_the_state(small_mixing, small_suite, small_norm, 
     for s in states:
         s = copy(s)
         fed(s)
-        for a in (s.X, s.Z, s.G, s.v):
+        for a in (s.X, s.Y, s.Z, s.G, s.v):
             a.fill(np.nan)
     for s in states:
         clean(s)

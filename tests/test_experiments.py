@@ -1,4 +1,5 @@
 import json
+import runpy
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -304,6 +305,37 @@ def test_emit_csv_first_record_format(tmp_path):
     assert ",,,," in second
 
 
+def _per_value_csv(trace):
+    """The trace CSV formatted one value at a time, as a reference."""
+    def fmt(x):
+        return "nan" if np.isnan(x) else f"{x:.17g}"
+
+    lines = [",".join(TRACE_COLUMNS)]
+    for i in range(len(trace)):
+        row = [str(int(trace.k[i]))]
+        for name in TRACE_COLUMNS[1:]:
+            vals = trace.column(name)
+            row.append("" if vals is None else fmt(vals[i]))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def test_emit_csv_bytes_equal_per_value_format(tmp_path):
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1.0 / 3.0, 1e300, 2.0])
+    rng = np.random.default_rng(5)
+    m = len(special)
+    tr = RunTrace(
+        label="x", k=np.array([0, 1, 2, 3, 4, 10, 20, 30, 10**6]), loss=special,
+        consensus_error=special[::-1].copy(), projection_error=rng.standard_normal(m),
+        grad_avg_norm=np.exp(rng.uniform(-700, 700, m)), v_min=rng.random(m),
+        phi3=np.roll(special, 3), phi4=rng.standard_normal(m) * 1e-20,
+    )
+    path = tmp_path / "t.csv"
+    emit_csv(tr, path)
+    assert path.read_bytes() == _per_value_csv(tr).encode()
+    assert b",nan," in path.read_bytes() and b",-inf," in path.read_bytes()
+
+
 def test_csv_round_trip_bit_exact(tmp_path, small_mixing, small_norm, small_suite, small_init):
     from pushopt import TraceRecorder, apd_run, default_params_smooth
 
@@ -380,12 +412,15 @@ def test_reproduce_smoke(tmp_path):
 
 @pytest.mark.parametrize("case", ["nonstrongly", "strongly"])
 def test_reproduce_matches_committed_demo_outputs(tmp_path, case):
-    # demos/out/benchmark_<case> comes from `python demos/logistic_benchmark.py 400`
-    # on the synthetic data (no data/banknote.csv).
-    ref = Path(__file__).resolve().parents[1] / "demos" / "out" / f"benchmark_{case}"
-    reproduce_paper_experiment(None, case, tmp_path, iters=400)
+    # demos/out/benchmark_<case> comes from `python demos/logistic_benchmark.py`
+    # on the synthetic data (no data/banknote.csv), at the demo's default length.
+    demos = Path(__file__).resolve().parents[1] / "demos"
+    iters = runpy.run_path(str(demos / "logistic_benchmark.py"))["ITERS"]
+    ref = demos / "out" / f"benchmark_{case}"
+    reproduce_paper_experiment(None, case, tmp_path, iters=iters)
     want = json.loads((ref / "summary.json").read_text())
     got = json.loads((tmp_path / "summary.json").read_text())
+    assert got["experiment"] == want["experiment"]
     for flag in ("accelerated", "accelerated_no_worse"):
         assert got["comparison"][flag] == want["comparison"][flag]
     assert list(got["algorithms"]) == list(want["algorithms"])

@@ -19,6 +19,7 @@ from pushopt.experiments import (
     REPRO_DATA_SEED,
     REPRO_PARTITION_SEED,
 )
+from pushopt.objectives import _row_slices, _sigmoid
 
 
 def repro_suite(mu):
@@ -276,3 +277,66 @@ def test_newton_minimizer_reaches_gradient_floor(mu):
     per_agent = np.mean([suite.grad(i, xstar) for i in range(suite.n)], axis=0)
     assert np.linalg.norm(per_agent) <= 1e-13
     assert fstar == suite.average_value(xstar)
+
+
+def _two_branch_sigmoid(t):
+    """The masked reference form: 1 / (1 + exp(-t)) for t >= 0, else
+    exp(t) / (1 + exp(t))."""
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    et = np.exp(t[~pos])
+    out[~pos] = et / (1.0 + et)
+    return out
+
+
+def test_sigmoid_equals_two_branch_form_bitwise():
+    special = np.array(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0]
+    )
+    rng = np.random.default_rng(11)
+    draws = [s * rng.standard_normal(1000) for s in (1e-8, 1e-4, 1.0, 10.0, 100.0)]
+    for t in [special, *draws, rng.standard_normal((20, 50))]:
+        got, want = _sigmoid(t), _two_branch_sigmoid(t)
+        assert got.shape == t.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_row_slices_cover_rows_without_lone_rows():
+    for examples in (1000, 5000, 20_000, 100_000):
+        cap = max(3, 2**15 // examples)
+        for rows in range(0, 150):
+            slices = _row_slices(rows, examples)
+            assert [a for a, _ in slices[1:]] == [b for _, b in slices[:-1]]
+            assert sum(b - a for a, b in slices) == rows
+            assert all(0 < b - a <= cap for a, b in slices)
+            assert rows == 1 or all(b - a > 1 for a, b in slices)
+
+
+@pytest.mark.parametrize("mu", [0.05, 0.0])
+def test_sliced_suite_values_equal_row_by_row(mu):
+    """gap_values and average_values on a stack of 3 full slices plus 5 rows,
+    mixing rows near x* and far from it, equal each row's own value bit for
+    bit; each row is evaluated paired with a copy of itself, since numpy
+    takes a lone row through a matrix-vector product that rounds
+    differently."""
+    suite = repro_suite(mu)
+    xstar, _ = global_minimizer(suite)
+    rng = np.random.default_rng(4)
+    per_slice = 2**15 // len(suite._LZ_all)
+    rows = xstar + 1e-6 * rng.standard_normal((3 * per_slice + 5, suite.dim))
+    rows[::3] = xstar + 3.0 * rng.standard_normal((len(rows[::3]), suite.dim))
+    far = np.abs((rows - xstar) @ suite._LZ_all.T).max(axis=1) >= 1.0
+    assert far.any() and not far.all()
+    for values in (lambda r: suite.gap_values(r, xstar), suite.average_values):
+        stacked = values(rows)
+        alone = np.array([values(rows[[i, i]])[0] for i in range(len(rows))])
+        assert np.array_equal(stacked, alone)
+
+
+def test_suite_values_of_zero_rows_are_empty():
+    suite = repro_suite(0.05)
+    xstar, _ = global_minimizer(suite)
+    none = np.empty((0, suite.dim))
+    for values in (suite.gap_values(none, xstar), suite.average_values(none)):
+        assert values.shape == (0,)
