@@ -312,12 +312,12 @@ def _problem(graph: DirectedGraph, suite, x0_seed: int) -> SimpleNamespace:
     reference minimizer, the Gaussian start with all-ones weights, and the
     summary's facts about them."""
     mixing = uniform_out_weights(graph)
-    nt = build_contraction_norm(mixing.C, mixing.p, sigma=mixing.sigma)
+    nt = build_contraction_norm(mixing.C, mixing.p)
     xstar, fstar = global_minimizer(suite)
     resolved = {
         "n": graph.n,
         "edge_count": len(graph.edges),
-        "sigma": mixing.sigma,
+        "sigma": nt.sigma,
         "delta": nt.delta,
         "theta": nt.theta,
         "L": suite.L,

@@ -189,15 +189,12 @@ def init_state(X0: np.ndarray, v0: np.ndarray, suite: ObjectiveSuite) -> SolverS
 
 def _advance(state, X1, Y1, Z1, G1, v1, gU1) -> SolverState:
     k1 = state.k + 1
-    if not (
-        np.isfinite(X1).all()
-        and np.isfinite(Y1).all()
-        and np.isfinite(Z1).all()
-        and np.isfinite(G1).all()
-        and np.isfinite(v1).all()
-    ):
-        raise DivergenceError(k1)
-    if v1.min() <= 0:
+    # The baselines pass X1 as X, Y and Z: scan each distinct array once.
+    for a in (X1, G1, v1) if Y1 is X1 and Z1 is X1 else (X1, Y1, Z1, G1, v1):
+        if not np.isfinite(a).all():
+            raise DivergenceError(k1)
+    v_min = v1.min()
+    if v_min <= 0:
         raise DivergenceError(k1, what="push-sum weight")
     return SolverState(
         X=X1,
@@ -206,7 +203,7 @@ def _advance(state, X1, Y1, Z1, G1, v1, gU1) -> SolverState:
         G=G1,
         v=v1,
         k=k1,
-        vhat_seen=max(state.vhat_seen, float(1.0 / v1.min())),
+        vhat_seen=max(state.vhat_seen, float(1.0 / v_min)),
         grad_U=gU1,
     )
 

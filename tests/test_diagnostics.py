@@ -372,7 +372,7 @@ def test_trace_recorder_shared_kernel_at_n400():
     columns of the block's wide one, so recorder rows equal the per-call
     functions only if both go through one kernel."""
     mixing = uniform_out_weights(build_cycle_plus_random(400, 1200, 7))
-    nt = build_contraction_norm(mixing.C, mixing.p, sigma=mixing.sigma)
+    nt = build_contraction_norm(mixing.C, mixing.p)
     suite = make_quadratic_suite(400, 5, 100.0, 0.01, 4)
     xstar, fstar = suite.minimizer()
     X0 = np.random.default_rng(8).standard_normal((400, 5))

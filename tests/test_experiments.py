@@ -413,7 +413,7 @@ def test_reproduce_smoke(tmp_path):
 @pytest.mark.parametrize("case", ["nonstrongly", "strongly"])
 def test_reproduce_matches_committed_demo_outputs(tmp_path, case):
     # demos/out/benchmark_<case> comes from `python demos/logistic_benchmark.py`
-    # on the synthetic data (no data/banknote.csv), at the demo's default length.
+    # without arguments: the synthetic data at the demo's default length.
     demos = Path(__file__).resolve().parents[1] / "demos"
     iters = runpy.run_path(str(demos / "logistic_benchmark.py"))["ITERS"]
     ref = demos / "out" / f"benchmark_{case}"

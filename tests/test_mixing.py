@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+import pushopt.mixing as mixing_module
 from pushopt import (
     DirectedGraph,
     build_contraction_norm,
     build_cycle_plus_random,
     contraction_factor,
+    make_quadratic_suite,
     perron_vector,
     uniform_out_weights,
 )
+from pushopt.experiments import _problem
 
 TRIANGLE = DirectedGraph(
     3, frozenset({(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)})
@@ -113,17 +117,79 @@ def test_norm_transform_invariants(small_mixing):
         assert b <= nt.theta * a * (1 + 1e-10)
 
 
+def _sparse_graph(n):
+    return build_cycle_plus_random(n, 3 * n, 7)
+
+
 @pytest.mark.parametrize("n", [10, 160])
-def test_norm_transform_same_with_given_sigma(n, small_mixing):
-    """Passing the mixing's stored sigma skips one eigenvalue solve and
-    changes no field of the transform."""
-    mix = small_mixing if n == 10 else uniform_out_weights(build_cycle_plus_random(n, 3 * n, 7))
-    a = build_contraction_norm(mix.C, mix.p)
-    b = build_contraction_norm(mix.C, mix.p, sigma=mix.sigma)
+def test_run_path_norm_transform_matches_bare_call(n):
+    """`pushopt run`'s set-up and the public sequence uniform_out_weights ->
+    build_contraction_norm(C, p) build bitwise the same transform, and the
+    sigma the run reports is the transform's and the mixing's."""
+    graph = _sparse_graph(n)
+    prob = _problem(graph, make_quadratic_suite(n, 3, 10.0, 0.1, 2), x0_seed=0)
+    mix = uniform_out_weights(graph)
+    nt = build_contraction_norm(mix.C, mix.p)
     for name in ("Ctilde", "p"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    for name in ("delta", "theta", "contraction_norm", "projector_norm"):
-        assert getattr(a, name) == getattr(b, name), name
+        assert np.array_equal(getattr(prob.nt, name), getattr(nt, name)), name
+    for name in ("sigma", "delta", "theta", "contraction_norm", "projector_norm"):
+        assert getattr(prob.nt, name) == getattr(nt, name), name
+    assert prob.resolved["sigma"] == nt.sigma == mix.sigma
+
+
+def _forbid_dense_eigen_work(monkeypatch):
+    """Count scipy.linalg.schur calls; make eigvals and SVDs raise."""
+    calls = []
+    schur = scipy.linalg.schur
+
+    def counting_schur(*args, **kwargs):
+        calls.append(1)
+        return schur(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("nonsymmetric eigensolve or SVD")
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+    # np.linalg.norm(A, 2) reaches svd through numpy's private module.
+    for mod in (np.linalg, getattr(np.linalg, "_linalg", None), scipy.linalg):
+        for name in ("eigvals", "eig", "svd", "svdvals"):
+            if mod is not None and hasattr(mod, name):
+                monkeypatch.setattr(mod, name, forbidden)
+    return calls
+
+
+def test_setup_makes_one_schur_factorization(monkeypatch):
+    graph = _sparse_graph(160)
+    suite = make_quadratic_suite(160, 3, 10.0, 0.1, 2)
+    calls = _forbid_dense_eigen_work(monkeypatch)
+    _problem(graph, suite, x0_seed=0)
+    assert len(calls) == 1
+    calls.clear()
+    mix = uniform_out_weights(graph)
+    build_contraction_norm(mix.C, mix.p)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [10, 160, 400])
+def test_norm_certificates_match_svd(n, monkeypatch):
+    """Every spectral norm build_contraction_norm takes, the recorded
+    contraction_norm and projector_norm included, is within 1e-12 relative
+    of np.linalg.norm(., 2) of the same matrix."""
+    mix = uniform_out_weights(_sparse_graph(n))
+    seen = []
+    spectral_norm = mixing_module._spectral_norm
+
+    def recording(A):
+        seen.append((A.copy(), spectral_norm(A)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(mixing_module, "_spectral_norm", recording)
+    nt = build_contraction_norm(mix.C, mix.p)
+    assert len(seen) >= 3
+    assert (nt.contraction_norm, nt.projector_norm) == (seen[-2][1], seen[-1][1])
+    for A, value in seen:
+        exact = np.linalg.norm(A, 2)
+        assert abs(value - exact) <= 1e-12 * exact
 
 
 def test_norm_transform_epsilon_validation(small_mixing):

@@ -31,7 +31,7 @@ from pushopt.graphs import DirectedGraph
 from pushopt.solvers import C4
 
 SCALAR = QuadraticSuite(H=np.ones((1, 1, 1)), b=np.zeros((1, 1)), L=1.0, mu=1.0)
-MIX1 = MixingMatrix(C=np.array([[1.0]]), p=np.array([1.0]), sigma=0.0)
+MIX1 = MixingMatrix(C=np.array([[1.0]]), p=np.array([1.0]))
 
 
 class CountingSuite:
@@ -386,7 +386,7 @@ def sparse_problem():
     mixing = uniform_out_weights(build_cycle_plus_random(n, 480, 1))
     assert mixing.op.format == "csr"
     # The same matrix with the dense product, as the reference.
-    dense = MixingMatrix(C=mixing.C, p=mixing.p, sigma=mixing.sigma)
+    dense = MixingMatrix(C=mixing.C, p=mixing.p)
     vars(dense)["op"] = dense.C
     suite = make_quadratic_suite(n, 5, 100.0, 0.01, 3)
     X0 = np.random.default_rng(11).standard_normal((n, 5))
