@@ -15,6 +15,7 @@ import numpy as np
 from pushopt import (
     TraceRecorder,
     apd_run,
+    build_contraction_norm,
     build_cycle_plus_random,
     default_params_smooth,
     emit_svg_plot,
@@ -30,7 +31,8 @@ OUT.mkdir(exist_ok=True)
 
 graph = build_cycle_plus_random(n=10, extra_edges=20, seed=5)
 mixing = uniform_out_weights(graph)
-print(f"graph: n={graph.n}, {len(graph.edges)} directed edges, sigma={mixing.sigma:.3f}")
+sigma = build_contraction_norm(mixing.C, mixing.p).sigma
+print(f"graph: n={graph.n}, {len(graph.edges)} directed edges, sigma={sigma:.3f}")
 
 suite = make_quadratic_suite(n=10, dim=5, kappa=100.0, mu_base=0.01, seed=3)
 xstar, fstar = suite.minimizer()

@@ -14,7 +14,6 @@ from .mixing import (
     MixingMatrix,
     NormTransform,
     build_contraction_norm,
-    contraction_factor,
     perron_vector,
     uniform_out_weights,
 )

@@ -516,13 +516,28 @@ def emit_csv(trace: RunTrace, path) -> None:
 
 
 def read_trace_csv(path) -> RunTrace:
-    """Parse a trace CSV written by :func:`emit_csv`."""
+    """Parse a trace CSV written by :func:`emit_csv`.
+
+    Raises ValueError naming the file when it is empty, when its header
+    lacks a trace column, or when a row's field count differs from the
+    header's.
+    """
     text = Path(path).read_text(encoding="utf-8")
     lines = [ln for ln in text.splitlines() if ln]
+    if not lines:
+        raise ValueError(f"{path}: empty trace CSV")
     cols = lines[0].split(",")
+    missing = [c for c in TRACE_COLUMNS if c not in cols]
+    if missing:
+        raise ValueError(f"{path}: header lacks trace columns {', '.join(missing)}")
     raw = {c: [] for c in cols}
-    for ln in lines[1:]:
-        for c, fieldv in zip(cols, ln.split(",")):
+    for row, ln in enumerate(lines[1:], start=1):
+        fields = ln.split(",")
+        if len(fields) != len(cols):
+            raise ValueError(
+                f"{path}: data row {row} has {len(fields)} fields, the header {len(cols)}"
+            )
+        for c, fieldv in zip(cols, fields):
             raw[c].append(fieldv)
     def fcol(name):
         vals = raw[name]

@@ -15,7 +15,6 @@ __all__ = [
     "NormTransform",
     "uniform_out_weights",
     "perron_vector",
-    "contraction_factor",
     "build_contraction_norm",
 ]
 
@@ -45,11 +44,10 @@ class MixingMatrix:
 
     C[i, j] is the weight receiver i applies to sender j's message, so each
     column is owned by its sender and sums to one. p is the positive right
-    eigenvector of C at eigenvalue 1, scaled so its entries sum to n. sigma
-    is the spectral radius of C - p 1^T / n, strictly below 1 for a regular
-    matrix; it costs a dense real Schur factorization, so it is computed on
-    first use. Code that also builds the contraction norm should read
-    `NormTransform.sigma`, which that norm's own factorization yields.
+    eigenvector of C at eigenvalue 1, scaled so its entries sum to n. The
+    spectral radius sigma of C - p 1^T / n is not kept here: it is read off
+    the contraction norm's Schur factorization, as
+    `build_contraction_norm(C, p).sigma`.
 
     C is always the dense matrix. The solvers multiply by `op` instead: a
     read-only scipy CSR copy of C when n >= 150 and at most n^2 / 16 entries
@@ -63,11 +61,6 @@ class MixingMatrix:
     @property
     def n(self) -> int:
         return self.C.shape[0]
-
-    @cached_property
-    def sigma(self) -> float:
-        """`contraction_factor(C, p)`, computed on first use."""
-        return contraction_factor(self.C, self.p)
 
     def error_map(self) -> np.ndarray:
         """The mixing-error matrix C - p 1^T / n."""
@@ -111,11 +104,12 @@ class NormTransform:
     stack is ||Ctilde A||_F (column-wise application). Ctilde is scaled so
     ||Ctilde x|| <= ||x|| <= theta ||Ctilde x|| for every x; the induced norm
     of C - p 1^T / n is at most 1 - delta. sigma is the spectral radius of
-    that map that the transform was built for, read off the same Schur
-    factorization. contraction_norm and projector_norm record the
-    numerically measured induced norms of the mixing-error map and of
-    I - p 1^T / n (the latter is exactly 1 only for the ideal transform, so
-    the measured value is kept).
+    that map, strictly below 1, read off the Schur factorization the
+    transform is built from; it is the library's only source of sigma.
+    contraction_norm and projector_norm record the numerically measured
+    induced norms of the mixing-error map and of I - p 1^T / n (the latter
+    is exactly 1 only for the ideal transform, so the measured value is
+    kept).
     """
 
     Ctilde: np.ndarray
@@ -179,33 +173,6 @@ def perron_vector(C: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return p
 
 
-def contraction_factor(C: np.ndarray, p: np.ndarray) -> float:
-    """Spectral radius of C - p 1^T / n; must be below 1 for valid mixing.
-
-    Read off a real Schur form of the error map, the factorization
-    `build_contraction_norm` makes; it raises if the radius is not below 1.
-    """
-    T, _ = scipy.linalg.schur(_minus_perron(p, C), output="real")
-    return _schur_radius(T)
-
-
-def _schur_radius(T: np.ndarray) -> float:
-    """Spectral radius of a real Schur form T, checked to be below 1.
-
-    Every eigenvalue sits in a diagonal block: |t_ii| for a 1x1 block, and
-    sqrt(det) for a standardized 2x2 block [[a, b], [c, a]] with bc < 0,
-    whose complex pair a +- i sqrt(-bc) has modulus sqrt(a^2 - bc) (Golub &
-    Van Loan, Matrix Computations, 7.4-7.5). A 2x2 block's |a| is at most
-    its modulus, so taking every |t_ii| as well leaves the maximum alone.
-    """
-    i = np.flatnonzero(np.diag(T, -1))
-    det = T[i, i] * T[i + 1, i + 1] - T[i, i + 1] * T[i + 1, i]
-    sigma = float(max(np.abs(np.diag(T)).max(), np.sqrt(det).max(initial=0.0)))
-    if sigma >= 1.0:
-        raise ValueError(f"spectral radius {sigma} >= 1: invalid mixing matrix")
-    return sigma
-
-
 def _spectral_norm(A: np.ndarray) -> float:
     """||A||_2 without an SVD: the square root of the top eigenvalue of the
     Gram matrix of A / max|A|, from a symmetric eigensolver, times max|A|.
@@ -224,30 +191,34 @@ def _spectral_norm(A: np.ndarray) -> float:
     return float(scale * np.sqrt(top[0]))
 
 
-def _standardize_blocks(T: np.ndarray) -> tuple:
-    """Diagonal scaling that turns each 2x2 Schur block into a rotation-like
-    block whose spectral norm equals its spectral radius.
+def _schur_blocks(T: np.ndarray) -> tuple:
+    """Read the diagonal blocks of a real Schur form T once.
 
-    Returns (s, block_id) where s is the diagonal of the scaling and
-    block_id[i] is the index of the diagonal block containing row i.
+    Returns (sigma, s, block_id). sigma is the spectral radius of T, checked
+    to be below 1. Every eigenvalue sits in a diagonal block: |t_ii| for a
+    1x1 block, and sqrt(det) for a standardized 2x2 block [[a, b], [c, a]]
+    with bc < 0, whose complex pair a +- i sqrt(-bc) has modulus
+    sqrt(a^2 - bc) (Golub & Van Loan, Matrix Computations, 7.4-7.5). A 2x2
+    block's |a| is at most its modulus, so taking every |t_ii| as well
+    leaves the maximum alone. s is the diagonal of the scaling that turns
+    each 2x2 block into a rotation-like block whose spectral norm equals its
+    spectral radius, and block_id[i] is the index of the diagonal block
+    containing row i.
     """
     n = T.shape[0]
+    i = np.flatnonzero(np.diag(T, -1))
+    det = T[i, i] * T[i + 1, i + 1] - T[i, i + 1] * T[i + 1, i]
+    sigma = float(max(np.abs(np.diag(T)).max(), np.sqrt(det).max(initial=0.0)))
+    if sigma >= 1.0:
+        raise ValueError(f"spectral radius {sigma} >= 1: invalid mixing matrix")
+    # LAPACK standardized block: equal diagonal, opposite-sign corners.
+    ratio = -T[i + 1, i] / T[i, i + 1]
+    scaled = ratio > 0
     s = np.ones(n)
-    block_id = np.zeros(n, dtype=int)
-    i = 0
-    b = 0
-    while i < n:
-        if i + 1 < n and T[i + 1, i] != 0.0:
-            # LAPACK standardized block: equal diagonal, opposite-sign corners.
-            ratio = -T[i + 1, i] / T[i, i + 1]
-            s[i + 1] = np.sqrt(ratio) if ratio > 0 else 1.0
-            block_id[i] = block_id[i + 1] = b
-            i += 2
-        else:
-            block_id[i] = b
-            i += 1
-        b += 1
-    return s, block_id
+    s[i[scaled] + 1] = np.sqrt(ratio[scaled])
+    second_rows = np.zeros(n, dtype=int)
+    second_rows[i + 1] = 1
+    return sigma, s, np.arange(n) - np.cumsum(second_rows)
 
 
 def build_contraction_norm(
@@ -258,14 +229,15 @@ def build_contraction_norm(
     Uses a real Schur decomposition of the mixing-error map with a graded
     diagonal rescaling of the off-diagonal part, shrunk until the induced
     spectral norm falls below sigma + epsilon. Defaults to
-    epsilon = (1 - sigma) / 2. That one factorization is the only
-    nonsymmetric eigen-work: sigma is read off its diagonal blocks, equals
-    `contraction_factor(C, p)` bit for bit and is kept on the result. The
-    spectral norms are taken from symmetric eigensolves of Gram matrices.
+    epsilon = (1 - sigma) / 2; a caller that picks epsilon from sigma reads
+    it off the default transform first. That one factorization is the only
+    nonsymmetric eigen-work: sigma is read off its diagonal blocks and kept
+    on the result. The spectral norms are taken from symmetric eigensolves
+    of Gram matrices.
     """
     M = _minus_perron(p, C)
     T, Q = scipy.linalg.schur(M, output="real")
-    sigma = _schur_radius(T)
+    sigma, s, block_id = _schur_blocks(T)
     if epsilon is None:
         epsilon = (1.0 - sigma) / 2.0
     if not (0.0 < epsilon < 1.0 - sigma):
@@ -273,7 +245,6 @@ def build_contraction_norm(
             f"epsilon must lie in (0, {1.0 - sigma}); got {epsilon}"
         )
     target = sigma + epsilon
-    s, block_id = _standardize_blocks(T)
 
     # Aim slightly below the target so the re-measured norm of the assembled
     # transform stays under 1 - delta despite rounding.

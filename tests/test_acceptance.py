@@ -202,12 +202,12 @@ def five_graphs():
     for seed in (101, 202, 303, 404, 505):
         graph = build_cycle_plus_random(20, 50, seed)
         mixing = uniform_out_weights(graph)
+        nt_default = build_contraction_norm(mixing.C, mixing.p)
         # Small-delta transform: keeps the certified decay curve well above
         # the double-precision floor of v_k over the k <= 200 horizon.
         nt_decay = build_contraction_norm(
-            mixing.C, mixing.p, epsilon=0.875 * (1.0 - mixing.sigma)
+            mixing.C, mixing.p, epsilon=0.875 * (1.0 - nt_default.sigma)
         )
-        nt_default = build_contraction_norm(mixing.C, mixing.p)
         out.append((mixing, nt_decay, nt_default))
     return out
 

@@ -468,6 +468,26 @@ def test_cli_run_and_plot(tmp_path, capsys):
     assert rc == 0 and svg.exists()
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["", "k,loss\n0,1.0\n", None],
+    ids=["empty", "missing-columns", "short-row"],
+)
+def test_cli_plot_rejects_malformed_trace(tmp_path, capsys, text):
+    good = tmp_path / "good.csv"
+    ones = np.ones(3)
+    emit_csv(RunTrace("good", np.arange(3), ones, ones, ones, ones, ones), good)
+    if text is None:
+        text = good.read_text().rstrip("\n").rsplit(",", 1)[0] + "\n"
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    assert main(["plot", "--in", str(good), str(bad), "--out", str(tmp_path / "p.svg")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "p.svg").exists()
+
+
 def test_cli_seed_override(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(base_config(tmp_path / "s1", iterations=10)))

@@ -7,7 +7,6 @@ from pushopt import (
     DirectedGraph,
     build_contraction_norm,
     build_cycle_plus_random,
-    contraction_factor,
     make_quadratic_suite,
     perron_vector,
     uniform_out_weights,
@@ -76,15 +75,69 @@ def test_perron_positive_and_normalized(small_mixing):
 
 
 def test_contraction_factor_examples():
+    """sigma, the spectral radius of C - p 1^T / n, as the transform reports it."""
     uniformC = np.full((3, 3), 1.0 / 3.0)
-    assert contraction_factor(uniformC, np.ones(3)) <= 1e-12
+    assert build_contraction_norm(uniformC, np.ones(3)).sigma <= 1e-12
     mix = uniform_out_weights(CYCLE3)
-    assert abs(mix.sigma - 0.5) <= 1e-12
+    assert abs(build_contraction_norm(mix.C, mix.p).sigma - 0.5) <= 1e-12
     ring = uniform_out_weights(build_cycle_plus_random(20, 0, 0))
-    assert 0.0 < ring.sigma < 1.0
+    sigma = build_contraction_norm(ring.C, ring.p).sigma
+    assert 0.0 < sigma < 1.0
     # oracle: dense eigensolve of the error map
     M = ring.C - np.outer(ring.p, np.ones(20)) / 20
-    assert abs(ring.sigma - np.abs(np.linalg.eigvals(M)).max()) <= 1e-12
+    assert abs(sigma - np.abs(np.linalg.eigvals(M)).max()) <= 1e-12
+
+
+def _quasi_triangular(blocks):
+    """Real Schur form with the given diagonal blocks: a float is a 1x1
+    block, (a, b, c) the 2x2 block [[a, b], [c, a]]. Every entry above the
+    blocks is 7, which the block reader must ignore."""
+    sizes = [1 if isinstance(b, float) else 2 for b in blocks]
+    n = sum(sizes)
+    T = np.triu(np.full((n, n), 7.0), 1)
+    r = 0
+    for b, size in zip(blocks, sizes):
+        if size == 1:
+            T[r, r] = b
+        else:
+            a, up, low = b
+            T[r : r + 2, r : r + 2] = [[a, up], [low, a]]
+        r += size
+    return T
+
+
+# A = [[1/4, 1/2], [-1/8, 1/4]]: modulus sqrt(1/16 + 1/16) = sqrt(1/8), and
+# scaling row 2 by sqrt(1/8 / 1/2) = 1/2 balances its corners.
+# B = [[0, 2], [-1/8, 0]]: modulus sqrt(1/4) = 1/2, scale sqrt(1/16) = 1/4.
+# G = [[1/4, 1/2], [1/8, 1/4]] has same-sign corners: no scaling, modulus 0.
+A, B, G = (0.25, 0.5, -0.125), (0.0, 2.0, -0.125), (0.25, 0.5, 0.125)
+
+
+@pytest.mark.parametrize(
+    "blocks,sigma,s,block_id",
+    [
+        ([0.5, -0.75, 0.125], 0.75, [1, 1, 1], [0, 1, 2]),
+        ([A, 0.25], np.sqrt(0.125), [1, 0.5, 1], [0, 0, 1]),
+        ([A, B], 0.5, [1, 0.5, 1, 0.25], [0, 0, 1, 1]),
+        ([A, -0.625, B], 0.625, [1, 0.5, 1, 1, 0.25], [0, 0, 1, 2, 2]),
+        ([0.125, -0.25, B], 0.5, [1, 1, 1, 0.25], [0, 1, 2, 2]),
+        ([G, 0.125], 0.25, [1, 1, 1], [0, 0, 1]),
+    ],
+    ids=["no-2x2", "leading", "adjacent", "1x1-between", "trailing", "unscaled"],
+)
+def test_schur_blocks_by_hand(blocks, sigma, s, block_id):
+    got_sigma, got_s, got_id = mixing_module._schur_blocks(_quasi_triangular(blocks))
+    assert got_sigma == sigma
+    assert np.array_equal(got_s, s)
+    assert np.array_equal(got_id, block_id)
+
+
+@pytest.mark.parametrize("up", [1.5, 2.0])
+def test_schur_blocks_reject_modulus_one(up):
+    # [[1/2, up], [-1/2, 1/2]]: modulus sqrt(1/4 + up/2), exactly 1 for
+    # up = 3/2 and above 1 for up = 2, while every |t_ii| is at most 1/2.
+    with pytest.raises(ValueError, match="spectral radius"):
+        mixing_module._schur_blocks(_quasi_triangular([0.25, (0.5, up, -0.5)]))
 
 
 def test_norm_transform_zero_error_map():
@@ -125,7 +178,7 @@ def _sparse_graph(n):
 def test_run_path_norm_transform_matches_bare_call(n):
     """`pushopt run`'s set-up and the public sequence uniform_out_weights ->
     build_contraction_norm(C, p) build bitwise the same transform, and the
-    sigma the run reports is the transform's and the mixing's."""
+    sigma the run reports is the transform's."""
     graph = _sparse_graph(n)
     prob = _problem(graph, make_quadratic_suite(n, 3, 10.0, 0.1, 2), x0_seed=0)
     mix = uniform_out_weights(graph)
@@ -134,7 +187,7 @@ def test_run_path_norm_transform_matches_bare_call(n):
         assert np.array_equal(getattr(prob.nt, name), getattr(nt, name)), name
     for name in ("sigma", "delta", "theta", "contraction_norm", "projector_norm"):
         assert getattr(prob.nt, name) == getattr(nt, name), name
-    assert prob.resolved["sigma"] == nt.sigma == mix.sigma
+    assert prob.resolved["sigma"] == nt.sigma
 
 
 def _forbid_dense_eigen_work(monkeypatch):
@@ -192,8 +245,8 @@ def test_norm_certificates_match_svd(n, monkeypatch):
         assert abs(value - exact) <= 1e-12 * exact
 
 
-def test_norm_transform_epsilon_validation(small_mixing):
-    sigma = small_mixing.sigma
+def test_norm_transform_epsilon_validation(small_mixing, small_norm):
+    sigma = small_norm.sigma
     with pytest.raises(ValueError):
         build_contraction_norm(small_mixing.C, small_mixing.p, epsilon=1.0 - sigma)
     with pytest.raises(ValueError):
