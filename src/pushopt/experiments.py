@@ -519,8 +519,8 @@ def read_trace_csv(path) -> RunTrace:
     """Parse a trace CSV written by :func:`emit_csv`.
 
     Raises ValueError naming the file when it is empty, when its header
-    lacks a trace column, or when a row's field count differs from the
-    header's.
+    lacks a trace column, when a row's field count differs from the
+    header's, or, with the data row and column, when a field does not parse.
     """
     text = Path(path).read_text(encoding="utf-8")
     lines = [ln for ln in text.splitlines() if ln]
@@ -539,14 +539,26 @@ def read_trace_csv(path) -> RunTrace:
             )
         for c, fieldv in zip(cols, fields):
             raw[c].append(fieldv)
+
+    def parse(name, convert):
+        out = []
+        for row, v in enumerate(raw[name], start=1):
+            try:
+                out.append(convert(v))
+            except ValueError:
+                raise ValueError(
+                    f"{path}: data row {row}, column {name}: cannot parse {v!r}"
+                ) from None
+        return np.array(out)
+
     def fcol(name):
-        vals = raw[name]
-        if all(v == "" for v in vals):
+        if all(v == "" for v in raw[name]):
             return None
-        return np.array([float(v) if v else np.nan for v in vals])
+        return parse(name, lambda v: float(v) if v else np.nan)
+
     return RunTrace(
         label=Path(path).stem.replace("trace_", ""),
-        k=np.array([int(v) for v in raw["k"]]),
+        k=parse("k", int),
         **{name: fcol(name) for name in TRACE_COLUMNS[1:]},
     )
 

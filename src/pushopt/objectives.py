@@ -297,6 +297,18 @@ class LogisticSuite(ObjectiveSuite):
         self._LZ_pad = np.zeros((self.n, max(len(a) for a in LZ), self.dim))
         for i, a in enumerate(LZ):
             self._LZ_pad[i, : len(a)] = a
+        # gap_values' operand -lam z, laid out as _LZ_all: its product is the
+        # BLAS call of D @ _LZ_all.T with exactly negated inputs, so it rounds
+        # to exactly -dt. A contiguous (dim, examples) copy would not: numpy
+        # takes a lone row through a matrix-vector kernel that then sums in
+        # another order.
+        self._neg_LZ = -self._LZ_all
+        # max_e ||lam_e z_e|| widened for rounding (see gap_values); NaN, so
+        # that every slice is scanned, where squares could under- or overflow.
+        with np.errstate(over="ignore"):
+            M = np.sqrt((self._LZ_all * self._LZ_all).sum(axis=1)).max()
+        widen = 1.0 + 2 * (self.dim + 2) * np.finfo(float).eps
+        self._reach_scale = M * widen if 2.0**-500 <= M <= 2.0**500 else np.nan
 
     def value(self, i, x):
         Z, lam = self.shards[i]
@@ -333,6 +345,11 @@ class LogisticSuite(ObjectiveSuite):
         t = self._LZ_all @ xstar
         return xstar, t, _sigmoid(-t), _log1pexp(-t)
 
+    def _reach(self, D):
+        """Per row of D, a bound that every computed |D_r . lam_e z_e| is below."""
+        with np.errstate(over="ignore"):
+            return np.sqrt((D * D).sum(axis=1)) * self._reach_scale
+
     def gap_values(self, rows, xstar):
         """Per example, with dt = lam z'(row - x*), the loss moves by
         log1p(sigmoid(-t*) expm1(-dt)), accurate to rounding however small
@@ -341,31 +358,52 @@ class LogisticSuite(ObjectiveSuite):
         the change is not small.
 
         Rows go through in slices (`_row_slices`) whose (rows x examples)
-        temporaries hold at most 2^15 entries and so stay in cache; within a
-        slice expm1, the sigmoid(-t*) scaling and log1p run in place, and the
-        clip to [-1, 1] runs only when some entry is far. A row's value does
-        not depend on its slice. The budget comes from timing 640 rows near
-        x* (one recorder block at n = 20) at 1000 examples with one BLAS
-        thread on a 2-CPU x86-64 host (numpy 2.4, OpenBLAS 0.3), medians of
-        25 interleaved runs: per 20 rows it costs 147-157 us in slices of 16
-        to 64 rows (148 us at 32), 163 us at 128 and 275 us unsliced.
+        temporaries hold at most 2^15 entries and so stay in cache. Per
+        entry a slice costs one product term, expm1, the sigmoid(-t*)
+        scaling, log1p and the row sum, all in place: the product against
+        -lam z gives -dt directly. Only a slice that may hold a far entry is
+        scanned (abs, >= 1, any), and only one that does is clipped to
+        [-1, 1] and patched. A row's value does not depend on its slice.
+
+        The scan is skipped when reach = ||D_r|| max_e ||lam_e z_e||
+        (1 + kappa eps) < 1 for every row of the slice, with kappa =
+        2 (dim + 2). By Cauchy-Schwarz the exact dt is at most ||D_r||
+        ||lam_e z_e||; the computed product adds at most gamma_dim = dim u
+        (u = eps / 2) relative, in any summation order. Each computed norm
+        may fall short by gamma_dim / 2 + u (sum of squares, then sqrt), and
+        the two products forming reach by u each, so a first-order kappa of
+        dim + 2 suffices; the doubling covers higher-order terms and the
+        squares that underflow, which the range check on max_e ||lam_e z_e||
+        ([2^-500, 2^500], else reach is NaN and every slice is scanned) keeps
+        negligible. A NaN or inf row makes reach NaN or inf, so its slice is
+        scanned, where an inf entry is far and a NaN one is not.
+
+        The budget comes from timing 640 rows near x* (one recorder block at
+        n = 20, every slice unscanned) at 1000 examples with one BLAS thread
+        on a 2-CPU x86-64 host (numpy 2.4, OpenBLAS 0.3), medians of 41
+        interleaved runs: 4.2 ms per block (quartiles 3.9-4.6) in slices of
+        2^15 entries, 4.6 at 2^14 and 4.7 at 2^16, against 5.4 ms (4.8-6.1)
+        when every slice is scanned. A block whose rows lie 0.3 from x*, with
+        far entries in most slices, costs 9-10 ms either way.
         """
         xstar, t_star, s_star, l_star = self._reference(xstar)
         D = rows - xstar
+        reach = self._reach(D)
         sums = np.empty(len(D))
         for a, b in _row_slices(len(D), len(t_star)):
-            dT = D[a:b] @ self._LZ_all.T
-            far = np.abs(dT) >= 1.0
-            any_far = far.any()
-            terms = np.negative(dT)
+            terms = D[a:b] @ self._neg_LZ.T  # -dt
+            checked = not reach[a:b].max() < 1.0
+            far = np.abs(terms) >= 1.0 if checked else None
+            any_far = checked and far.any()
             if any_far:
+                neg_dt_far = terms[far]
                 np.clip(terms, -1.0, 1.0, out=terms)
             np.expm1(terms, out=terms)
             terms *= s_star
             np.log1p(terms, out=terms)
             if any_far:
-                _, cols_far = np.nonzero(far)
-                terms[far] = _log1pexp(-t_star[cols_far] - dT[far]) - l_star[cols_far]
+                _, cols = np.nonzero(far)
+                terms[far] = _log1pexp(neg_dt_far - t_star[cols]) - l_star[cols]
             sums[a:b] = terms.sum(axis=1)
         reg = 0.5 * self.mu * (D * (rows + xstar)).sum(axis=1)
         return sums / self.n + reg

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 # Allow running the suite from a fresh checkout without installing.
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -15,6 +16,11 @@ from pushopt import (  # noqa: E402
     make_quadratic_suite,
     uniform_out_weights,
 )
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic.
+settings.register_profile("tier1", derandomize=True, database=None, max_examples=150)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -488,6 +488,25 @@ def test_cli_plot_rejects_malformed_trace(tmp_path, capsys, text):
     assert not (tmp_path / "p.svg").exists()
 
 
+@pytest.mark.parametrize("column", ["loss", "k"])
+def test_cli_plot_names_malformed_field(tmp_path, capsys, column):
+    good = tmp_path / "good.csv"
+    ones = np.ones(3)
+    emit_csv(RunTrace("good", np.arange(3), ones, ones, ones, ones, ones), good)
+    lines = good.read_text().splitlines()
+    at = lines[0].split(",").index(column)
+    fields = lines[2].split(",")
+    fields[at] = "abc"
+    lines[2] = ",".join(fields)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["plot", "--in", str(good), str(bad), "--out", str(tmp_path / "p.svg")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"{bad}: data row 2, column {column}: cannot parse 'abc'" in err
+    assert not (tmp_path / "p.svg").exists()
+
+
 def test_cli_seed_override(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(base_config(tmp_path / "s1", iterations=10)))

@@ -2,6 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pushopt import (
     LabeledDataset,
@@ -19,7 +22,7 @@ from pushopt.experiments import (
     REPRO_DATA_SEED,
     REPRO_PARTITION_SEED,
 )
-from pushopt.objectives import _row_slices, _sigmoid
+from pushopt.objectives import LogisticSuite, _log1pexp, _row_slices, _sigmoid
 
 
 def repro_suite(mu):
@@ -328,10 +331,21 @@ def test_sliced_suite_values_equal_row_by_row(mu):
     rows[::3] = xstar + 3.0 * rng.standard_normal((len(rows[::3]), suite.dim))
     far = np.abs((rows - xstar) @ suite._LZ_all.T).max(axis=1) >= 1.0
     assert far.any() and not far.all()
+    # Near rows with every third one moved out to max |dt| = 0.9: each slice
+    # is scanned, since those rows reach past 1, but holds no far entry.
+    clean = xstar + 1e-6 * rng.standard_normal((per_slice + 5, suite.dim))
+    moved = rng.standard_normal((len(clean[::3]), suite.dim))
+    moved *= 0.9 / np.abs(moved @ suite._LZ_all.T).max(axis=1)[:, None]
+    clean[::3] = xstar + moved
+    reach = suite._reach(clean - xstar)
+    assert all(reach[a:b].max() >= 1.0 for a, b in _row_slices(len(clean), len(suite._LZ_all)))
+    assert (reach < 1.0).any()
+    assert np.abs((clean - xstar) @ suite._LZ_all.T).max() < 1.0
     for values in (lambda r: suite.gap_values(r, xstar), suite.average_values):
-        stacked = values(rows)
-        alone = np.array([values(rows[[i, i]])[0] for i in range(len(rows))])
-        assert np.array_equal(stacked, alone)
+        for stack in (rows, clean):
+            stacked = values(stack)
+            alone = np.array([values(stack[[i, i]])[0] for i in range(len(stack))])
+            assert np.array_equal(stacked, alone)
 
 
 def test_suite_values_of_zero_rows_are_empty():
@@ -340,3 +354,130 @@ def test_suite_values_of_zero_rows_are_empty():
     none = np.empty((0, suite.dim))
     for values in (suite.gap_values(none, xstar), suite.average_values(none)):
         assert values.shape == (0,)
+
+
+def _scanning_gap_values(suite, rows, xstar):
+    """LogisticSuite.gap_values in its earlier form, which scans every slice
+    for far entries and negates the product in a pass of its own; the
+    current kernel must equal it bit for bit."""
+    xstar, t_star, s_star, l_star = suite._reference(xstar)
+    D = rows - xstar
+    sums = np.empty(len(D))
+    for a, b in _row_slices(len(D), len(t_star)):
+        dT = D[a:b] @ suite._LZ_all.T
+        far = np.abs(dT) >= 1.0
+        any_far = far.any()
+        terms = np.negative(dT)
+        if any_far:
+            np.clip(terms, -1.0, 1.0, out=terms)
+        np.expm1(terms, out=terms)
+        terms *= s_star
+        np.log1p(terms, out=terms)
+        if any_far:
+            _, cols_far = np.nonzero(far)
+            terms[far] = _log1pexp(-t_star[cols_far] - dT[far]) - l_star[cols_far]
+        sums[a:b] = terms.sum(axis=1)
+    reg = 0.5 * suite.mu * (D * (rows + xstar)).sum(axis=1)
+    return sums / suite.n + reg
+
+
+def _assert_gap_equals_scanning(suite, rows, xstar):
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = suite.gap_values(rows, xstar)
+        want = _scanning_gap_values(suite, rows, xstar)
+    assert got.shape == want.shape == (len(rows),)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 7])
+def test_logistic_gap_equals_scanning_kernel_bitwise(dim):
+    suite = make_logistic_suite(synthetic_logistic_dataset(300, dim, dim), 6, 0.05, 1)
+    xstar, _ = global_minimizer(suite)
+    rng = np.random.default_rng(30 + dim)
+    per_slice = 2**15 // len(suite._LZ_all)
+    near = xstar + 1e-6 * rng.standard_normal((2 * per_slice + 7, dim))
+    far = xstar + 3.0 * rng.standard_normal((40, dim))
+    mixed = near[:30].copy()
+    mixed[::4] = far[: len(mixed[::4])]
+    # Along the largest lam z, just short of |dt| = 1: reach passes 1 in
+    # every dimension, Cauchy-Schwarz being tight there, so the slice is
+    # scanned and finds nothing.
+    LZ = suite._LZ_all
+    top = LZ[np.argmax((LZ * LZ).sum(axis=1))]
+    edge = np.outer([1.0, -1.0, 1.0], top) * ((1.0 - 2.0**-51) / (top @ top))
+    zero = np.zeros(dim)
+    assert (suite._reach(edge) >= 1.0).all()
+    assert np.abs(edge @ LZ.T).max() < 1.0
+    assert (suite._reach(near - xstar) < 1.0).all()
+    assert (np.abs((far - xstar) @ LZ.T) >= 1.0).any()
+    nan_row, inf_row = xstar.copy(), xstar.copy()
+    nan_row[0], inf_row[-1] = np.nan, np.inf
+    nan_among_far = far[:5].copy()
+    nan_among_far[2] = nan_row
+    cases = [
+        (near, xstar),
+        (far, xstar),
+        (mixed, xstar),
+        (edge, zero),
+        (np.vstack([near[:5], nan_row[None, :], near[5:9]]), xstar),
+        (np.vstack([near[:5], inf_row[None, :], near[5:9]]), xstar),
+        (nan_among_far, xstar),
+        (near[:1], xstar),
+        (far[:1], xstar),
+        (edge[:1], zero),
+        (near[:0], xstar),
+    ]
+    for rows, ref in cases:
+        _assert_gap_equals_scanning(suite, rows, ref)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**-600, 2.0**600])
+def test_logistic_gap_at_dt_exactly_one_equals_scanning_kernel(scale):
+    """Unit features moved by 1.0 give |dt| = 1 exactly; scaling features by
+    a power of two and rows by its inverse keeps every dt, while squares of
+    the features underflow or overflow."""
+    features = scale * np.array([[1.0, 0.0], [0.0, 1.0], [0.5, -0.25], [-1.0, 0.0]])
+    labels = np.array([1.0, -1.0, 1.0, 1.0])
+    with np.errstate(over="ignore"):  # L overflows at the largest scale
+        suite = make_logistic_suite(LabeledDataset(features, labels), 2, 0.0, 0)
+    zero = np.zeros(2)
+    rows = np.array([[1.0, 0.0], [0.0, -1.0], [0.5, 0.5], [1.0, 0.0]]) / scale
+    dt = rows @ suite._LZ_all.T
+    assert (np.abs(dt) == 1.0).any() and (np.abs(dt) < 1.0).any()
+    for stack in (rows, rows[:1], rows[2:3]):
+        _assert_gap_equals_scanning(suite, stack, zero)
+
+
+@st.composite
+def _suite_and_displacements(draw):
+    """A random one-agent suite and displacements, each scaled so that its
+    reach is a few units in the last place below 1, most of them along the
+    suite's largest lam z, where Cauchy-Schwarz is tight."""
+    dim = draw(st.integers(1, 8))
+    examples = draw(st.integers(1, 40))
+    unit = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+    Z = draw(arrays(float, (examples, dim), elements=unit))
+    Z[0, 0] = 1.0  # keeps max_e ||lam_e z_e|| positive
+    Z *= 2.0 ** draw(st.integers(-20, 20))
+    lam = np.where(draw(arrays(bool, examples)), 1.0, -1.0)
+    suite = LogisticSuite([(Z, lam)], mu=0.0)
+    LZ = suite._LZ_all
+    top = LZ[np.argmax((LZ * LZ).sum(axis=1))]
+    D = draw(arrays(float, (draw(st.integers(1, 6)), dim), elements=unit))
+    aligned = ~draw(arrays(bool, len(D)))
+    D[aligned] = top + D[aligned] * 2.0 ** draw(st.integers(-60, -20)) * np.abs(top).max()
+    below = 1.0 - draw(st.integers(1, 64)) * 2.0**-53
+    with np.errstate(divide="ignore", invalid="ignore"):
+        D *= (below / suite._reach(D))[:, None]
+    return suite, D
+
+
+@given(_suite_and_displacements())
+def test_reach_below_one_bounds_every_computed_dt(case):
+    """Where the reach bound lets gap_values skip the scan, no computed |dt|
+    is 1 or more, whether the rows are multiplied together or one at a time."""
+    suite, D = case
+    reach = suite._reach(D)
+    for rows in (D[reach < 1.0], *(D[[i]] for i in np.flatnonzero(reach < 1.0))):
+        if len(rows):
+            assert np.abs(rows @ suite._neg_LZ.T).max() < 1.0
