@@ -85,9 +85,11 @@ def optimality_gap(suite: ObjectiveSuite, output: np.ndarray, xstar, fstar) -> f
 _BLOCK = 32
 
 
-def _one(state: SolverState) -> dict:
-    """A state's X, Z, G and v as a block of one record."""
-    return {f: getattr(state, f)[None] for f in "XZGv"}
+def _one(state: SolverState) -> tuple:
+    """A state's X, Z, G agent-last in slot 0 of a stack, and its v as (1, n)."""
+    S = np.empty((3, _BLOCK, *state.X.T.shape))
+    S[:, 0] = state.X.T, state.Z.T, state.G.T
+    return S, state.v[None]
 
 
 def consensus_error(state: SolverState, p: np.ndarray) -> tuple:
@@ -97,19 +99,8 @@ def consensus_error(state: SolverState, p: np.ndarray) -> tuple:
     stack of the plain row average of X; proj_err projects X onto the
     complement of the Perron direction.
     """
-    cols = _records(p, _one(state))
+    cols = _records(p, *_one(state))
     return float(cols["consensus_error"][0]), float(cols["projection_error"][0])
-
-
-def _off_perron(A: np.ndarray, p: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Pi A = A - p m, m = 1^T A / n, in O(n d) from A's column mean.
-
-    A is an (n, d) stack or an (m, n, d) block of them. The mean is refined
-    once, m += 1^T (A - p m) / n: near consensus (A close to p c^T) Pi A is
-    small and the plain mean's rounding would rule it.
-    """
-    m = mean + np.ones_like(p) @ (A - p[:, None] * mean[..., None, :]) / len(p)
-    return A - p[:, None] * m[..., None, :]
 
 
 def _sqnorms(A: np.ndarray) -> np.ndarray:
@@ -137,39 +128,46 @@ _SC_PAIR = ("phi3", "phi4", _sc_coefficients)
 _LYAPUNOV = {APDParams: _SMOOTH_PAIR, APDSCParams: _SC_PAIR}
 
 
-def _records(p, block: dict, lyapunov=None) -> dict:
-    """Recorder columns but k and loss of a block: X, Z, G (m, n, d), v (m, n).
+def _records(p, S, v, lyapunov=None) -> dict:
+    """Recorder columns but k and loss of m records: X, Z, G agent-last in
+    the first m slots of a (3, B, d, n) stack S, v (m, n).
 
-    lyapunov = (nt, params, pair, ks) adds the pair. Ctilde multiplies a
-    stack of fixed width 3 d B, so a record's value is the same in any block.
+    Agent means are pairwise sums over the contiguous last axis. X, and with
+    lyapunov = (nt, params, pair, ks) also Z and G, are projected off the
+    Perron direction in place as A - p m, m refined once by 1^T (A - p m) / n
+    (near consensus Pi A is small and the plain mean's rounding would rule
+    it). The pair's Ctilde product takes the whole stack, zeroed past m, so
+    a record's value is the same in any block.
     """
-    X, Z, G, v = (block[f] for f in "XZGv")
-    xbar = X.mean(axis=1)
-    gbar = G.mean(axis=1)
-    PX = _off_perron(X, p, xbar)
+    m, n = v.shape
+    means = S[:, :m].mean(axis=-1, keepdims=True)
+    xbar, zbar, gbar = means[..., 0]
+    W = np.empty_like(S)  # scratch: the spread, residuals, then the product
+    U = np.divide(S[0, :m], v[:, None, :], out=W[0, :m])
+    U -= means[0]
     cols = {
-        "consensus_error": np.sqrt(_sqnorms(X / v[..., None] - xbar[:, None, :])),
-        "projection_error": np.sqrt(_sqnorms(PX)),
+        "consensus_error": np.sqrt(_sqnorms(U)),
         "grad_avg_norm": np.sqrt(_sqnorms(gbar)),
         "v_min": v.min(axis=1),
     }
+    f = 1 if lyapunov is None else 3  # fields to project
+    A, R, mean = S[:f, :m], W[:f, :m], means[:f]
+    np.subtract(A, np.multiply(p, mean, out=R), out=R)
+    A -= np.multiply(p, mean + R.mean(axis=-1, keepdims=True), out=R)
+    cols["projection_error"] = np.sqrt(_sqnorms(A[0]))
     if lyapunov is None:
         return cols
     nt, params, (avg_name, cons_name, coefficients), ks = lyapunov
     d = nt.delta
-    zbar = Z.mean(axis=1)
     # The average part weights xbar and zbar by the decayed push-sum error.
     coefs = [coefficients(params, k, d) for k in ks]
     decay = np.array([(1.0 - d) ** (2 * k) for k in ks])
     z_avg = np.array([(8.0 / d**2) * tau**2 for tau, _, _ in coefs])
     cols[avg_name] = decay * (_sqnorms(xbar) + z_avg * _sqnorms(zbar))
     # The consensus part sums the weighted-norm consensus errors of X, Z, G.
-    m, n, dim = X.shape
-    W = np.zeros((3, _BLOCK, dim, n))
-    for t, PA in enumerate((PX, _off_perron(Z, p, zbar), _off_perron(G, p, gbar))):
-        W[t, :m] = PA.transpose(0, 2, 1)
-    P = (W.reshape(-1, n) @ nt.Ctilde.T).reshape(3 * _BLOCK, -1)
-    sq = _sqnorms(P).reshape(3, _BLOCK)[:, :m]
+    S[:, m:] = 0.0
+    P = np.matmul(S.reshape(-1, n), nt.Ctilde.T, out=W.reshape(-1, n))
+    sq = _sqnorms(P.reshape(3 * _BLOCK, -1)).reshape(3, _BLOCK)[:, :m]
     _, z_w, g_w = np.array(coefs).T
     cols[cons_name] = sq[0] + z_w * sq[1] + g_w * sq[2]
     return cols
@@ -183,7 +181,7 @@ def lyapunov_smooth(
     phi1 weights the average parts by the decayed push-sum error; phi2
     combines the weighted-norm consensus errors of X, Z and G.
     """
-    cols = _records(nt.p, _one(state), (nt, params, _SMOOTH_PAIR, [k]))
+    cols = _records(nt.p, *_one(state), (nt, params, _SMOOTH_PAIR, [k]))
     return float(cols["phi1"][0]), float(cols["phi2"][0])
 
 
@@ -191,7 +189,7 @@ def lyapunov_sc(
     state: SolverState, k: int, params: APDSCParams, nt: NormTransform
 ) -> tuple:
     """(phi3, phi4), the constant-coefficient analogues of (phi1, phi2)."""
-    cols = _records(nt.p, _one(state), (nt, params, _SC_PAIR, [k]))
+    cols = _records(nt.p, *_one(state), (nt, params, _SC_PAIR, [k]))
     return float(cols["phi3"][0]), float(cols["phi4"][0])
 
 
@@ -300,23 +298,25 @@ class TraceRecorder:
     (`_LYAPUNOV`), if it has one. With stride="auto" every iteration is
     recorded up to k = 10_000 and every 10th beyond.
 
-    A call copies X, Z, G, v and the estimate's field into block buffers.
-    Every column is evaluated B = 32 records at a time, when a block fills
-    and in trace(). The loss takes one `gap_values` (or, given only f*,
-    `average_values`) call on the block's B n ratio rows; the other columns
-    go through the kernel behind `consensus_error` and `lyapunov_*`. Each
-    column equals its per-call function's value bit for bit. Projections
-    off the Perron direction take O(n d) (`_off_perron`; a norm transform
-    must carry the mixing's Perron vector), and a Lyapunov block makes one
-    product of Ctilde with an n-by-(3 d B) stack, zero-padded when the block
-    is partial.
+    A call copies X, Z and G agent-last (X.T, ...) into a (3, B, d, n)
+    stack, v and the estimate's field into block buffers. Every column is
+    evaluated B = 32 records at a time, when a block fills and in trace().
+    The loss takes one `gap_values` (or, given only f*, `average_values`)
+    call on the block's B n ratio rows; the other columns go through
+    `_records`, the kernel behind `consensus_error` and `lyapunov_*`, so
+    each equals its per-call value bit for bit. It projects off the Perron
+    direction in place in O(n d) (a norm transform must carry the mixing's
+    Perron vector), and the projected stack is the operand, n by 3 d B, of
+    a Lyapunov block's one Ctilde product.
 
     B comes from timing that product at n = 400 with one BLAS thread on a
     2-CPU x86-64 host (numpy 2.4, OpenBLAS 0.3): per column it costs 12.6 us
     at width 5, 18 us at 15, 9.7 us at 20, 6.7 us at 120 and 5.8 us at 480
     (3 d B for d = 5). Peak RSS of an n = 400 `pushopt run` is 79.6 MB with
     per-record evaluation, 80.1 MB at B = 32 and 83.3 MB at B = 64, which is
-    no faster.
+    no faster. A full n = 400 Lyapunov block there takes 3.0-4.2 ms for the
+    Ctilde product, 4.4-6.5 ms for the whole kernel, product included, and
+    0.7-0.9 ms for the loss (medians of 50 calls in each of 3 processes).
     """
 
     def __init__(
@@ -342,10 +342,9 @@ class TraceRecorder:
         self.fstar = fstar
         self._rows = {name: [] for name in TRACE_COLUMNS}
         self._ks = []  # k of each record in the block
-        # The estimate's field ("Y", or "X" sharing X's buffer) feeds the loss.
-        fields = "XZG" + estimate
-        self._block = {f: np.empty((_BLOCK, mixing.n, suite.dim)) for f in fields}
-        self._block["v"] = np.empty((_BLOCK, mixing.n))
+        self._stack = np.empty((3, _BLOCK, suite.dim, mixing.n))  # X, Z, G agent-last
+        self._est = np.empty((_BLOCK, mixing.n, suite.dim))  # the loss's estimate field
+        self._v = np.empty((_BLOCK, mixing.n))
         if norm_transform is not None and not np.array_equal(norm_transform.p, mixing.p):
             raise ValueError("norm_transform was built for a different Perron vector")
         self._lyapunov = None if norm_transform is None else _LYAPUNOV.get(type(params))
@@ -359,8 +358,9 @@ class TraceRecorder:
         if not self._due(state.k):
             return
         self._rows["k"].append(state.k)
-        for f, buf in self._block.items():
-            buf[len(self._ks)] = getattr(state, f)
+        j = len(self._ks)
+        self._stack[:, j] = state.X.T, state.Z.T, state.G.T
+        self._est[j], self._v[j] = getattr(state, self.estimate), state.v
         self._ks.append(state.k)
         if len(self._ks) == _BLOCK:
             self._flush()
@@ -369,23 +369,23 @@ class TraceRecorder:
         """Evaluate the records in the block and empty it."""
         if not self._ks:
             return
-        block = {f: buf[: len(self._ks)] for f, buf in self._block.items()}
-        self._rows["loss"].extend(self._losses(block).tolist())
+        v = self._v[: len(self._ks)]
+        self._rows["loss"].extend(self._losses(self._est[: len(v)], v).tolist())
         lyapunov = None
         if self._lyapunov is not None:
             lyapunov = (self.nt, self.params, self._lyapunov, self._ks)
-        for name, vals in _records(self.mixing.p, block, lyapunov).items():
+        for name, vals in _records(self.mixing.p, self._stack, v, lyapunov).items():
             self._rows[name].extend(vals.tolist())
         self._ks = []
 
-    def _losses(self, block: dict) -> np.ndarray:
+    def _losses(self, est: np.ndarray, v: np.ndarray) -> np.ndarray:
         """`optimality_gap` of each record, from one suite call on the
         block's m n ratio rows; a record's mean is the same pairwise sum over
         its n contiguous values as that of `optimality_gap`."""
-        m, n = block["v"].shape
+        m, n = v.shape
         if self.xstar is None and self.fstar is None:
             return np.full(m, np.nan)
-        rows = (block[self.estimate] / block["v"][..., None]).reshape(m * n, -1)
+        rows = (est / v[..., None]).reshape(m * n, -1)
         if self.xstar is not None:
             return self.suite.gap_values(rows, self.xstar).reshape(m, n).mean(axis=1)
         return self.suite.average_values(rows).reshape(m, n).mean(axis=1) - self.fstar

@@ -34,6 +34,7 @@ from .objectives import (
 from .solvers import (
     APDParams,
     APDSCParams,
+    DivergenceError,
     PushDIGingParams,
     SubgradPushParams,
     apd_run,
@@ -354,7 +355,11 @@ def _run_and_write(prob, algorithms, K, stride, out: Path, summary: dict, finish
                 stride=stride,
                 label=name,
             )
-            _, trace = spec.run(prob.X0, prob.v0, prob.mixing, prob.suite, params, recorder)
+            try:
+                _, trace = spec.run(prob.X0, prob.v0, prob.mixing, prob.suite, params, recorder)
+            except DivergenceError as exc:
+                exc.algorithm = name
+                raise
             traces[name] = trace
             written.append(out / f"trace_{name}.csv")
             emit_csv(trace, written[-1])

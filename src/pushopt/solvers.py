@@ -44,11 +44,18 @@ C4 = 26.0 * np.sqrt(np.e)  # tail constant of the schedule-sum bound
 
 
 class DivergenceError(RuntimeError):
-    """A solver iterate became non-finite."""
+    """A solver iterate became non-finite. `algorithm`, when set (the
+    experiment driver sets it), prefixes the message."""
 
     def __init__(self, iteration: int, what: str = "iterate"):
-        super().__init__(f"non-finite {what} at iteration {iteration}")
+        super().__init__(iteration, what)
         self.iteration = iteration
+        self.what = what
+        self.algorithm = None
+
+    def __str__(self) -> str:
+        msg = f"non-finite {self.what} at iteration {self.iteration}"
+        return msg if self.algorithm is None else f"{self.algorithm}: {msg}"
 
 
 @dataclass(frozen=True)
@@ -265,15 +272,20 @@ def subgradient_push_step(state, mixing, suite, params: SubgradPushParams) -> So
 
 
 def _drive(step, params, X0, v0, mixing, suite, hooks):
-    """Run params.K steps, calling hooks on every state; return (V^-1 Y, trace)."""
-    state = init_state(X0, v0, suite)
-    if hooks is not None:
-        hooks(state)
-    for _ in range(params.K):
-        state = step(state, mixing, suite, params)
+    """Run params.K steps, calling hooks on every state; return (V^-1 Y, trace).
+
+    Steps and hooks run with numpy's overflow, invalid and divide warnings
+    off: `_advance` turns every non-finite iterate into DivergenceError, and
+    a diagnostic that overflows on the way there is recorded as inf."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        state = init_state(X0, v0, suite)
         if hooks is not None:
             hooks(state)
-    return state.ratio(), hooks.trace() if hasattr(hooks, "trace") else None
+        for _ in range(params.K):
+            state = step(state, mixing, suite, params)
+            if hooks is not None:
+                hooks(state)
+        return state.ratio(), hooks.trace() if hasattr(hooks, "trace") else None
 
 
 def apd_run(X0, v0, mixing, suite, params: APDParams, hooks=None):

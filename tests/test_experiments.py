@@ -30,6 +30,7 @@ from pushopt import (
 from pushopt.cli import main
 from pushopt.diagnostics import _LYAPUNOV, TRACE_COLUMNS
 from pushopt.experiments import ALGORITHMS
+from pushopt.graphs import DirectedGraph
 
 SVG_NS = {"svg": "http://www.w3.org/2000/svg"}
 
@@ -225,9 +226,8 @@ def test_run_experiment_cleanup_on_failure(tmp_path):
         {"name": "pushdiging", "params": {"eta": 1e6}},
     ]
     cfg = ExperimentConfig.from_dict(cfg_dict, tmp_path)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError):
-            run_experiment(cfg)
+    with pytest.raises(DivergenceError, match="^pushdiging: non-finite iterate"):
+        run_experiment(cfg)
     leftovers = list((tmp_path / "fail").glob("*")) if (tmp_path / "fail").exists() else []
     assert leftovers == []
 
@@ -526,6 +526,27 @@ def test_cli_exit_codes(tmp_path, capsys):
     cfg = base_config(tmp_path / "y", iterations=500)
     cfg["algorithms"] = [{"name": "pushdiging", "params": {"eta": 1e7}}]
     div.write_text(json.dumps(cfg))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["run", "--config", str(div)]) == 2
+    assert main(["run", "--config", str(div)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name, k", [("apd", 301), ("apdsc", 315), ("pushdiging", 324)])
+def test_cli_divergence_names_the_algorithm(tmp_path, capsys, name, k):
+    """On the hub graph (a one-way ring plus i -> 0 for every i) at n = 10,
+    each "auto" solver run alone diverges. The CLI exits with code 2 and
+    prints one line that names the algorithm; no numpy warning reaches
+    stderr."""
+    n = 10
+    edges = {(i, (i + 1) % n) for i in range(n)} | {(i, 0) for i in range(1, n)}
+    save_edge_list(DirectedGraph(n=n, edges=frozenset(edges), seed=0), tmp_path / "hub.txt")
+    cfg = {
+        "graph": {"edge_list": "hub.txt"},
+        "objective": {"kind": "quadratic", "dim": 5, "kappa": 100.0, "mu_base": 0.01, "seed": 0},
+        "run": {"iterations": 600, "out_dir": str(tmp_path / "out")},
+        "algorithms": [{"name": name, "params": "auto"}],
+    }
+    (tmp_path / "hub.json").write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["run", "--config", str(tmp_path / "hub.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {name}: non-finite iterate at iteration {k}\n"

@@ -234,9 +234,8 @@ def test_centralized_agm_hand_values():
 def test_divergence_raises_with_iteration():
     suite = QuadraticSuite(H=np.ones((1, 1, 1)) * 4.0, b=np.zeros((1, 1)), L=4.0, mu=4.0)
     params = APDParams(eta=200.0, K=2000)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError) as err:
-            apd_run(np.array([[1.0]]), np.array([1.0]), MIX1, suite, params)
+    with pytest.raises(DivergenceError) as err:
+        apd_run(np.array([[1.0]]), np.array([1.0]), MIX1, suite, params)
     assert err.value.iteration >= 1
 
 
