@@ -2,8 +2,9 @@
 """Push-sum weights, Perron vectors, and the contraction norm.
 
 Shows the spectral structure of a column-stochastic mixing matrix for a
-random directed graph, and checks the certified geometric decay of the
-push-sum weights against the measured curve.
+random directed graph, builds the Perron-weighted norm in which its error
+map contracts, and checks the certified geometric decay of the push-sum
+weights against the measured curve.
 """
 import sys
 from pathlib import Path
@@ -20,14 +21,15 @@ mixing = uniform_out_weights(graph)
 print(f"n = {graph.n}, directed edges = {len(graph.edges)}")
 print(f"column sums: max |1 - sum| = {np.abs(mixing.C.sum(axis=0) - 1).max():.2e}")
 print(f"Perron vector range: [{mixing.p.min():.3f}, {mixing.p.max():.3f}], sum = {mixing.p.sum():.1f}")
+sigma = np.abs(np.linalg.eigvals(mixing.error_map())).max()
+print(f"spectral radius of the mixing error map: sigma = {sigma:.4f}")
 default = build_contraction_norm(mixing.C, mixing.p)
-print(f"spectral radius of the mixing error map: sigma = {default.sigma:.4f}")
-long_horizon = build_contraction_norm(mixing.C, mixing.p, 0.875 * (1 - default.sigma))
+long_horizon = build_contraction_norm(mixing.C, mixing.p, 0.875 * (1 - default.rho))
 
 for label, nt in (("default", default), ("long-horizon", long_horizon)):
     print(
-        f"{label:>13} transform: delta = {nt.delta:.4f}, theta = {nt.theta:.1f}, "
-        f"measured contraction = {nt.contraction_norm:.4f}, "
+        f"{label:>13} norm: delta = {nt.delta:.4f}, theta = {nt.theta:.2f}, "
+        f"contraction factor = {nt.contraction_norm:.4f}, "
         f"projector norm = {nt.projector_norm:.4f}"
     )
 

@@ -15,7 +15,6 @@ import numpy as np
 from pushopt import (
     TraceRecorder,
     apd_run,
-    build_contraction_norm,
     build_cycle_plus_random,
     default_params_smooth,
     emit_svg_plot,
@@ -31,7 +30,7 @@ OUT.mkdir(exist_ok=True)
 
 graph = build_cycle_plus_random(n=10, extra_edges=20, seed=5)
 mixing = uniform_out_weights(graph)
-sigma = build_contraction_norm(mixing.C, mixing.p).sigma
+sigma = np.abs(np.linalg.eigvals(mixing.error_map())).max()
 print(f"graph: n={graph.n}, {len(graph.edges)} directed edges, sigma={sigma:.3f}")
 
 suite = make_quadratic_suite(n=10, dim=5, kappa=100.0, mu_base=0.01, seed=3)

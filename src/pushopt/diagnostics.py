@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # loaded at import, not by the first default_rng of a set-up
 
 from .mixing import MixingMatrix, NormTransform
 from .objectives import ObjectiveSuite, global_minimizer
@@ -136,10 +137,10 @@ def _records(p, S, v, lyapunov=None) -> dict:
     lyapunov = (nt, params, pair, ks) also Z and G, are projected off the
     Perron direction in place as A - p m, m refined once by 1^T (A - p m) / n
     (near consensus Pi A is small and the plain mean's rounding would rule
-    it). The pair's Ctilde product takes the whole stack, zeroed past m, so
-    a record's value is the same in any block.
+    it). The pair's weighted norms scale the projected stack by the norm's
+    weights, entry by entry, so a record's value is the same in any block.
     """
-    m, n = v.shape
+    m = len(v)
     means = S[:, :m].mean(axis=-1, keepdims=True)
     xbar, zbar, gbar = means[..., 0]
     W = np.empty_like(S)  # scratch: the spread, residuals, then the product
@@ -165,9 +166,8 @@ def _records(p, S, v, lyapunov=None) -> dict:
     z_avg = np.array([(8.0 / d**2) * tau**2 for tau, _, _ in coefs])
     cols[avg_name] = decay * (_sqnorms(xbar) + z_avg * _sqnorms(zbar))
     # The consensus part sums the weighted-norm consensus errors of X, Z, G.
-    S[:, m:] = 0.0
-    P = np.matmul(S.reshape(-1, n), nt.Ctilde.T, out=W.reshape(-1, n))
-    sq = _sqnorms(P.reshape(3 * _BLOCK, -1)).reshape(3, _BLOCK)[:, :m]
+    P = np.multiply(S[:, :m], nt.w, out=W[:, :m])
+    sq = [_sqnorms(field) for field in P]
     _, z_w, g_w = np.array(coefs).T
     cols[cons_name] = sq[0] + z_w * sq[1] + g_w * sq[2]
     return cols
@@ -306,17 +306,15 @@ class TraceRecorder:
     `_records`, the kernel behind `consensus_error` and `lyapunov_*`, so
     each equals its per-call value bit for bit. It projects off the Perron
     direction in place in O(n d) (a norm transform must carry the mixing's
-    Perron vector), and the projected stack is the operand, n by 3 d B, of
-    a Lyapunov block's one Ctilde product.
+    Perron vector), and a Lyapunov block scales the projected stack by the
+    norm's weights w, also in O(n d) per record.
 
-    B comes from timing that product at n = 400 with one BLAS thread on a
-    2-CPU x86-64 host (numpy 2.4, OpenBLAS 0.3): per column it costs 12.6 us
-    at width 5, 18 us at 15, 9.7 us at 20, 6.7 us at 120 and 5.8 us at 480
-    (3 d B for d = 5). Peak RSS of an n = 400 `pushopt run` is 79.6 MB with
-    per-record evaluation, 80.1 MB at B = 32 and 83.3 MB at B = 64, which is
-    no faster. A full n = 400 Lyapunov block there takes 3.0-4.2 ms for the
-    Ctilde product, 4.4-6.5 ms for the whole kernel, product included, and
-    0.7-0.9 ms for the loss (medians of 50 calls in each of 3 processes).
+    A full n = 400 Lyapunov block takes 1.7-2.4 ms for the whole kernel,
+    0.4-0.6 ms of it the scale, and 0.7-0.9 ms for the loss; per record the
+    kernel costs the same at B = 8, 32 and 64 within that spread (one BLAS
+    thread, 2-CPU x86-64 host, numpy 2.4; medians of 50 calls in each of 3
+    processes). B = 64 raised an n = 400 run's peak RSS by 3.2 MB over
+    B = 32 when that was last measured.
     """
 
     def __init__(

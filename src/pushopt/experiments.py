@@ -11,6 +11,7 @@ from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
+import numpy.random  # loaded at import, not by the first default_rng of a set-up
 
 from .diagnostics import (
     TRACE_COLUMNS,
@@ -318,7 +319,7 @@ def _problem(graph: DirectedGraph, suite, x0_seed: int) -> SimpleNamespace:
     resolved = {
         "n": graph.n,
         "edge_count": len(graph.edges),
-        "sigma": nt.sigma,
+        "rho": nt.rho,
         "delta": nt.delta,
         "theta": nt.theta,
         "L": suite.L,
@@ -482,7 +483,7 @@ def reproduce_paper_experiment(data_path, case: str, out_dir, iters: int = 3000)
             "iterations": iters,
             "mu": block["mu"],
         },
-        "resolved": {k: prob.resolved[k] for k in ("sigma", "delta", "theta", "L", "fstar")},
+        "resolved": {k: prob.resolved[k] for k in ("rho", "delta", "theta", "L", "fstar")},
     }
     out = Path(out_dir)
 

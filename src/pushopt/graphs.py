@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # loaded at import, not by the first default_rng of a set-up
 
 __all__ = [
     "DirectedGraph",

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .graphs import DirectedGraph, is_strongly_connected
 
@@ -19,21 +18,14 @@ __all__ = [
 ]
 
 
-def _minus_perron(
-    p: np.ndarray, A: np.ndarray | None = None, order: str = "K"
-) -> np.ndarray:
-    """A - p 1^T / n, with A = I by default (the projector off the Perron
-    direction), in the memory order `order` (numpy's ufunc choice by
-    default).
+def _minus_perron(p: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """A - p 1^T / n, a new array.
 
     The rank-one term is broadcast from p / n rather than formed with
     np.outer: p_i * 1 is exact, so the entries are bitwise those of
     A - np.outer(p, np.ones(n)) / n without the n-by-n temporary.
     """
-    n = p.shape[0]
-    if A is None:
-        A = np.eye(n)
-    return np.subtract(A, (p / n)[:, None], order=order)
+    return A - (p / p.shape[0])[:, None]
 
 
 # Where the solvers switch to CSR; measured in MixingMatrix.op's docstring.
@@ -43,14 +35,13 @@ _CSR_MAX_FILL = 1 / 16
 
 @dataclass(frozen=True)
 class MixingMatrix:
-    """Column-stochastic weights C with Perron vector p and spectral gap data.
+    """Column-stochastic weights C with their Perron vector p.
 
     C[i, j] is the weight receiver i applies to sender j's message, so each
     column is owned by its sender and sums to one. p is the positive right
     eigenvector of C at eigenvalue 1, scaled so its entries sum to n. The
-    spectral radius sigma of C - p 1^T / n is not kept here: it is read off
-    the contraction norm's Schur factorization, as
-    `build_contraction_norm(C, p).sigma`.
+    contraction factor of C - p 1^T / n is not kept here: it belongs to the
+    norm it is measured in, `build_contraction_norm(C, p).rho`.
 
     C is always the dense matrix. The solvers multiply by `op` instead: a
     read-only scipy CSR copy of C when n >= 150 and at most n^2 / 16 entries
@@ -91,7 +82,9 @@ class MixingMatrix:
         n = self.n
         if n < _CSR_MIN_N or np.count_nonzero(self.C) > _CSR_MAX_FILL * n * n:
             return self.C
-        import scipy.sparse  # only here: the import adds about 0.6 MB of RSS
+        # Imported only here: after `import pushopt.cli` it takes 0.2-0.27 s
+        # and 13.5 MB of peak RSS, which a run with dense products never pays.
+        import scipy.sparse
 
         op = scipy.sparse.csr_array(self.C)
         for a in (op.data, op.indices, op.indptr):
@@ -101,46 +94,53 @@ class MixingMatrix:
 
 @dataclass(frozen=True)
 class NormTransform:
-    """Invertible matrix realizing a weighted norm that contracts the mixing error.
+    """The Perron-weighted diagonal norm, in which the mixing error contracts.
 
-    The vector norm is x -> ||Ctilde x||_2 and the matrix norm of an n-by-p
-    stack is ||Ctilde A||_F (column-wise application). Ctilde is scaled so
-    ||Ctilde x|| <= ||x|| <= theta ||Ctilde x|| for every x; the induced norm
-    of C - p 1^T / n is at most 1 - delta. sigma is the spectral radius of
-    that map, strictly below 1, read off the Schur factorization the
-    transform is built from; it is the library's only source of sigma.
-    Ctilde_inv is the inverse of Ctilde, and C the mixing matrix the norm
-    was built for (the caller's array, not a copy).
-
-    contraction_norm and projector_norm are the numerically measured
-    induced norms of the mixing-error map and of I - p 1^T / n (the latter
-    is exactly 1 only for the ideal transform, so the measured value is
-    kept). No run reads them, so each is measured on first read and cached.
+    The vector norm is x -> ||w x||_2 with w = sqrt(p_min / p) entrywise,
+    and the matrix norm of an n-by-d stack is ||w[:, None] A||_F. As
+    1 / theta <= w_i <= 1 with theta = sqrt(p_max / p_min),
+    ||w x|| <= ||x|| <= theta ||w x|| for every x. The induced norm of
+    C - p 1^T / n is ||D^-1/2 (C - p 1^T / n) D^1/2||_2, D = diag(p); rho is
+    an upper bound of it on a 2^-32 grid, below 1 and at most about 3e-9
+    above it at n = 400 (see `build_contraction_norm`), and delta =
+    1 - rho - epsilon. Applying the norm costs O(n) per vector, O(n d) per
+    stack. C is the mixing matrix the norm was built for (the caller's
+    array, not a copy).
     """
 
-    Ctilde: np.ndarray
-    sigma: float
+    w: np.ndarray
+    rho: float
     delta: float
     theta: float
     p: np.ndarray
-    Ctilde_inv: np.ndarray = field(repr=False)
     C: np.ndarray = field(repr=False)
 
-    @cached_property
-    def contraction_norm(self) -> float:
-        """||Ctilde (C - p 1^T / n) Ctilde^{-1}||_2, measured on first read."""
-        return _spectral_norm(self.Ctilde @ _minus_perron(self.p, self.C) @ self.Ctilde_inv)
+    @property
+    def Ctilde(self) -> np.ndarray:
+        """The norm's matrix, diag(w): ||x|| = ||Ctilde x||_2. A new n-by-n
+        array on each read; the library itself scales by w."""
+        return np.diag(self.w)
 
-    @cached_property
+    @property
+    def contraction_norm(self) -> float:
+        """||Ctilde (C - p 1^T / n) Ctilde^{-1}||_2, bounded from above: rho."""
+        return self.rho
+
+    @property
     def projector_norm(self) -> float:
-        """||Ctilde (I - p 1^T / n) Ctilde^{-1}||_2, measured on first read."""
-        return _spectral_norm(self.Ctilde @ _minus_perron(self.p) @ self.Ctilde_inv)
+        """||Ctilde (I - p 1^T / n) Ctilde^{-1}||_2 = 1.
+
+        The map is I - u u^T with u = sqrt(p / n), whose eigenvalues are 1
+        and 1 - ||u||^2 = 1 - sum(p) / n, which is 0 up to rounding: an
+        orthogonal projector.
+        """
+        return 1.0
 
     def vec_norm(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(self.Ctilde @ x))
+        return float(np.linalg.norm(self.w * x))
 
     def mat_norm(self, A: np.ndarray) -> float:
-        return float(np.linalg.norm(self.Ctilde @ A))
+        return float(np.linalg.norm(self.w[:, None] * A))
 
 
 def uniform_out_weights(g: DirectedGraph) -> MixingMatrix:
@@ -189,81 +189,51 @@ def perron_vector(C: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return p
 
 
-def _spectral_norm(A: np.ndarray) -> float:
-    """||A||_2 without an SVD: the square root of the top eigenvalue of the
-    Gram matrix of A / max|A|, from a symmetric eigensolver, times max|A|.
-
-    Consumes A: it is divided by max|A| in place, so the only n-by-n array
-    made is the Gram matrix, which the eigensolver then overwrites (numpy
-    forms A^T A with syrk, so it is exactly symmetric and its Fortran-order
-    view is the same matrix). The scaling keeps the Gram matrix's entries
-    near 1 whatever the size of A's. On 400 x 400 matrices (one BLAS
-    thread, 2-CPU x86-64 host, numpy 2.4, scipy 1.17) this takes 7.6-9.2 ms
-    against 17.6-18.8 ms for np.linalg.norm(A, 2), and the two agree within
-    2e-15 relative.
-    """
-    scale = max(A.max(), -A.min())
-    if scale == 0.0:
-        return 0.0
-    A /= scale
-    n = A.shape[1]
-    G = A.T @ A
-    top = scipy.linalg.eigh(
-        G.T, overwrite_a=True, eigvals_only=True, subset_by_index=[n - 1, n - 1]
-    )
-    return float(scale * np.sqrt(top[0]))
-
-
-def _schur_blocks(T: np.ndarray) -> tuple:
-    """Read the diagonal blocks of a real Schur form T once.
-
-    Returns (sigma, s, block_id). sigma is the spectral radius of T, checked
-    to be below 1. Every eigenvalue sits in a diagonal block: |t_ii| for a
-    1x1 block, and sqrt(det) for a standardized 2x2 block [[a, b], [c, a]]
-    with bc < 0, whose complex pair a +- i sqrt(-bc) has modulus
-    sqrt(a^2 - bc) (Golub & Van Loan, Matrix Computations, 7.4-7.5). A 2x2
-    block's |a| is at most its modulus, so taking every |t_ii| as well
-    leaves the maximum alone. s is the diagonal of the scaling that turns
-    each 2x2 block into a rotation-like block whose spectral norm equals its
-    spectral radius, and block_id[i] is the index of the diagonal block
-    containing row i.
-    """
-    n = T.shape[0]
-    i = np.flatnonzero(np.diag(T, -1))
-    det = T[i, i] * T[i + 1, i + 1] - T[i, i + 1] * T[i + 1, i]
-    sigma = float(max(np.abs(np.diag(T)).max(), np.sqrt(det).max(initial=0.0)))
-    if sigma >= 1.0:
-        raise ValueError(f"spectral radius {sigma} >= 1: invalid mixing matrix")
-    # LAPACK standardized block: equal diagonal, opposite-sign corners.
-    ratio = -T[i + 1, i] / T[i, i + 1]
-    scaled = ratio > 0
-    s = np.ones(n)
-    s[i[scaled] + 1] = np.sqrt(ratio[scaled])
-    second_rows = np.zeros(n, dtype=int)
-    second_rows[i + 1] = 1
-    return sigma, s, np.arange(n) - np.cumsum(second_rows)
+# rho is rounded up to this grid, so that rounding differences far below it
+# (a different BLAS thread count, say) leave it, and every output, alone.
+_RHO_GRID = 2.0**-32
 
 
 def build_contraction_norm(
-    C: np.ndarray, p: np.ndarray, epsilon: float | None = None
+    C: np.ndarray, p: np.ndarray, epsilon: float = 0.0
 ) -> NormTransform:
-    """Construct the weighted norm under which C - p 1^T / n contracts.
+    """Construct the Perron-weighted diagonal norm under which C - p 1^T / n
+    contracts: delta = 1 - rho - epsilon, theta = sqrt(p_max / p_min).
 
-    Uses a real Schur decomposition of the mixing-error map with a graded
-    diagonal rescaling of the off-diagonal part, shrunk until the induced
-    spectral norm falls below sigma + epsilon. Defaults to
-    epsilon = (1 - sigma) / 2; a caller that picks epsilon from sigma reads
-    it off the default transform first. That one factorization is the only
-    nonsymmetric eigen-work: sigma is read off its diagonal blocks and kept
-    on the result. The spectral norms are taken from symmetric eigensolves
-    of Gram matrices.
+    rho = ||M||_2 for M = D^-1/2 (C - p 1^T / n) D^1/2, D = diag(p), which
+    equals S - u u^T with S = D^-1/2 C D^1/2 and u = sqrt(p / n). Where C
+    is column-stochastic with a positive diagonal and a strongly connected
+    graph (as `uniform_out_weights` builds it) and p its Perron vector, rho
+    is the second singular value of S and below 1 (Fill, Ann. Appl. Probab.
+    1(1), 1991: S S^T keeps C's support, so it is irreducible). rho >= 1
+    raises ValueError, and epsilon must lie in [0, 1 - rho).
 
-    The build holds at most four n-by-n arrays at once: the Schur factors
-    T (in the error map's buffer) and Q, one work array, and a Gram matrix.
-    At n = 400 (one BLAS thread, 2-CPU x86-64 host, numpy 2.4, scipy 1.17)
-    it takes 194 ms (median of 25 calls), most of it the Schur
-    factorization. Its tracemalloc peak is 4.1 n^2 float64, and the
-    result keeps Ctilde and its inverse (2 n^2).
+    M is formed once from the given p and C, entry by entry, and rho is the
+    square root of the top eigenvalue of its Gram matrix G = M^T M from
+    np.linalg.eigvalsh: no nonsymmetric eigen-work and no SVD. The computed
+    value is then raised to a bound, with eps = 2^-52 and F = 2 trace(G),
+    which is at least ||M||_F^2 (1 + n eps):
+    - the Gram product's entrywise error, at most n (eps / 2) |M|^T |M|, has
+      spectral norm at most n eps F / 2;
+    - the eigensolver is backward stable: its eigenvalues are exact for G + E
+      with ||E||_2 <= n^2 (eps / 2) ||G||_F (the worst-case form of the
+      Householder tridiagonalization bound, Higham, Accuracy and Stability
+      of Numerical Algorithms, 2nd ed., ch. 19), and ||G||_F <= F;
+    so by Weyl the top eigenvalue of M^T M is within (n + n^2) (eps / 2) F
+    of the computed one, lambda; the build adds twice that, n (n + 1) eps F,
+    as slack for the constants these bounds leave open. Forming M rounds each entry by at most 3 eps (|S_ij| + u_i u_j),
+    a spectral error of at most 3 eps (||M||_F + 2) <= 4 eps (sqrt(F) + 2).
+    A final factor 1 + 2 eps covers the rounding of the bound's own sum
+    and square root, and the result is rounded up to the 2^-32 grid.
+    Rounding up only shrinks delta, so delta is a certificate. On the
+    n = 400 bench graph (ring + 1200 links, seed 7) the computed value sits
+    2.2e-16 above np.linalg.norm(M, 2), and the bound and the grid raise it
+    by 3.0e-9 to rho = 0.8623.
+
+    The build holds two n-by-n float64 arrays at once, M and G; eigvalsh's
+    own copy of G replaces M. At n = 400 (one BLAS thread, 2-CPU x86-64
+    host, numpy 2.4) it takes 10.8 ms (median of 25 calls), 8.1 ms of it
+    the eigensolve.
     """
     C = np.asarray(C)
     p = np.asarray(p)
@@ -272,55 +242,32 @@ def build_contraction_norm(
             "C must be a square matrix and p a vector of its size; "
             f"got C of shape {C.shape} and p of shape {p.shape}"
         )
+    if not p.min() > 0.0:
+        raise ValueError(f"p must be positive; its smallest entry is {p.min()}")
     n = C.shape[0]
-    # Fortran order lets the factorization overwrite M instead of copying it.
-    M = _minus_perron(p, C, order="F")
-    T, Q = scipy.linalg.schur(M, output="real", overwrite_a=True)
+    root_p = np.sqrt(p)
+    M = _minus_perron(p, C)
+    M *= root_p
+    M /= root_p[:, None]
+    if not np.isfinite(M).all():
+        raise ValueError("array must not contain infs or NaNs")
+    G = M.T @ M
     del M
-    sigma, s, block_id = _schur_blocks(T)
-    if epsilon is None:
-        epsilon = (1.0 - sigma) / 2.0
-    if not (0.0 < epsilon < 1.0 - sigma):
-        raise ValueError(
-            f"epsilon must lie in (0, {1.0 - sigma}); got {epsilon}"
-        )
-    target = sigma + epsilon
-
-    # Aim slightly below the target so the re-measured norm of the assembled
-    # transform stays under 1 - delta despite rounding. Each trial forms
-    # T * (sd_j / sd_i) in the one work array W.
-    W = np.empty((n, n))
-    t = 1.0
-    for _ in range(400):
-        sd = s * t ** block_id
-        np.divide(sd[None, :], sd[:, None], out=W)
-        np.multiply(T, W, out=W)
-        if _spectral_norm(W) <= target * (1.0 - 1e-9):
-            break
-        t *= 0.8
-    else:
-        raise RuntimeError("graded rescaling failed to reach the contraction target")
-    # Freed before Ctilde is allocated: writing Ctilde into W instead gives
-    # the same tracemalloc peak, but raised the peak RSS of a `pushopt run`
-    # of the n = 400 bench config by 1.2 MB (allocator placement).
-    del T, W
-
-    # (Q diag(sd))^{-1} has singular values 1/sd, so normalizing by the
-    # largest keeps ||Ctilde x|| <= ||x|| with theta = max(sd)/min(sd).
-    # Ctilde = ((Q / sd) / smax)^T is C-contiguous, as the recorder's
-    # product reads it; Ctilde^{-1} = (Q sd) smax overwrites Q.
-    smax = 1.0 / sd.min()
-    Ctilde = Q / sd[None, :]
-    Ctilde /= smax
-    Q *= sd[None, :]
-    Q *= smax
-    theta = float(sd.max() / sd.min())
+    F = 2.0 * float(np.trace(G))
+    eps = np.finfo(float).eps
+    top = float(np.linalg.eigvalsh(G)[-1]) + n * (n + 1) * eps * F
+    rho = (np.sqrt(top) + 4.0 * eps * (np.sqrt(F) + 2.0)) * (1.0 + 2.0 * eps)
+    rho = float(np.ceil(rho / _RHO_GRID) * _RHO_GRID)
+    if rho >= 1.0:
+        raise ValueError(f"contraction factor {rho} >= 1: invalid mixing matrix")
+    if not 0.0 <= epsilon < 1.0 - rho:
+        raise ValueError(f"epsilon must lie in [0, {1.0 - rho}); got {epsilon}")
+    p_min = p.min()
     return NormTransform(
-        Ctilde=Ctilde.T,
-        sigma=sigma,
-        delta=1.0 - sigma - epsilon,
-        theta=theta,
+        w=np.sqrt(p_min / p),
+        rho=rho,
+        delta=1.0 - rho - epsilon,
+        theta=float(np.sqrt(p.max() / p_min)),
         p=p.copy(),
-        Ctilde_inv=Q,
         C=C,
     )

@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # loaded at import, not by the first default_rng of a set-up
 
 __all__ = [
     "LabeledDataset",

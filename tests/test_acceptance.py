@@ -206,7 +206,7 @@ def five_graphs():
         # Small-delta transform: keeps the certified decay curve well above
         # the double-precision floor of v_k over the k <= 200 horizon.
         nt_decay = build_contraction_norm(
-            mixing.C, mixing.p, epsilon=0.875 * (1.0 - nt_default.sigma)
+            mixing.C, mixing.p, epsilon=0.875 * (1.0 - nt_default.rho)
         )
         out.append((mixing, nt_decay, nt_default))
     return out

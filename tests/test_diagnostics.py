@@ -371,9 +371,9 @@ def test_trace_recorder_bit_exact_against_per_call_formulas(name):
 
 
 def test_trace_recorder_shared_kernel_at_n400():
-    """At n = 400 a skinny Ctilde product rounds differently from the same
-    columns of the block's wide one, so recorder rows equal the per-call
-    functions only if both go through one kernel."""
+    """At n = 400, where the solver mixes through CSR, recorder rows built
+    in blocks equal the per-call functions bit for bit, the weighted-norm
+    Lyapunov columns included: both go through one kernel."""
     mixing = uniform_out_weights(build_cycle_plus_random(400, 1200, 7))
     nt = build_contraction_norm(mixing.C, mixing.p)
     suite = make_quadratic_suite(400, 5, 100.0, 0.01, 4)

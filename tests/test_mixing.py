@@ -3,11 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
-import pushopt.mixing as mixing_module
 from pushopt import (
     DirectedGraph,
     build_contraction_norm,
@@ -79,70 +77,51 @@ def test_perron_positive_and_normalized(small_mixing):
     assert resid <= 1e-10
 
 
+EPS = np.finfo(float).eps
+GRID = 2.0**-32
+
+
+def _weighted_error_map(C, p):
+    """D^-1/2 (C - p 1^T / n) D^1/2, D = diag(p), written out plainly."""
+    n = p.shape[0]
+    return (C - np.outer(p, np.ones(n)) / n) * np.sqrt(p)[None, :] / np.sqrt(p)[:, None]
+
+
+def _assert_rho_bounds(rho, M):
+    """rho bounds ||M||_2 from above, and by no more than the build's stated
+    raise: the Weyl term n (n + 1) eps F, twice over (the computed top
+    eigenvalue may itself sit that far above the exact one), the forming
+    term 4 eps (sqrt(F) + 2), and one step of the 2^-32 grid."""
+    n = M.shape[0]
+    exact = np.linalg.norm(M, 2)
+    F = 2.0 * np.linalg.norm(M) ** 2
+    top = np.sqrt(exact**2 + 2 * n * (n + 1) * EPS * F) + 4 * EPS * (np.sqrt(F) + 2)
+    assert exact <= rho <= top * (1 + 4 * EPS) + GRID
+    assert rho % GRID == 0.0
+
+
 def test_contraction_factor_examples():
-    """sigma, the spectral radius of C - p 1^T / n, as the transform reports it."""
-    uniformC = np.full((3, 3), 1.0 / 3.0)
-    assert build_contraction_norm(uniformC, np.ones(3)).sigma <= 1e-12
+    """rho, the weighted-norm contraction factor of C - p 1^T / n, against
+    np.linalg.norm(., 2) of the weighted error map: one-sided, within the
+    grid step plus the stated bound."""
+    # The error map vanishes: rho is one grid step.
+    uniform = build_contraction_norm(np.full((3, 3), 1.0 / 3.0), np.ones(3))
+    assert uniform.rho == GRID
+    # A normal error map with norm and spectral radius exactly 1/2.
     mix = uniform_out_weights(CYCLE3)
-    assert abs(build_contraction_norm(mix.C, mix.p).sigma - 0.5) <= 1e-12
-    ring = uniform_out_weights(build_cycle_plus_random(20, 0, 0))
-    sigma = build_contraction_norm(ring.C, ring.p).sigma
-    assert 0.0 < sigma < 1.0
-    # oracle: dense eigensolve of the error map
-    M = ring.C - np.outer(ring.p, np.ones(20)) / 20
-    assert abs(sigma - np.abs(np.linalg.eigvals(M)).max()) <= 1e-12
+    assert build_contraction_norm(mix.C, mix.p).rho == 0.5 + GRID
+    for graph in (build_cycle_plus_random(20, 0, 0), _hub(10), _hub(20)):
+        mix = uniform_out_weights(graph)
+        rho = build_contraction_norm(mix.C, mix.p).rho
+        assert 0.0 < rho < 1.0
+        _assert_rho_bounds(rho, _weighted_error_map(mix.C, mix.p))
 
 
-def _quasi_triangular(blocks):
-    """Real Schur form with the given diagonal blocks: a float is a 1x1
-    block, (a, b, c) the 2x2 block [[a, b], [c, a]]. Every entry above the
-    blocks is 7, which the block reader must ignore."""
-    sizes = [1 if isinstance(b, float) else 2 for b in blocks]
-    n = sum(sizes)
-    T = np.triu(np.full((n, n), 7.0), 1)
-    r = 0
-    for b, size in zip(blocks, sizes):
-        if size == 1:
-            T[r, r] = b
-        else:
-            a, up, low = b
-            T[r : r + 2, r : r + 2] = [[a, up], [low, a]]
-        r += size
-    return T
-
-
-# A = [[1/4, 1/2], [-1/8, 1/4]]: modulus sqrt(1/16 + 1/16) = sqrt(1/8), and
-# scaling row 2 by sqrt(1/8 / 1/2) = 1/2 balances its corners.
-# B = [[0, 2], [-1/8, 0]]: modulus sqrt(1/4) = 1/2, scale sqrt(1/16) = 1/4.
-# G = [[1/4, 1/2], [1/8, 1/4]] has same-sign corners: no scaling, modulus 0.
-A, B, G = (0.25, 0.5, -0.125), (0.0, 2.0, -0.125), (0.25, 0.5, 0.125)
-
-
-@pytest.mark.parametrize(
-    "blocks,sigma,s,block_id",
-    [
-        ([0.5, -0.75, 0.125], 0.75, [1, 1, 1], [0, 1, 2]),
-        ([A, 0.25], np.sqrt(0.125), [1, 0.5, 1], [0, 0, 1]),
-        ([A, B], 0.5, [1, 0.5, 1, 0.25], [0, 0, 1, 1]),
-        ([A, -0.625, B], 0.625, [1, 0.5, 1, 1, 0.25], [0, 0, 1, 2, 2]),
-        ([0.125, -0.25, B], 0.5, [1, 1, 1, 0.25], [0, 1, 2, 2]),
-        ([G, 0.125], 0.25, [1, 1, 1], [0, 0, 1]),
-    ],
-    ids=["no-2x2", "leading", "adjacent", "1x1-between", "trailing", "unscaled"],
-)
-def test_schur_blocks_by_hand(blocks, sigma, s, block_id):
-    got_sigma, got_s, got_id = mixing_module._schur_blocks(_quasi_triangular(blocks))
-    assert got_sigma == sigma
-    assert np.array_equal(got_s, s)
-    assert np.array_equal(got_id, block_id)
-
-
-@pytest.mark.parametrize("up", [1.5, 2.0])
-def test_schur_blocks_reject_modulus_one(up):
-    # [[1/2, up], [-1/2, 1/2]]: modulus sqrt(1/4 + up/2), exactly 1 for
-    # up = 3/2 and above 1 for up = 2, while every |t_ii| is at most 1/2.
-    with pytest.raises(ValueError, match="spectral radius"):
-        mixing_module._schur_blocks(_quasi_triangular([0.25, (0.5, up, -0.5)]))
+def test_build_rejects_rho_at_least_one():
+    # A directed 3-cycle without self-loops is periodic: rho is 1.
+    C = np.roll(np.eye(3), 1, axis=0)
+    with pytest.raises(ValueError, match="contraction factor"):
+        build_contraction_norm(C, np.ones(3))
 
 
 def test_norm_transform_zero_error_map():
@@ -157,7 +136,8 @@ def test_norm_transform_cycle_contraction():
     mix = uniform_out_weights(CYCLE3)
     nt = build_contraction_norm(mix.C, mix.p, epsilon=0.1)
     assert nt.contraction_norm <= 0.6 + 1e-12
-    assert abs(nt.delta - 0.4) <= 1e-12
+    # rho = 1/2 exactly, rounded up by one grid step.
+    assert nt.delta == 1.0 - (0.5 + GRID) - 0.1
 
 
 def test_norm_transform_invariants(small_mixing):
@@ -183,116 +163,93 @@ def _sparse_graph(n):
 def test_run_path_norm_transform_matches_bare_call(n):
     """`pushopt run`'s set-up and the public sequence uniform_out_weights ->
     build_contraction_norm(C, p) build bitwise the same transform, and the
-    sigma the run reports is the transform's."""
+    rho the run reports is the transform's."""
     graph = _sparse_graph(n)
     prob = _problem(graph, make_quadratic_suite(n, 3, 10.0, 0.1, 2), x0_seed=0)
     mix = uniform_out_weights(graph)
     nt = build_contraction_norm(mix.C, mix.p)
-    for name in ("Ctilde", "p"):
+    for name in ("w", "p", "Ctilde"):
         assert np.array_equal(getattr(prob.nt, name), getattr(nt, name)), name
-    for name in ("sigma", "delta", "theta", "contraction_norm", "projector_norm"):
+    for name in ("rho", "delta", "theta", "contraction_norm", "projector_norm"):
         assert getattr(prob.nt, name) == getattr(nt, name), name
-    assert prob.resolved["sigma"] == nt.sigma
+    assert prob.resolved["rho"] == nt.rho
 
 
-def _forbid_dense_eigen_work(monkeypatch):
-    """Count scipy.linalg.schur calls; make eigvals and SVDs raise."""
-    calls = []
-    schur = scipy.linalg.schur
+def test_setup_and_recorded_run_make_one_symmetric_eigensolve(tmp_path, monkeypatch):
+    """A run's set-up and one recorded apdsc run make exactly one eigensolve,
+    the build's symmetric one, and no Schur factorization, nonsymmetric
+    eigensolve or SVD; nothing loads scipy.linalg."""
+    callers = []
+    eigvalsh = np.linalg.eigvalsh
 
-    def counting_schur(*args, **kwargs):
-        calls.append(1)
-        return schur(*args, **kwargs)
+    def spy(A):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return eigvalsh(A)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("nonsymmetric eigensolve or SVD")
+        raise AssertionError("Schur factorization, nonsymmetric eigensolve or SVD")
 
-    monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     # np.linalg.norm(A, 2) reaches svd through numpy's private module.
-    for mod in (np.linalg, getattr(np.linalg, "_linalg", None), scipy.linalg):
-        for name in ("eigvals", "eig", "svd", "svdvals"):
+    for mod in (np.linalg, getattr(np.linalg, "_linalg", None), sys.modules.get("scipy.linalg")):
+        for name in ("eigvals", "eig", "svd", "svdvals", "schur"):
             if mod is not None and hasattr(mod, name):
                 monkeypatch.setattr(mod, name, forbidden)
-    return calls
-
-
-def test_setup_makes_one_schur_factorization(monkeypatch):
     graph = _sparse_graph(160)
-    suite = make_quadratic_suite(160, 3, 10.0, 0.1, 2)
-    calls = _forbid_dense_eigen_work(monkeypatch)
-    _problem(graph, suite, x0_seed=0)
-    assert len(calls) == 1
-    calls.clear()
+    prob = _problem(graph, make_quadratic_suite(160, 3, 10.0, 0.1, 2), x0_seed=0)
+    _run_and_write(prob, [{"name": "apdsc", "params": "auto"}], 60, 1, tmp_path, {})
+    assert callers == ["build_contraction_norm"]
     mix = uniform_out_weights(graph)
     build_contraction_norm(mix.C, mix.p)
-    assert len(calls) == 1
+    assert callers == ["build_contraction_norm"] * 2
 
 
 @pytest.mark.parametrize("n", [10, 160, 400])
-def test_norm_certificates_match_svd(n, monkeypatch):
-    """Every spectral norm build_contraction_norm takes, and the
-    contraction_norm and projector_norm its transform measures when read,
-    is within 1e-12 relative of np.linalg.norm(., 2) of the same matrix."""
+def test_norm_certificates_match_svd(n):
+    """contraction_norm and projector_norm against np.linalg.norm(., 2) of
+    Ctilde A Ctilde^{-1} for the dense A = C - p 1^T / n and I - p 1^T / n:
+    the first from above within the grid step and the stated bound, the
+    second exactly 1, within 1e-12 of the measured norm."""
     mix = uniform_out_weights(_sparse_graph(n))
-    seen = []
-    spectral_norm = mixing_module._spectral_norm
-
-    def recording(A):
-        seen.append((A.copy(), spectral_norm(A)))
-        return seen[-1][1]
-
-    monkeypatch.setattr(mixing_module, "_spectral_norm", recording)
     nt = build_contraction_norm(mix.C, mix.p)
-    nt.contraction_norm, nt.projector_norm  # measured on first read
-    assert len(seen) >= 3
-    assert (nt.contraction_norm, nt.projector_norm) == (seen[-2][1], seen[-1][1])
-    for A, value in seen:
-        exact = np.linalg.norm(A, 2)
-        assert abs(value - exact) <= 1e-12 * exact
+    Ct, Ct_inv = nt.Ctilde, np.diag(1.0 / nt.w)
+    _assert_rho_bounds(nt.contraction_norm, Ct @ mix.error_map() @ Ct_inv)
+    projector = np.eye(n) - np.outer(mix.p, np.ones(n)) / n
+    assert nt.projector_norm == 1.0
+    assert abs(np.linalg.norm(Ct @ projector @ Ct_inv, 2) - 1.0) <= 1e-12
 
 
-def _eager_spectral_norm(A):
-    """The spectral norm as the eager build took it: A is left alone."""
-    scale = np.abs(A).max()
-    if scale == 0.0:
-        return 0.0
-    B = A / scale
-    n = B.shape[1]
-    top = scipy.linalg.eigh(B.T @ B, eigvals_only=True, subset_by_index=[n - 1, n - 1])
-    return float(scale * np.sqrt(top[0]))
+@pytest.mark.parametrize("n", [20, 100, 400])
+def test_norm_contracts_with_small_theta_at_scale(n):
+    """On ring + 3n links (seed 7), measured on the dense matrices: theta is
+    sqrt(p_max / p_min) to rounding, the weighted error map contracts by
+    1 - delta, and the weighted projector's norm is 1."""
+    mix = uniform_out_weights(_sparse_graph(n))
+    nt = build_contraction_norm(mix.C, mix.p)
+    p = mix.p
+    assert abs(nt.theta - np.sqrt(p.max() / p.min())) <= 4 * EPS * nt.theta
+    assert abs(1.0 / nt.w.min() - nt.theta) <= 4 * EPS * nt.theta
+    W, W_inv = np.diag(nt.w), np.diag(1.0 / nt.w)
+    assert np.linalg.norm(W @ mix.error_map() @ W_inv, 2) <= 1.0 - nt.delta
+    projector = np.eye(n) - np.outer(p, np.ones(n)) / n
+    assert np.linalg.norm(W @ projector @ W_inv, 2) <= 1.0 + 1e-12
 
 
-def _eager_build(C, p):
-    """Reference: the contraction norm built eagerly, certificates included,
-    with copies of every intermediate, as the library built it before the
-    build went in place. Returns the transform's fields, and the number of
-    graded-loop trials, as a dict."""
-    M = C - (p / p.shape[0])[:, None]
-    T, Q = scipy.linalg.schur(M, output="real")
-    sigma, s, block_id = mixing_module._schur_blocks(T)
-    epsilon = (1.0 - sigma) / 2.0
-    target = sigma + epsilon
-    t = 1.0
-    for trials in range(1, 401):
-        sd = s * t ** block_id
-        A = T * (sd[None, :] / sd[:, None])
-        if _eager_spectral_norm(A) <= target * (1.0 - 1e-9):
-            break
-        t *= 0.8
-    Ctilde = (Q / sd[None, :]).T
-    Ctilde_inv = Q * sd[None, :]
-    smax = 1.0 / sd.min()
-    Ctilde = Ctilde / smax
-    Ctilde_inv = Ctilde_inv * smax
-    eye = np.eye(p.shape[0]) - (p / p.shape[0])[:, None]
+def _eager_build(C, p, epsilon=0.0):
+    """Reference: the diagonal norm built out of place, as the build's
+    docstring states it. Returns the transform's fields as a dict."""
+    n = p.shape[0]
+    M = _weighted_error_map(C, p)
+    G = M.T @ M
+    F = 2.0 * float(np.trace(G))
+    top = float(np.linalg.eigvalsh(G)[-1]) + n * (n + 1) * EPS * F
+    rho = (np.sqrt(top) + 4.0 * EPS * (np.sqrt(F) + 2.0)) * (1.0 + 2.0 * EPS)
+    rho = float(np.ceil(rho / GRID) * GRID)
     return {
-        "Ctilde": Ctilde,
-        "sigma": sigma,
-        "delta": 1.0 - sigma - epsilon,
-        "theta": float(sd.max() / sd.min()),
-        "contraction_norm": _eager_spectral_norm(Ctilde @ M @ Ctilde_inv),
-        "projector_norm": _eager_spectral_norm(Ctilde @ eye @ Ctilde_inv),
-        "trials": trials,
+        "w": np.sqrt(p.min() / p),
+        "rho": rho,
+        "delta": 1.0 - rho - epsilon,
+        "theta": float(np.sqrt(p.max() / p.min())),
     }
 
 
@@ -326,30 +283,23 @@ _REFERENCE_GRAPHS = {
 }
 
 
-def _assert_matches_eager(C, p, monkeypatch):
-    """build_contraction_norm gives the eager reference's fields bit for bit,
-    measures each certificate once, on first read, and caches it."""
+def _assert_matches_eager(C, p):
+    """build_contraction_norm gives the eager reference's fields bit for bit;
+    its certificates are rho and 1, and Ctilde is diag(w)."""
     ref = _eager_build(C, p)
     nt = build_contraction_norm(C, p)
-    assert np.array_equal(nt.Ctilde, ref["Ctilde"])
-    assert nt.Ctilde.flags.c_contiguous and ref["Ctilde"].flags.c_contiguous
-    for name in ("sigma", "delta", "theta"):
+    assert np.array_equal(nt.w, ref["w"])
+    assert np.array_equal(nt.p, p) and nt.p is not p and nt.C is C
+    for name in ("rho", "delta", "theta"):
         assert getattr(nt, name) == ref[name], name
-    calls = []
-    spectral_norm = mixing_module._spectral_norm
-    monkeypatch.setattr(
-        mixing_module, "_spectral_norm", lambda A: calls.append(1) or spectral_norm(A)
-    )
-    for read in range(2):
-        for name in ("contraction_norm", "projector_norm"):
-            assert getattr(nt, name) == ref[name], name
-        assert len(calls) == 2, read
+    assert nt.contraction_norm == nt.rho and nt.projector_norm == 1.0
+    assert np.array_equal(nt.Ctilde, np.diag(ref["w"]))
 
 
 @pytest.mark.parametrize("graph", _REFERENCE_GRAPHS)
-def test_norm_transform_bitwise_matches_eager_build(graph, monkeypatch):
+def test_norm_transform_bitwise_matches_eager_build(graph):
     mix = uniform_out_weights(_REFERENCE_GRAPHS[graph]())
-    _assert_matches_eager(mix.C, mix.p, monkeypatch)
+    _assert_matches_eager(mix.C, mix.p)
 
 
 @st.composite
@@ -368,8 +318,7 @@ def _strongly_connected(draw):
 def test_norm_transform_and_perron_bitwise_on_random_digraphs(graph):
     mix = uniform_out_weights(graph)
     assert np.array_equal(mix.p, _eager_perron(mix.C))
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        _assert_matches_eager(mix.C, mix.p, monkeypatch)
+    _assert_matches_eager(mix.C, mix.p)
 
 
 @pytest.mark.parametrize("graph", [*_REFERENCE_GRAPHS, "hub20"])
@@ -380,11 +329,12 @@ def test_perron_vector_bitwise_matches_two_product_loop(graph):
 
 
 def test_setup_peak_memory_at_n400():
-    """The build holds at most T (in the error map's buffer), Q, one work
-    array and one Gram matrix: 4 n^2 float64. On top of those come scipy's
-    finiteness masks of each LAPACK input (n^2 bytes, one at a time) and
-    O(n) vectors and LAPACK workspace, so the tracemalloc peak above its
-    start stays under 5 n^2 float64. The eager build peaked at 10.1 n^2."""
+    """The build holds at most two n-by-n float64 arrays at once: the
+    weighted error map M and its Gram matrix (M is freed before the
+    eigensolver copies the Gram matrix). M's finiteness mask (n^2 bytes)
+    lives only while M is alone, and the rest is O(n) vectors, so the
+    tracemalloc peak above its start stays under 2 n^2 + 64 n float64.
+    The Schur-built norm this replaced peaked at 4.1 n^2."""
     n = 400
     mix = uniform_out_weights(_sparse_graph(n))
     build_contraction_norm(mix.C, mix.p)  # warm-up: first-call allocations
@@ -396,28 +346,7 @@ def test_setup_peak_memory_at_n400():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - start <= 5 * n * n * 8
-
-
-def test_setup_and_recorded_run_leave_certificates_unmeasured(tmp_path, monkeypatch):
-    """A run's set-up and one recorded apdsc run take spectral norms only in
-    the build's graded loop, one per trial: neither certificate is measured."""
-    graph = _sparse_graph(160)
-    mix = uniform_out_weights(graph)
-    trials = _eager_build(mix.C, mix.p)["trials"]
-    callers = []
-    spectral_norm = mixing_module._spectral_norm
-
-    def spy(A):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return spectral_norm(A)
-
-    monkeypatch.setattr(mixing_module, "_spectral_norm", spy)
-    prob = _problem(graph, make_quadratic_suite(160, 3, 10.0, 0.1, 2), x0_seed=0)
-    _run_and_write(prob, [{"name": "apdsc", "params": "auto"}], 60, 1, tmp_path, {})
-    assert callers == ["build_contraction_norm"] * trials
-    assert "contraction_norm" not in vars(prob.nt)
-    assert "projector_norm" not in vars(prob.nt)
+    assert peak - start <= (2 * n + 64) * n * 8
 
 
 @pytest.mark.parametrize(
@@ -443,18 +372,27 @@ def test_build_rejects_non_finite_error_map(small_mixing):
 
 
 def test_norm_transform_epsilon_validation(small_mixing, small_norm):
-    sigma = small_norm.sigma
-    with pytest.raises(ValueError):
-        build_contraction_norm(small_mixing.C, small_mixing.p, epsilon=1.0 - sigma)
-    with pytest.raises(ValueError):
-        build_contraction_norm(small_mixing.C, small_mixing.p, epsilon=0.0)
+    rho = small_norm.rho
+    assert small_norm.delta == 1.0 - rho
+    for epsilon in (1.0 - rho, -1e-3):
+        with pytest.raises(ValueError, match="epsilon"):
+            build_contraction_norm(small_mixing.C, small_mixing.p, epsilon=epsilon)
 
 
-def test_projector_norm_recorded(small_norm):
-    # the ideal transform would give exactly 1; the constructed one records
-    # the actual value instead of assuming it
-    assert small_norm.projector_norm >= 1.0 - 1e-12
-    assert np.isfinite(small_norm.projector_norm)
+def test_build_rejects_nonpositive_perron_vector(small_mixing):
+    p = small_mixing.p.copy()
+    p[2] = 0.0
+    with pytest.raises(ValueError, match="p must be positive"):
+        build_contraction_norm(small_mixing.C, p)
+
+
+def test_projector_norm_recorded(small_mixing, small_norm):
+    # Ctilde (I - p 1^T / n) Ctilde^{-1} = I - u u^T with ||u||^2 = sum(p) / n:
+    # an orthogonal projector, whose measured norm is 1 to rounding.
+    assert small_norm.projector_norm == 1.0
+    n, p, w = small_mixing.n, small_mixing.p, small_norm.w
+    measured = np.linalg.norm((np.eye(n) - np.outer(p, np.ones(n)) / n) * w[:, None] / w, 2)
+    assert abs(measured - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize(
