@@ -175,10 +175,9 @@ def test_run_path_norm_transform_matches_bare_call(n):
     assert prob.resolved["rho"] == nt.rho
 
 
-def test_setup_and_recorded_run_make_one_symmetric_eigensolve(tmp_path, monkeypatch):
-    """A run's set-up and one recorded apdsc run make exactly one eigensolve,
-    the build's symmetric one, and no Schur factorization, nonsymmetric
-    eigensolve or SVD; nothing loads scipy.linalg."""
+def _spy_on_eigen_work(monkeypatch):
+    """Record the caller of every np.linalg.eigvalsh call, and make a Schur
+    factorization, a nonsymmetric eigensolve or an SVD raise."""
     callers = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -195,13 +194,37 @@ def test_setup_and_recorded_run_make_one_symmetric_eigensolve(tmp_path, monkeypa
         for name in ("eigvals", "eig", "svd", "svdvals", "schur"):
             if mod is not None and hasattr(mod, name):
                 monkeypatch.setattr(mod, name, forbidden)
+    return callers
+
+
+def test_setup_makes_one_symmetric_eigensolve(monkeypatch):
+    """A run's set-up and the bare uniform_out_weights ->
+    build_contraction_norm(C, p) sequence each make exactly one eigensolve,
+    the build's symmetric one, and no Schur factorization, nonsymmetric
+    eigensolve or SVD."""
     graph = _sparse_graph(160)
+    suite = make_quadratic_suite(160, 3, 10.0, 0.1, 2)
+    callers = _spy_on_eigen_work(monkeypatch)
+    _problem(graph, suite, x0_seed=0)
+    assert callers == ["build_contraction_norm"]
+    callers.clear()
+    mix = uniform_out_weights(graph)
+    build_contraction_norm(mix.C, mix.p)
+    assert callers == ["build_contraction_norm"]
+
+
+def test_setup_and_recorded_run_leave_certificates_unmeasured(tmp_path, monkeypatch):
+    """A run's set-up and one recorded apdsc run take no spectral norm but
+    the build's one symmetric eigensolve, and reading either certificate
+    measures nothing: contraction_norm is rho and projector_norm is 1."""
+    graph = _sparse_graph(160)
+    callers = _spy_on_eigen_work(monkeypatch)
     prob = _problem(graph, make_quadratic_suite(160, 3, 10.0, 0.1, 2), x0_seed=0)
     _run_and_write(prob, [{"name": "apdsc", "params": "auto"}], 60, 1, tmp_path, {})
     assert callers == ["build_contraction_norm"]
-    mix = uniform_out_weights(graph)
-    build_contraction_norm(mix.C, mix.p)
-    assert callers == ["build_contraction_norm"] * 2
+    assert prob.nt.contraction_norm == prob.nt.rho
+    assert prob.nt.projector_norm == 1.0
+    assert callers == ["build_contraction_norm"]
 
 
 @pytest.mark.parametrize("n", [10, 160, 400])
