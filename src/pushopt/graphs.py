@@ -119,21 +119,39 @@ def save_edge_list(g: DirectedGraph, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def _decimal(token: str) -> int | None:
+    """The value of a plain ASCII decimal token, else None."""
+    return int(token) if token.isascii() and token.isdigit() else None
+
+
 def load_edge_list(path) -> DirectedGraph:
-    """Parse the edge-list format written by :func:`save_edge_list`."""
+    """Parse the edge-list format written by :func:`save_edge_list`.
+
+    A malformed line raises ValueError naming the file, the line number in
+    it and the token as written: a node count that is not an integer >= 1,
+    a node that is not an integer in 1..n, or a self-loop.
+    """
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [(k, ln.strip()) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty edge-list file")
-    head = lines[0].split()
+    lineno, first = lines[0]
+    head = first.split()
     if len(head) != 2 or head[0] != "n":
-        raise ValueError(f"{path}: first line must be 'n <count>', got {lines[0]!r}")
-    n = int(head[1])
+        raise ValueError(f"{path}:{lineno}: first line must be 'n <count>', got {first!r}")
+    n = _decimal(head[1])
+    if n is None or n < 1:
+        raise ValueError(f"{path}:{lineno}: node count {head[1]!r} is not an integer >= 1")
     edges = set()
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected 'i j', got {ln!r}")
-        i, j = int(parts[0]) - 1, int(parts[1]) - 1
-        edges.add((i, j))
+        ends = [_decimal(token) for token in parts]
+        for token, node in zip(parts, ends):
+            if node is None or not 1 <= node <= n:
+                raise ValueError(f"{path}:{lineno}: node {token!r} is not an integer in 1..{n}")
+        if ends[0] == ends[1]:
+            raise ValueError(f"{path}:{lineno}: self-loop {ln!r} not allowed")
+        edges.add((ends[0] - 1, ends[1] - 1))
     return DirectedGraph(n=n, edges=frozenset(edges), seed=0)

@@ -28,9 +28,59 @@ def _minus_perron(p: np.ndarray, A: np.ndarray) -> np.ndarray:
     return A - (p / p.shape[0])[:, None]
 
 
-# Where the solvers switch to CSR; measured in MixingMatrix.op's docstring.
-_CSR_MIN_N = 150
-_CSR_MAX_FILL = 1 / 16
+# Where the solvers switch to the in-neighbor gather; measured in
+# MixingMatrix.op's docstring.
+_GATHER_MIN_N = 150
+_GATHER_MAX_FILL = 1 / 16
+_GATHER_MAX_PAD = 4
+
+
+class _InNeighborGather:
+    """C = A diag(c), A a 0/1 matrix, applied as one push-sum round: scale
+    each sender j by its share c[j], then sum over each row's in-neighbors.
+
+    index[s, i] is row i's s-th nonzero column in ascending order, and n,
+    which points at a zero row, past row i's in-degree. `op @ A` takes a
+    vector or an (n, d) stack. Each term c[j] * A[j] is C[i, j] * A[j]
+    exactly, the sum over slots starts at 0.0 and runs in column order, and
+    padding adds +0.0, so every product is bitwise that of a CSR row loop.
+    """
+
+    def __init__(self, index: np.ndarray, c: np.ndarray):
+        self.index = index
+        self.c = c
+
+    def __matmul__(self, A: np.ndarray) -> np.ndarray:
+        n = self.c.shape[0]
+        scaled = np.empty((n + 1,) + A.shape[1:])
+        np.multiply(A, self.c.reshape((n,) + (1,) * (A.ndim - 1)), out=scaled[:n])
+        scaled[n] = 0.0
+        terms = scaled.take(self.index.reshape(-1), axis=0, mode="clip")
+        return terms.reshape(self.index.shape + A.shape[1:]).sum(axis=0, initial=0.0)
+
+
+def _in_neighbor_gather(C: np.ndarray) -> _InNeighborGather | None:
+    """The gather form of C, or None where `MixingMatrix.op` keeps C."""
+    n = C.shape[0]
+    if n < _GATHER_MIN_N:
+        return None
+    rows, cols = np.nonzero(C)  # row-major, so columns ascend within a row
+    nnz = rows.shape[0]
+    if nnz > _GATHER_MAX_FILL * n * n:
+        return None
+    c = C.max(axis=0)
+    if not np.array_equal(C[rows, cols], c[cols]):
+        return None
+    in_deg = np.bincount(rows, minlength=n)
+    m = int(in_deg.max())
+    if m * n > _GATHER_MAX_PAD * nnz:
+        return None
+    slot = np.arange(nnz) - (np.cumsum(in_deg) - in_deg)[rows]
+    index = np.full((m, n), n, dtype=np.intp)
+    index[slot, rows] = cols
+    for a in (index, c):
+        a.flags.writeable = False
+    return _InNeighborGather(index, c)
 
 
 @dataclass(frozen=True)
@@ -44,9 +94,11 @@ class MixingMatrix:
     norm it is measured in, `build_contraction_norm(C, p).rho`.
 
     C is always the dense matrix. The solvers multiply by `op` instead: a
-    read-only scipy CSR copy of C when n >= 150 and at most n^2 / 16 entries
-    are nonzero, so one mixing round costs O(n + |E|) as in the push-sum
-    protocol; C itself otherwise, where dense BLAS is faster.
+    read-only in-neighbor gather of C when n >= 150, at most n^2 / 16
+    entries are nonzero, each column's nonzeros are equal (as
+    `uniform_out_weights` builds them) and the padding stays bounded, so one
+    mixing round costs O(n + |E|) as in the push-sum protocol; C itself
+    otherwise, where dense BLAS is faster.
     """
 
     C: np.ndarray
@@ -64,32 +116,34 @@ class MixingMatrix:
     def op(self):
         """C in the form the solver products use, built on first use.
 
-        A CSR array equal to C entry for entry when n >= 150 and at most
-        n^2 / 16 entries are nonzero, else C. Both support `op @ X` for a
-        vector or an (n, d) stack, but CSR sums each row in a different
-        order, so its products differ from the dense ones in rounding.
+        An in-neighbor gather equal to C entry for entry when n >= 150, at
+        most n^2 / 16 entries are nonzero, every column's nonzeros are equal
+        and the largest in-degree m keeps m n <= 4 nnz; else C. Both support
+        `op @ X` for a vector or an (n, d) stack. The gather sums each row in
+        column order from 0.0, as a CSR product does, so its products differ
+        from the dense ones in rounding but not from CSR's.
 
-        The rule comes from timing C @ X, X of shape (n, 5), with one BLAS
-        thread on a 2-CPU x86-64 host (numpy 2.4, scipy 1.17), dense against
-        CSR, on ring + 3n-link graphs (about 6n nonzeros): n = 20: 2.3 vs
-        8.0 us; n = 96: 6.7 vs 11.0 us; n = 128: 10.1 vs 11.8 us; n = 150:
-        13.5 vs 12.2 us; n = 200: 18.5 vs 11.4 us; n = 400: 78 vs 14 us.
-        Three such products plus C @ v, as in one solver step, cost the
-        same both ways near n = 150-160. Denser graphs favour the dense
-        product: at n = 400 CSR wins at 6.5% nonzero (58 vs 78 us) and
-        loses at 12.8% (108 vs 87 us).
+        Cost of one solver step's products (three with X of shape (n, 5)
+        plus one with v; best of 15, one BLAS thread, 2-CPU x86-64 host,
+        numpy 2.4) on ring + 3n-link graphs, against scipy 1.17 CSR and
+        dense C:
+
+            n       CSR (us)   gather (us)   dense (us)
+            150     28         52-55         36-38
+            400     41-47      116           219
+            1000    78         292-307       3600-4100
+            2000    136-161    540-585       22000-26000
+
+        n >= 150 and the n^2 / 16 fill bound are the rule CSR products
+        had. The gather keeps them although dense is faster near n = 150,
+        so every graph gets the product form, and the bits, it had under
+        CSR. Padding costs as much as nonzeros: at n = 400 with extra links
+        into one node, the gather takes 158-186 us against 213-218 us dense
+        at m n = 4 nnz and 277-293 against 221-223 us at m n = 7.2 nnz,
+        hence the bound of 4.
         """
-        n = self.n
-        if n < _CSR_MIN_N or np.count_nonzero(self.C) > _CSR_MAX_FILL * n * n:
-            return self.C
-        # Imported only here: after `import pushopt.cli` it takes 0.2-0.27 s
-        # and 13.5 MB of peak RSS, which a run with dense products never pays.
-        import scipy.sparse
-
-        op = scipy.sparse.csr_array(self.C)
-        for a in (op.data, op.indices, op.indptr):
-            a.flags.writeable = False
-        return op
+        gather = _in_neighbor_gather(self.C)
+        return self.C if gather is None else gather
 
 
 @dataclass(frozen=True)

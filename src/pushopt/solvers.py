@@ -2,9 +2,9 @@
 
 All solvers share the stacked-iterate layout: X, Y, Z, G are (n, dim) with
 one agent per row, v is the push-sum weight vector, and the mixing matrix
-multiplies from the left, in the form `MixingMatrix.op` picks (CSR on large
-sparse graphs). Each step costs exactly one gradient batch; the
-previous batch is cached on the state.
+multiplies from the left, in the form `MixingMatrix.op` picks (an
+in-neighbor gather on large sparse graphs). Each step costs exactly one
+gradient batch; the previous batch is cached on the state.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from pushopt import (
     uniform_out_weights,
     write_labeled_csv,
 )
-from pushopt.cli import main
+from pushopt.cli import EXIT_CONFIG, main
 from pushopt.diagnostics import _LYAPUNOV, TRACE_COLUMNS
 from pushopt.experiments import ALGORITHMS
 from pushopt.graphs import DirectedGraph
@@ -257,6 +257,21 @@ def test_edge_list_config_round_trip(tmp_path):
     summary, _ = run_experiment(cfg)
     assert summary["resolved"]["n"] == 6
     assert summary["resolved"]["edge_count"] == len(g.edges)
+
+
+@pytest.mark.parametrize("edge, token", [("2 x", "x"), ("0 1", "0")])
+def test_cli_run_names_bad_edge_list_line(tmp_path, capsys, edge, token):
+    """A malformed edge list given as graph.edge_list ends `pushopt run`
+    with the config exit code and one stderr line naming file and line."""
+    (tmp_path / "graph.txt").write_text(f"n 3\n1 2\n{edge}\n", encoding="utf-8")
+    cfg = base_config(tmp_path / "out")
+    cfg["graph"] = {"edge_list": "graph.txt"}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["run", "--config", str(tmp_path / "cfg.json")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'graph.txt'}:3: node {token!r} is not an integer in 1..3\n"
+    )
 
 
 def test_logistic_config(tmp_path):

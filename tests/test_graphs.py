@@ -94,6 +94,28 @@ def test_edge_list_parse_errors(tmp_path):
         load_edge_list(bad)
 
 
+# (file text, line, message after "path:line: "); the blank line in
+# "blank-line" still counts, so the bad edge sits on line 4.
+BAD_EDGE_LISTS = {
+    "count": ("n three\n1 2\n", 1, "node count 'three' is not an integer >= 1"),
+    "zero-count": ("n 0\n", 1, "node count '0' is not an integer >= 1"),
+    "token": ("n 3\n2 x\n", 2, "node 'x' is not an integer in 1..3"),
+    "zero-based": ("n 3\n0 1\n", 2, "node '0' is not an integer in 1..3"),
+    "blank-line": ("n 3\n\n1 2\n3 4\n", 4, "node '4' is not an integer in 1..3"),
+    "self-loop": ("n 3\n2 2\n", 2, "self-loop '2 2' not allowed"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_EDGE_LISTS)
+def test_edge_list_errors_name_file_line_and_token(tmp_path, case):
+    text, line, message = BAD_EDGE_LISTS[case]
+    path = tmp_path / "graph.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_edge_list(path)
+    assert str(info.value) == f"{path}:{line}: {message}"
+
+
 def _reference_cycle_plus_random(n, extra_edges, seed):
     """The generator written with a plain loop over ordered pairs."""
     ring = {(i, (i + 1) % n) for i in range(n)} | {((i + 1) % n, i) for i in range(n)}

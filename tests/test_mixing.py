@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pushopt import (
     DirectedGraph,
+    MixingMatrix,
     build_contraction_norm,
     build_cycle_plus_random,
     make_quadratic_suite,
@@ -15,6 +16,7 @@ from pushopt import (
     uniform_out_weights,
 )
 from pushopt.experiments import _problem, _run_and_write
+from pushopt.mixing import _InNeighborGather
 
 TRIANGLE = DirectedGraph(
     3, frozenset({(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)})
@@ -419,19 +421,114 @@ def test_projector_norm_recorded(small_mixing, small_norm):
 
 
 @pytest.mark.parametrize(
-    "n,extra,csr",
+    "n,extra,gather",
     [(20, 50, False), (160, 2000, False), (160, 480, True), (400, 1200, True)],
 )
-def test_solver_operator_is_csr_only_on_large_sparse_graphs(n, extra, csr):
+def test_solver_operator_is_gather_only_on_large_sparse_graphs(n, extra, gather):
     # (160, 2000) has 2480 nonzeros, above n^2 / 16 = 1600, so it stays dense.
     mix = uniform_out_weights(build_cycle_plus_random(n, extra, 7))
     op = mix.op
     assert op is mix.op
-    if not csr:
+    if not gather:
         assert op is mix.C
         return
-    assert op.format == "csr"
-    assert op.nnz == np.count_nonzero(mix.C)
-    assert np.array_equal(op.toarray(), mix.C)
-    for a in (op.data, op.indices, op.indptr):
+    assert isinstance(op, _InNeighborGather)
+    # Row i gathers its nonzero columns, ascending, then pads with n.
+    assert op.index.shape == (np.count_nonzero(mix.C, axis=1).max(), n)
+    for i, row in enumerate(mix.C):
+        nbrs = np.flatnonzero(row)
+        assert np.array_equal(op.index[: len(nbrs), i], nbrs)
+        assert (op.index[len(nbrs):, i] == n).all()
+    assert np.array_equal(op @ np.eye(n), mix.C)
+    for a in (op.index, op.c):
         assert not a.flags.writeable
+
+
+def _csr_order_product(C, A):
+    """Reference: C @ A as a CSR row loop. Each row starts at 0.0 and adds
+    C[i, j] * A[j] for its nonzero columns j, ascending."""
+    out = np.empty((C.shape[0],) + A.shape[1:])
+    for i, row in enumerate(C):
+        acc = np.zeros(A.shape[1:])
+        for j in np.flatnonzero(row):
+            acc = acc + row[j] * A[j]
+        out[i] = acc
+    return out
+
+
+def _operand(n, d, seed):
+    """A vector (d None) or an (n, d) stack over several decades, with one
+    NaN and one inf entry."""
+    rng = np.random.default_rng(seed)
+    shape = (n,) if d is None else (n, d)
+    A = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, size=shape)
+    A.flat[rng.integers(A.size)] = np.nan
+    A.flat[rng.integers(A.size)] = np.inf
+    return A
+
+
+def _assert_gather_matches_csr_order(op, C, seed, widths=(None, 1, 5, 16)):
+    for d in widths:
+        A = _operand(C.shape[0], d, seed)
+        got = op @ A
+        assert got.shape == A.shape
+        assert np.array_equal(got, _csr_order_product(C, A), equal_nan=True), d
+    # Padding adds +0.0 to a sum that started at +0.0: no -0.0 comes out.
+    assert not np.signbit(op @ np.full((C.shape[0], 2), -0.0)).any()
+
+
+@pytest.mark.parametrize("n", [160, 400])
+def test_gather_bitwise_matches_csr_order_on_reference_graphs(n):
+    mix = uniform_out_weights(_sparse_graph(n))
+    assert isinstance(mix.op, _InNeighborGather)
+    _assert_gather_matches_csr_order(mix.op, mix.C, seed=n)
+
+
+@st.composite
+def _large_sparse_weights(draw):
+    """Uniform out-weights of a random strongly connected digraph on 150-260
+    nodes: a one-way ring in random order plus up to 3n random links. Built
+    directly, as the graph's mixing may be too slow for a Perron vector."""
+    n = draw(st.integers(150, 260))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = rng.permutation(n)
+    A = np.eye(n)
+    A[np.roll(order, -1), order] = 1.0
+    extra = draw(st.integers(0, 3 * n))
+    A[rng.integers(0, n, extra), rng.integers(0, n, extra)] = 1.0
+    return A / A.sum(axis=0), draw(st.integers(0, 2**32 - 1))
+
+
+@given(_large_sparse_weights())
+def test_gather_bitwise_matches_csr_order_on_random_digraphs(case):
+    C, seed = case
+    op = MixingMatrix(C=C, p=np.ones(C.shape[0])).op  # op reads only C
+    assert isinstance(op, _InNeighborGather)
+    _assert_gather_matches_csr_order(op, C, seed, widths=(None, 5))
+
+
+def _non_uniform_column(n):
+    """The ring + 3n-link weights with sender 0's share moved between two of
+    its receivers: still column-stochastic, no longer equal in column 0."""
+    C = uniform_out_weights(_sparse_graph(n)).C.copy()
+    i, k = np.flatnonzero(C[:, 0])[:2]
+    C[i, 0] *= 0.5
+    C[k, 0] += C[i, 0]
+    return C
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: uniform_out_weights(_sparse_graph(140)).C,  # n < 150
+        lambda: uniform_out_weights(build_cycle_plus_random(160, 2000, 7)).C,  # fill
+        lambda: uniform_out_weights(_hub(400)).C,  # in-degree n: m n = 134 nnz
+        lambda: _non_uniform_column(400),
+    ],
+    ids=["small", "dense_fill", "hub", "non_uniform_column"],
+)
+def test_operator_falls_back_to_dense(make):
+    C = make()
+    # op reads only C, so the Perron vector is left out.
+    mix = MixingMatrix(C=C, p=np.ones(C.shape[0]))
+    assert mix.op is C

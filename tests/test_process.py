@@ -31,7 +31,7 @@ from pushopt.cli import main
 out = Path(sys.argv[1])
 def loaded():
     return {
-        "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+        "scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
         "numpy.random": "numpy.random" in sys.modules,
     }
 report = {"import": loaded()}
@@ -51,35 +51,20 @@ print(json.dumps(report))
 """
 
 
-def test_imports_load_no_scipy_linalg(tmp_path):
+def test_imports_load_no_scipy(tmp_path):
     """`import pushopt.cli` loads numpy.random (every run draws from it) and
-    no scipy module; an n = 20 `reproduce` loads none either. An n = 160
-    sparse run loads scipy.sparse for its CSR products, and still not
-    scipy.linalg."""
+    no scipy module; neither an n = 20 `reproduce` nor an n = 160 run on the
+    in-neighbor gather loads one."""
     out = _python(["-c", _IMPORTS_SCRIPT, str(tmp_path)]).stdout
     report = json.loads(out.splitlines()[-1])
-    for stage in ("import", "reproduce"):
+    for stage in ("import", "reproduce", "sparse_run"):
         assert report[stage]["scipy"] == [], stage
         assert report[stage]["numpy.random"], stage
-    sparse = report["sparse_run"]["scipy"]
-    assert "scipy.sparse" in sparse
-    assert not any(m == "scipy.linalg" or m.startswith("scipy.linalg.") for m in sparse)
 
 
-def test_n400_outputs_independent_of_blas_threads(tmp_path):
-    """`pushopt run` on the n = 400 bench config (ring + 1200 links, graph
-    seed 7, objective and x0 seed 11), shortened to 60 iterations, writes
-    byte-identical summary.json and trace CSVs with one BLAS thread and with
-    two."""
-    config = {
-        "graph": {"n": 400, "extra_edges": 1200, "seed": 7},
-        "objective": {
-            "kind": "quadratic", "dim": 5, "kappa": 100.0, "mu_base": 0.01, "seed": 11,
-        },
-        "init": {"x0_seed": 11},
-        "run": {"iterations": 60},
-        "algorithms": [{"name": a, "params": "auto"} for a in ("apd", "apdsc", "pushdiging")],
-    }
+def _assert_outputs_independent_of_blas_threads(tmp_path, config):
+    """`pushopt run` on config writes byte-identical summary.json and trace
+    CSVs with one BLAS thread and with two."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     outputs = {}
@@ -90,7 +75,34 @@ def test_n400_outputs_independent_of_blas_threads(tmp_path):
             threads=threads,
         )
         outputs[threads] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
-    names = ["summary.json"] + [f"trace_{a}.csv" for a in ("apd", "apdsc", "pushdiging")]
+    names = ["summary.json"] + [f"trace_{a['name']}.csv" for a in config["algorithms"]]
     assert sorted(outputs[1]) == sorted(names)
     for name in names:
         assert outputs[1][name] == outputs[2][name], name
+
+
+def test_n400_outputs_independent_of_blas_threads(tmp_path):
+    """Thread-count independence on the n = 400 bench config (ring + 1200
+    links, graph seed 7, objective and x0 seed 11), shortened to 60
+    iterations."""
+    _assert_outputs_independent_of_blas_threads(tmp_path, {
+        "graph": {"n": 400, "extra_edges": 1200, "seed": 7},
+        "objective": {
+            "kind": "quadratic", "dim": 5, "kappa": 100.0, "mu_base": 0.01, "seed": 11,
+        },
+        "init": {"x0_seed": 11},
+        "run": {"iterations": 60},
+        "algorithms": [{"name": a, "params": "auto"} for a in ("apd", "apdsc", "pushdiging")],
+    })
+
+
+def test_n160_outputs_independent_of_blas_threads(tmp_path):
+    """Thread-count independence on the n = 160 ring + 480 links config the
+    import test runs, with all three "auto" solvers and 60 iterations."""
+    _assert_outputs_independent_of_blas_threads(tmp_path, {
+        "graph": {"n": 160, "extra_edges": 480, "seed": 7},
+        "objective": {"kind": "quadratic", "dim": 3, "kappa": 10.0, "mu_base": 0.1, "seed": 2},
+        "init": {"x0_seed": 0},
+        "run": {"iterations": 60},
+        "algorithms": [{"name": a, "params": "auto"} for a in ("apd", "apdsc", "pushdiging")],
+    })
