@@ -29,8 +29,7 @@ long_horizon = build_contraction_norm(mixing.C, mixing.p, 0.875 * (1 - default.r
 for label, nt in (("default", default), ("long-horizon", long_horizon)):
     print(
         f"{label:>13} norm: delta = {nt.delta:.4f}, theta = {nt.theta:.2f}, "
-        f"contraction factor = {nt.contraction_norm:.4f}, "
-        f"projector norm = {nt.projector_norm:.4f}"
+        f"contraction factor = {nt.rho:.4f}"
     )
 
 # decay of the push-sum weights toward the Perron vector, against the bound

@@ -40,18 +40,15 @@ from .solvers import (
     SubgradPushParams,
     TheoryInputs,
     apd_run,
-    apd_step,
     apdsc_run,
-    apdsc_step,
     calibrate_theory_inputs,
     centralized_agm_run,
     default_params_sc,
     default_params_smooth,
     init_state,
     push_diging_run,
-    push_diging_step,
+    run,
     subgradient_push_run,
-    subgradient_push_step,
 )
 from .diagnostics import (
     IdentityMonitor,
@@ -63,8 +60,7 @@ from .diagnostics import (
     fit_linear_rate,
     fit_sublinear_rate,
     iterations_to_threshold,
-    lyapunov_sc,
-    lyapunov_smooth,
+    lyapunov,
     optimality_gap,
 )
 from .experiments import (

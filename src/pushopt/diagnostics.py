@@ -9,7 +9,7 @@ import numpy.random  # loaded at import, not by the first default_rng of a set-u
 
 from .mixing import MixingMatrix, NormTransform
 from .objectives import ObjectiveSuite, global_minimizer
-from .solvers import APDParams, APDSCParams, PushDIGingParams, SolverState, _c3, _c5
+from .solvers import SolverState
 
 __all__ = [
     "RunTrace",
@@ -17,8 +17,7 @@ __all__ = [
     "IdentityMonitor",
     "optimality_gap",
     "consensus_error",
-    "lyapunov_smooth",
-    "lyapunov_sc",
+    "lyapunov",
     "check_inexact_bounds",
     "InexactBoundsReport",
     "fit_sublinear_rate",
@@ -111,34 +110,17 @@ def _sqnorms(A: np.ndarray) -> np.ndarray:
     return (F @ F.transpose(0, 2, 1))[:, 0, 0]
 
 
-def _smooth_coefficients(params: APDParams, k: int, d: float) -> tuple:
-    """(tau_k, Z weight, G weight) of (phi1, phi2)."""
-    return params.tau(k), 6.0 / d**2, _c3(params.pa, d) * params.eta**2 / d**4
-
-
-def _sc_coefficients(params: APDSCParams, k: int, d: float) -> tuple:
-    """(tau, Z weight, G weight) of (phi3, phi4)."""
-    at = params.alpha * params.tau
-    return params.tau, 24.0 / (7.0 * d**2), _c5(at, d) * params.eta**2 / d**4
-
-
-# A Lyapunov pair: its (average, consensus) trace columns and coefficients.
-_SMOOTH_PAIR = ("phi1", "phi2", _smooth_coefficients)
-_SC_PAIR = ("phi3", "phi4", _sc_coefficients)
-# The pair a run records, by params type.
-_LYAPUNOV = {APDParams: _SMOOTH_PAIR, APDSCParams: _SC_PAIR}
-
-
 def _records(p, S, v, lyapunov=None) -> dict:
     """Recorder columns but k and loss of m records: X, Z, G agent-last in
     the first m slots of a (3, B, d, n) stack S, v (m, n).
 
     Agent means are pairwise sums over the contiguous last axis. X, and with
-    lyapunov = (nt, params, pair, ks) also Z and G, are projected off the
-    Perron direction in place as A - p m, m refined once by 1^T (A - p m) / n
-    (near consensus Pi A is small and the plain mean's rounding would rule
-    it). The pair's weighted norms scale the projected stack by the norm's
-    weights, entry by entry, so a record's value is the same in any block.
+    lyapunov = (nt, params, ks) also Z and G, are projected off the Perron
+    direction in place as A - p m, m refined once by 1^T (A - p m) / n (near
+    consensus Pi A is small and the plain mean's rounding would rule it).
+    lyapunov adds params' Lyapunov pair at the records' iterations ks. Its
+    weighted norms scale the projected stack by the norm's weights, entry by
+    entry, so a record's value is the same in any block.
     """
     m = len(v)
     means = S[:, :m].mean(axis=-1, keepdims=True)
@@ -158,10 +140,11 @@ def _records(p, S, v, lyapunov=None) -> dict:
     cols["projection_error"] = np.sqrt(_sqnorms(A[0]))
     if lyapunov is None:
         return cols
-    nt, params, (avg_name, cons_name, coefficients), ks = lyapunov
+    nt, params, ks = lyapunov
+    avg_name, cons_name = params.lyapunov_pair
     d = nt.delta
     # The average part weights xbar and zbar by the decayed push-sum error.
-    coefs = [coefficients(params, k, d) for k in ks]
+    coefs = [params.lyapunov_weights(k, d) for k in ks]
     decay = np.array([(1.0 - d) ** (2 * k) for k in ks])
     z_avg = np.array([(8.0 / d**2) * tau**2 for tau, _, _ in coefs])
     cols[avg_name] = decay * (_sqnorms(xbar) + z_avg * _sqnorms(zbar))
@@ -173,24 +156,17 @@ def _records(p, S, v, lyapunov=None) -> dict:
     return cols
 
 
-def lyapunov_smooth(
-    state: SolverState, k: int, params: APDParams, nt: NormTransform
-) -> tuple:
-    """(phi1, phi2) for the schedule-based solver at iteration k.
+def lyapunov(state: SolverState, k: int, params, nt: NormTransform) -> tuple:
+    """params' Lyapunov pair at iteration k: (phi1, phi2) for APDParams,
+    (phi3, phi4) for APDSCParams.
 
-    phi1 weights the average parts by the decayed push-sum error; phi2
-    combines the weighted-norm consensus errors of X, Z and G.
+    The first weights the average parts by the decayed push-sum error; the
+    second combines the weighted-norm consensus errors of X, Z and G.
     """
-    cols = _records(nt.p, *_one(state), (nt, params, _SMOOTH_PAIR, [k]))
-    return float(cols["phi1"][0]), float(cols["phi2"][0])
-
-
-def lyapunov_sc(
-    state: SolverState, k: int, params: APDSCParams, nt: NormTransform
-) -> tuple:
-    """(phi3, phi4), the constant-coefficient analogues of (phi1, phi2)."""
-    cols = _records(nt.p, *_one(state), (nt, params, _SC_PAIR, [k]))
-    return float(cols["phi3"][0]), float(cols["phi4"][0])
+    if params.lyapunov_pair is None:
+        raise ValueError(f"no Lyapunov pair for {type(params).__name__}")
+    cols = _records(nt.p, *_one(state), (nt, params, [k]))
+    return tuple(float(cols[name][0]) for name in params.lyapunov_pair)
 
 
 @dataclass(frozen=True)
@@ -294,16 +270,16 @@ class TraceRecorder:
     Pass as `hooks=` to any run; the run returns recorder.trace(). The loss
     column is `optimality_gap` of the estimates: exact in float64 when x* is
     given, the plain difference to f* when only f* is. Given a norm
-    transform, the recorder adds the Lyapunov pair of the params type
-    (`_LYAPUNOV`), if it has one. With stride="auto" every iteration is
-    recorded up to k = 10_000 and every 10th beyond.
+    transform, the recorder adds the params' Lyapunov pair
+    (`params.lyapunov_pair`), if it has one. With stride="auto" every
+    iteration is recorded up to k = 10_000 and every 10th beyond.
 
     A call copies X, Z and G agent-last (X.T, ...) into a (3, B, d, n)
     stack, v and the estimate's field into block buffers. Every column is
     evaluated B = 32 records at a time, when a block fills and in trace().
     The loss takes one `gap_values` (or, given only f*, `average_values`)
     call on the block's B n ratio rows; the other columns go through
-    `_records`, the kernel behind `consensus_error` and `lyapunov_*`, so
+    `_records`, the kernel behind `consensus_error` and `lyapunov`, so
     each equals its per-call value bit for bit. It projects off the Perron
     direction in place in O(n d) (a norm transform must carry the mixing's
     Perron vector), and a Lyapunov block scales the projected stack by the
@@ -345,7 +321,7 @@ class TraceRecorder:
         self._v = np.empty((_BLOCK, mixing.n))
         if norm_transform is not None and not np.array_equal(norm_transform.p, mixing.p):
             raise ValueError("norm_transform was built for a different Perron vector")
-        self._lyapunov = None if norm_transform is None else _LYAPUNOV.get(type(params))
+        self._lyapunov = norm_transform is not None and getattr(params, "lyapunov_pair", None)
 
     def _due(self, k: int) -> bool:
         if self.stride == "auto":
@@ -369,9 +345,7 @@ class TraceRecorder:
             return
         v = self._v[: len(self._ks)]
         self._rows["loss"].extend(self._losses(self._est[: len(v)], v).tolist())
-        lyapunov = None
-        if self._lyapunov is not None:
-            lyapunov = (self.nt, self.params, self._lyapunov, self._ks)
+        lyapunov = (self.nt, self.params, self._ks) if self._lyapunov else None
         for name, vals in _records(self.mixing.p, self._stack, v, lyapunov).items():
             self._rows[name].extend(vals.tolist())
         self._ks = []
@@ -399,41 +373,28 @@ class TraceRecorder:
         return RunTrace(label=self.label, **cols)
 
 
-def _apd_identity(params: APDParams, k: int) -> tuple:
-    return params.tau(k), 0.0, params.alpha(k) * params.eta
-
-
-def _apdsc_identity(params: APDSCParams, k: int) -> tuple:
-    return params.tau, params.beta, params.alpha * params.eta
-
-
-# The average-iterate identities by params type. An accelerated method gives
-# (tau_k, beta, alpha_k eta): xbar = (1 - tau_k) ybar + tau_k zbar, and
-# zbar_{k+1} = (1 - beta) zbar_k + beta xbar_k - alpha_k eta gbar_k (APD has
-# beta = 0). Push-DIGing has no Y/Z recursion (None).
-_IDENTITIES = {APDParams: _apd_identity, APDSCParams: _apdsc_identity, PushDIGingParams: None}
-
-
 class IdentityMonitor:
     """Hook that tracks the worst residuals of the exact average-iterate
     identities along a run.
 
-    The params type selects the identities (`_IDENTITIES`). Every run
-    conserves push-sum mass, tracks the gradient average and steps its
-    estimate as ybar_{k+1} = xbar_k - eta gbar_k, reported as "ybar", or as
-    "xbar" for Push-DIGing, whose Y is its X. The accelerated methods add
-    the zbar step and the coupling of xbar to ybar and zbar, at each state
-    ("coupling") and along each step ("xbar"). Residuals are normalized by
-    1 + the norms of the terms entering each identity, so the recorded
-    maxima are directly comparable against a tolerance.
+    The params select the identities; params that do not track the
+    gradient average (`tracks_gradient`) have none. Every run conserves
+    push-sum mass, tracks the gradient average and steps its estimate as
+    ybar_{k+1} = xbar_k - eta gbar_k, reported as "ybar", or as "xbar" for
+    params without a Y/Z recursion (`average_step` None), whose Y is X.
+    With `average_step` the zbar step and the coupling of xbar to ybar and
+    zbar are checked too, at each state ("coupling") and along each step
+    ("xbar"). Residuals are normalized by 1 + the norms of the terms
+    entering each identity, so the recorded maxima are directly comparable
+    against a tolerance.
     """
 
     def __init__(self, mixing: MixingMatrix, params):
-        if type(params) not in _IDENTITIES:
+        if not getattr(params, "tracks_gradient", False):
             raise ValueError(f"no average-iterate identities for {type(params).__name__}")
         self.n = mixing.n
         self.params = params
-        self._identity = _IDENTITIES[type(params)]
+        self._average_step = params.average_step
         self._prev = None  # (k, xbar, zbar, gbar) of the last state
         self._worst = dict.fromkeys(("mass", "tracking", "ybar", "zbar", "xbar", "coupling"), 0.0)
 
@@ -451,8 +412,8 @@ class IdentityMonitor:
         self._note("mass", abs(float(state.v.sum()) - self.n), 1.0)
         self._note("tracking", nrm(gbar - gbar_true), 1.0 + nrm(gbar_true))
         prev, self._prev = self._prev, (state.k, xbar, zbar, gbar)
-        if self._identity is not None:
-            tau = self._identity(self.params, state.k)[0]
+        if self._average_step is not None:
+            tau = self._average_step(state.k)[0]
             coef = (1.0 - tau) / tau
             res = nrm((xbar - zbar) - coef * (ybar - xbar))
             scale = 1.0 + nrm(xbar) + nrm(zbar) + coef * (nrm(ybar) + nrm(xbar))
@@ -462,11 +423,11 @@ class IdentityMonitor:
         k0, xbar0, zbar0, gbar0 = prev
         eta = self.params.eta
         step = nrm(ybar - (xbar0 - eta * gbar0)), 1.0 + nrm(xbar0) + eta * nrm(gbar0)
-        if self._identity is None:
+        if self._average_step is None:
             self._note("xbar", *step)
             return
         self._note("ybar", *step)
-        _, beta, gain = self._identity(self.params, k0)
+        _, beta, gain = self._average_step(k0)
         res = nrm(zbar - ((1.0 - beta) * zbar0 + beta * xbar0 - gain * gbar0))
         scale = 1.0 + nrm(zbar0) + (nrm(xbar0) if beta else 0.0) + gain * nrm(gbar0)
         self._note("zbar", res, scale)

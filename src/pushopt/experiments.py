@@ -8,7 +8,6 @@ from contextlib import suppress
 from dataclasses import dataclass, fields
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable
 
 import numpy as np
 import numpy.random  # loaded at import, not by the first default_rng of a set-up
@@ -38,13 +37,8 @@ from .solvers import (
     DivergenceError,
     PushDIGingParams,
     SubgradPushParams,
-    apd_run,
-    apdsc_run,
     calibrate_theory_inputs,
-    default_params_sc,
-    default_params_smooth,
-    push_diging_run,
-    subgradient_push_run,
+    run,
 )
 
 __all__ = [
@@ -64,50 +58,13 @@ class ConfigError(ValueError):
     """The experiment configuration is invalid."""
 
 
-@dataclass(frozen=True)
-class _Algorithm:
-    """How the runner resolves, runs and records one algorithm.
-
-    An explicit params table holds the fields of params_type other than K.
-    defaults(suite, nt, K, mode=, theory=) gives the "auto" params, and the
-    "theoretical" ones when theoretical is set; run(X0, v0, mixing, suite,
-    params, hooks) returns (output, trace). What the recorder and the
-    identity monitor compute for a run follows from params_type.
-    """
-
-    params_type: type
-    defaults: Callable
-    run: Callable
-    theoretical: bool = False
-    strongly_convex: bool = False
-
-
+# Each algorithm by its config name: its params type describes it (solvers.py).
+# An explicit params table holds the type's fields other than K.
 ALGORITHMS = {
-    "apd": _Algorithm(
-        APDParams,
-        defaults=lambda suite, nt, K, **mode: default_params_smooth(suite.L, K=K, **mode),
-        run=apd_run,
-        theoretical=True,
-    ),
-    "apdsc": _Algorithm(
-        APDSCParams,
-        defaults=lambda suite, nt, K, **mode: default_params_sc(
-            suite.L, suite.mu, K=K, delta=nt.delta, **mode
-        ),
-        run=apdsc_run,
-        theoretical=True,
-        strongly_convex=True,
-    ),
-    "pushdiging": _Algorithm(
-        PushDIGingParams,
-        defaults=lambda suite, nt, K: PushDIGingParams(eta=0.3 / suite.L, K=K),
-        run=lambda X0, v0, m, s, p, h: push_diging_run(X0, v0, m, s, p.eta, p.K, h),
-    ),
-    "subgradpush": _Algorithm(
-        SubgradPushParams,
-        defaults=lambda suite, nt, K: SubgradPushParams(step_c=0.18, K=K),
-        run=lambda X0, v0, m, s, p, h: subgradient_push_run(X0, v0, m, s, p.step_c, p.K, h),
-    ),
+    "apd": APDParams,
+    "apdsc": APDSCParams,
+    "pushdiging": PushDIGingParams,
+    "subgradpush": SubgradPushParams,
 }
 
 
@@ -148,16 +105,16 @@ class ExperimentConfig:
             graph = dict(raw["graph"])
             objective = dict(raw["objective"])
             algorithms = [dict(a) for a in raw["algorithms"]]
-            run = dict(raw.get("run", {}))
+            run_section = dict(raw.get("run", {}))
             init = dict(raw.get("init", {}))
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"missing or malformed config section: {exc}") from None
         if not algorithms:
             raise ConfigError("need at least one algorithm")
-        iterations = run.get("iterations", 1000)
+        iterations = run_section.get("iterations", 1000)
         if not _is_int(iterations):
             raise ConfigError(f"iterations must be a positive integer, got {iterations!r}")
-        stride = run.get("record_stride", "auto")
+        stride = run_section.get("record_stride", "auto")
         if stride != "auto" and not _is_int(stride):
             raise ConfigError(
                 f'record_stride must be a positive integer or "auto", got {stride!r}'
@@ -207,7 +164,7 @@ class ExperimentConfig:
             iterations=iterations,
             x0_seed=int(init.get("x0_seed", 0)),
             record_stride=stride,
-            out_dir=str(run.get("out_dir", "results")),
+            out_dir=str(run_section.get("out_dir", "results")),
         )
 
 
@@ -249,7 +206,7 @@ def _explicit_params(name: str, table, K: int):
     for key, value in table.items():
         _check_number(f"{name} params.{key}", value)
     try:
-        return ALGORITHMS[name].params_type(K=K, **{k: float(v) for k, v in table.items()})
+        return ALGORITHMS[name](K=K, **{k: float(v) for k, v in table.items()})
     except (TypeError, ValueError) as exc:  # unknown, missing or out-of-range keys
         raise ConfigError(f"{name} params: {exc}") from None
 
@@ -280,14 +237,14 @@ def _build_suite(cfg: dict, n: int):
 def _resolve_params(alg: dict, prob, K: int):
     """Turn an algorithm config entry into concrete runnable parameters."""
     name, params = alg["name"], alg["params"]
-    spec = ALGORITHMS[name]
-    if spec.strongly_convex and prob.suite.mu <= 0:
+    method = ALGORITHMS[name]
+    if method.strongly_convex and prob.suite.mu <= 0:
         raise ConfigError(f"{name} needs a strongly convex suite (mu > 0)")
     if params == "auto":
-        return spec.defaults(prob.suite, prob.nt, K)
+        return method.auto(prob.suite, prob.nt, K)
     if params == "theoretical":
         theory = calibrate_theory_inputs(prob.mixing, prob.nt, prob.v0)
-        return spec.defaults(prob.suite, prob.nt, K, mode="theoretical", theory=theory)
+        return method.auto(prob.suite, prob.nt, K, mode="theoretical", theory=theory)
     return _explicit_params(name, params, K)
 
 
@@ -346,7 +303,6 @@ def _run_and_write(prob, algorithms, K, stride, out: Path, summary: dict, finish
         summary["algorithms"] = {}
         traces = {}
         for name, params in plan:
-            spec = ALGORITHMS[name]
             recorder = TraceRecorder(
                 prob.suite,
                 prob.mixing,
@@ -357,7 +313,7 @@ def _run_and_write(prob, algorithms, K, stride, out: Path, summary: dict, finish
                 label=name,
             )
             try:
-                _, trace = spec.run(prob.X0, prob.v0, prob.mixing, prob.suite, params, recorder)
+                _, trace = run(prob.X0, prob.v0, prob.mixing, prob.suite, params, recorder)
             except DivergenceError as exc:
                 exc.algorithm = name
                 raise

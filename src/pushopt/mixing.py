@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -157,9 +157,9 @@ class NormTransform:
     C - p 1^T / n is ||D^-1/2 (C - p 1^T / n) D^1/2||_2, D = diag(p); rho is
     an upper bound of it on a 2^-32 grid, below 1 and at most about 3e-9
     above it at n = 400 (see `build_contraction_norm`), and delta =
-    1 - rho - epsilon. Applying the norm costs O(n) per vector, O(n d) per
-    stack. C is the mixing matrix the norm was built for (the caller's
-    array, not a copy).
+    1 - rho - epsilon. The induced norm of I - p 1^T / n is 1: it maps to
+    I - u u^T with u = sqrt(p / n), an orthogonal projector as sum(p) = n.
+    Applying the norm costs O(n) per vector, O(n d) per stack.
     """
 
     w: np.ndarray
@@ -167,28 +167,12 @@ class NormTransform:
     delta: float
     theta: float
     p: np.ndarray
-    C: np.ndarray = field(repr=False)
 
     @property
     def Ctilde(self) -> np.ndarray:
         """The norm's matrix, diag(w): ||x|| = ||Ctilde x||_2. A new n-by-n
         array on each read; the library itself scales by w."""
         return np.diag(self.w)
-
-    @property
-    def contraction_norm(self) -> float:
-        """||Ctilde (C - p 1^T / n) Ctilde^{-1}||_2, bounded from above: rho."""
-        return self.rho
-
-    @property
-    def projector_norm(self) -> float:
-        """||Ctilde (I - p 1^T / n) Ctilde^{-1}||_2 = 1.
-
-        The map is I - u u^T with u = sqrt(p / n), whose eigenvalues are 1
-        and 1 - ||u||^2 = 1 - sum(p) / n, which is 0 up to rounding: an
-        orthogonal projector.
-        """
-        return 1.0
 
     def vec_norm(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(self.w * x))
@@ -323,5 +307,4 @@ def build_contraction_norm(
         delta=1.0 - rho - epsilon,
         theta=float(np.sqrt(p.max() / p_min)),
         p=p.copy(),
-        C=C,
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -91,28 +92,40 @@ def standardize_features(data: LabeledDataset) -> LabeledDataset:
 def load_labeled_csv(path) -> LabeledDataset:
     """Read comma-separated rows of d real features followed by a 0/1 class token.
 
-    Class 0 maps to label -1 and class 1 to +1. Lines whose first field is
-    not numeric are treated as headers and skipped.
+    Class 0 maps to label -1 and class 1 to +1. The first non-empty line is
+    a header, and skipped, when its first field is not a number. Any other
+    field that is not a finite number raises ValueError naming the line and
+    the (1-based) column.
     """
     text = Path(path).read_text(encoding="utf-8")
     rows = []
     labels = []
     width = None
+    first = True
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         fields = line.split(",")
-        try:
-            float(fields[0])
-        except ValueError:
-            continue  # header line
+        if first:
+            first = False
+            try:
+                float(fields[0])
+            except ValueError:
+                continue  # header line
         if len(fields) < 2:
             raise ValueError(f"{path}:{lineno}: need at least one feature and a class")
-        try:
-            values = [float(f) for f in fields]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from None
+        values = []
+        for col, field in enumerate(fields, start=1):
+            try:
+                value = float(field)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{path}:{lineno}: column {col}: {field.strip()!r} is not a finite number"
+                )
+            values.append(value)
         if width is None:
             width = len(fields)
         elif len(fields) != width:
@@ -163,10 +176,10 @@ def synthetic_logistic_dataset(
 class ObjectiveSuite:
     """n per-agent convex functions with certified constants L and mu.
 
-    Subclasses provide per-agent values/gradients, the average objective with
-    its gradient and Hessian, and `gap_values`, which measures f(row) - f(x*)
-    in float64 from the displacement row - x*, so that gaps far below the
-    resolution of f itself stay accurate.
+    Subclasses provide per-agent values/gradients and their stacked batch,
+    the average objective with its gradient and Hessian, and `gap_values`,
+    which measures f(row) - f(x*) in float64 from the displacement row - x*,
+    so that gaps far below the resolution of f itself stay accurate.
     """
 
     def __init__(self, n: int, dim: int, L: float, mu: float):
@@ -187,7 +200,7 @@ class ObjectiveSuite:
 
     def batch_grad(self, U: np.ndarray) -> np.ndarray:
         """Stacked gradients; row i is agent i's gradient at U[i]."""
-        return np.stack([self.grad(i, U[i]) for i in range(self.n)])
+        raise NotImplementedError
 
     def average_value(self, x: np.ndarray):
         return self.average_values(x[None, :])[0]
@@ -197,10 +210,8 @@ class ObjectiveSuite:
         raise NotImplementedError
 
     def average_grad(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x)
-        for i in range(self.n):
-            out = out + self.grad(i, x)
-        return out / self.n
+        """Gradient of the average objective at x."""
+        raise NotImplementedError
 
     def average_hessian(self, x: np.ndarray) -> np.ndarray:
         """(dim, dim) Hessian of the average objective at x."""

@@ -5,6 +5,10 @@ one agent per row, v is the push-sum weight vector, and the mixing matrix
 multiplies from the left, in the form `MixingMatrix.op` picks (an
 in-neighbor gather on large sparse graphs). Each step costs exactly one
 gradient batch; the previous batch is cached on the state.
+
+Each params type is the one description of its algorithm: its step, its
+"auto" defaults and what the diagnostics compute for it (see `_Method`).
+`run` drives any of them.
 """
 
 from __future__ import annotations
@@ -25,13 +29,10 @@ __all__ = [
     "SolverState",
     "TheoryInputs",
     "init_state",
-    "apd_step",
+    "run",
     "apd_run",
-    "apdsc_step",
     "apdsc_run",
-    "push_diging_step",
     "push_diging_run",
-    "subgradient_push_step",
     "subgradient_push_run",
     "centralized_agm_run",
     "AGMTrace",
@@ -58,8 +59,35 @@ class DivergenceError(RuntimeError):
         return msg if self.algorithm is None else f"{self.algorithm}: {msg}"
 
 
+class _Method:
+    """What every params type describes besides its fields: one algorithm.
+
+    `step(state, mixing, suite)` advances a state by one iteration, and the
+    classmethod `auto(suite, nt, K)` gives the practical defaults. The class
+    attributes say what else the algorithm defines; this base holds the
+    baselines' values:
+    - theoretical: `auto` also takes mode="theoretical" and theory=;
+    - strongly_convex: it needs a suite with mu > 0;
+    - lyapunov_pair: the trace columns (average, consensus) of its Lyapunov
+      pair, with `lyapunov_weights(k, delta)` giving (tau_k, Z weight,
+      G weight) of that pair; None for no pair;
+    - average_step: `average_step(k)` gives (tau_k, beta, alpha_k eta) of
+      its average-iterate recursion, xbar = (1 - tau_k) ybar + tau_k zbar
+      and zbar_{k+1} = (1 - beta) zbar_k + beta xbar_k - alpha_k eta gbar_k;
+      None where it has no Y/Z recursion;
+    - tracks_gradient: G tracks the gradient average, so the exact
+      average-iterate identities hold.
+    """
+
+    theoretical = False
+    strongly_convex = False
+    lyapunov_pair = None
+    average_step = None
+    tracks_gradient = True
+
+
 @dataclass(frozen=True)
-class APDParams:
+class APDParams(_Method):
     """Parameters of the accelerated solver for smooth convex objectives.
 
     Schedules: tau_k = wb / (1 + wa k), alpha_k = pa / tau_k.
@@ -70,6 +98,9 @@ class APDParams:
     wa: float = 0.25
     wb: float = 1.0
     K: int = 1000
+
+    theoretical = True
+    lyapunov_pair = ("phi1", "phi2")
 
     def __post_init__(self):
         if self.eta <= 0:
@@ -89,9 +120,24 @@ class APDParams:
     def alpha(self, k: int) -> float:
         return self.pa / self.tau(k)
 
+    @classmethod
+    def auto(cls, suite, nt, K: int, **mode) -> APDParams:
+        return default_params_smooth(suite.L, K=K, **mode)
+
+    def step(self, state, mixing, suite) -> SolverState:
+        """One accelerated gradient-tracking step with the time-varying schedule."""
+        Zmix = state.Z - (self.alpha(state.k) * self.eta) * state.G
+        return _accelerated_step(state, mixing, suite, self.eta, Zmix, self.tau(state.k + 1))
+
+    def lyapunov_weights(self, k: int, d: float) -> tuple:
+        return self.tau(k), 6.0 / d**2, _c3(self.pa, d) * self.eta**2 / d**4
+
+    def average_step(self, k: int) -> tuple:
+        return self.tau(k), 0.0, self.alpha(k) * self.eta
+
 
 @dataclass(frozen=True)
-class APDSCParams:
+class APDSCParams(_Method):
     """Parameters of the accelerated solver for strongly convex objectives."""
 
     eta: float
@@ -99,6 +145,10 @@ class APDSCParams:
     beta: float
     tau: float
     K: int = 1000
+
+    theoretical = True
+    strongly_convex = True
+    lyapunov_pair = ("phi3", "phi4")
 
     def __post_init__(self):
         if self.eta <= 0:
@@ -110,10 +160,30 @@ class APDSCParams:
         if self.K < 0:
             raise ValueError("K must be nonnegative")
 
+    @classmethod
+    def auto(cls, suite, nt, K: int, **mode) -> APDSCParams:
+        return default_params_sc(suite.L, suite.mu, K=K, delta=nt.delta, **mode)
+
+    def step(self, state, mixing, suite) -> SolverState:
+        """One accelerated gradient-tracking step with constant coefficients."""
+        b = self.beta
+        Zmix = (1.0 - b) * state.Z + b * state.X - (self.alpha * self.eta) * state.G
+        return _accelerated_step(state, mixing, suite, self.eta, Zmix, self.tau)
+
+    def lyapunov_weights(self, k: int, d: float) -> tuple:
+        at = self.alpha * self.tau
+        return self.tau, 24.0 / (7.0 * d**2), _c5(at, d) * self.eta**2 / d**4
+
+    def average_step(self, k: int) -> tuple:
+        return self.tau, self.beta, self.alpha * self.eta
+
 
 @dataclass(frozen=True)
-class PushDIGingParams:
-    """Parameters of push-sum gradient tracking with a constant stepsize."""
+class PushDIGingParams(_Method):
+    """Push-sum gradient tracking with a constant stepsize.
+
+    The Y/Z fields of the state mirror X, so its estimate is x_i / v_i.
+    """
 
     eta: float
     K: int = 1000
@@ -124,19 +194,51 @@ class PushDIGingParams:
         if self.K < 0:
             raise ValueError("K must be nonnegative")
 
+    @classmethod
+    def auto(cls, suite, nt, K: int) -> PushDIGingParams:
+        return cls(eta=0.3 / suite.L, K=K)
+
+    def step(self, state, mixing, suite) -> SolverState:
+        C = mixing.op
+        v1 = C @ state.v
+        X1 = C @ (state.X - self.eta * state.G)
+        gU1 = suite.batch_grad(X1 / v1[:, None])
+        G1 = C @ state.G + gU1 - state.grad_U
+        return _advance(state, X1, X1, X1, G1, v1, gU1)
+
 
 @dataclass(frozen=True)
-class SubgradPushParams:
-    """Parameters of push-sum gradient descent with stepsize step_c / sqrt(k + 1)."""
+class SubgradPushParams(_Method):
+    """Push-sum gradient descent with stepsize step_c / sqrt(k + 1).
+
+    The gradient is applied after mixing: X <- C X - eta_k grad F(V^{-1} X),
+    with the schedule 1-based so the first step is well defined. The G field
+    of the state is the current raw gradient batch, so no gradient average
+    is tracked.
+    """
 
     step_c: float
     K: int = 1000
+
+    tracks_gradient = False
 
     def __post_init__(self):
         if self.step_c <= 0:
             raise ValueError("step_c must be positive")
         if self.K < 0:
             raise ValueError("K must be nonnegative")
+
+    @classmethod
+    def auto(cls, suite, nt, K: int) -> SubgradPushParams:
+        return cls(step_c=0.18, K=K)
+
+    def step(self, state, mixing, suite) -> SolverState:
+        C = mixing.op
+        eta_k = self.step_c / np.sqrt(state.k + 1.0)
+        v1 = C @ state.v
+        X1 = C @ state.X - eta_k * state.grad_U
+        gU1 = suite.batch_grad(X1 / v1[:, None])
+        return _advance(state, X1, X1, X1, gU1, v1, gU1)
 
 
 @dataclass(frozen=True)
@@ -228,98 +330,37 @@ def _accelerated_step(state, mixing, suite, eta: float, Zmix, tau: float) -> Sol
     return _advance(state, X1, Y1, Z1, G1, v1, gU1)
 
 
-def apd_step(
-    state: SolverState,
-    mixing: MixingMatrix,
-    suite: ObjectiveSuite,
-    params: APDParams,
-) -> SolverState:
-    """One accelerated gradient-tracking step with the time-varying schedule."""
-    Zmix = state.Z - (params.alpha(state.k) * params.eta) * state.G
-    return _accelerated_step(state, mixing, suite, params.eta, Zmix, params.tau(state.k + 1))
+def run(X0, v0, mixing, suite, params, hooks=None):
+    """Run params.K steps of params' algorithm, calling hooks on every state.
 
-
-def apdsc_step(
-    state: SolverState,
-    mixing: MixingMatrix,
-    suite: ObjectiveSuite,
-    params: APDSCParams,
-) -> SolverState:
-    """One accelerated gradient-tracking step with constant coefficients."""
-    b = params.beta
-    Zmix = (1.0 - b) * state.Z + b * state.X - (params.alpha * params.eta) * state.G
-    return _accelerated_step(state, mixing, suite, params.eta, Zmix, params.tau)
-
-
-def push_diging_step(state, mixing, suite, params: PushDIGingParams) -> SolverState:
-    """One push-sum gradient-tracking step with a constant stepsize."""
-    C = mixing.op
-    v1 = C @ state.v
-    X1 = C @ (state.X - params.eta * state.G)
-    gU1 = suite.batch_grad(X1 / v1[:, None])
-    G1 = C @ state.G + gU1 - state.grad_U
-    return _advance(state, X1, X1, X1, G1, v1, gU1)
-
-
-def subgradient_push_step(state, mixing, suite, params: SubgradPushParams) -> SolverState:
-    """One push-sum gradient step with stepsize step_c / sqrt(k + 1)."""
-    C = mixing.op
-    eta_k = params.step_c / np.sqrt(state.k + 1.0)
-    v1 = C @ state.v
-    X1 = C @ state.X - eta_k * state.grad_U
-    gU1 = suite.batch_grad(X1 / v1[:, None])
-    return _advance(state, X1, X1, X1, gU1, v1, gU1)
-
-
-def _drive(step, params, X0, v0, mixing, suite, hooks):
-    """Run params.K steps, calling hooks on every state; return (V^-1 Y, trace).
-
-    Steps and hooks run with numpy's overflow, invalid and divide warnings
-    off: `_advance` turns every non-finite iterate into DivergenceError, and
-    a diagnostic that overflows on the way there is recorded as inf."""
+    Returns (output, trace): output row i is agent i's estimate y_i / v_i,
+    and trace is hooks.trace() when the hook provides one. Steps and hooks
+    run with numpy's overflow, invalid and divide warnings off: `_advance`
+    turns every non-finite iterate into DivergenceError, and a diagnostic
+    that overflows on the way there is recorded as inf.
+    """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         state = init_state(X0, v0, suite)
         if hooks is not None:
             hooks(state)
         for _ in range(params.K):
-            state = step(state, mixing, suite, params)
+            state = params.step(state, mixing, suite)
             if hooks is not None:
                 hooks(state)
         return state.ratio(), hooks.trace() if hasattr(hooks, "trace") else None
 
 
-def apd_run(X0, v0, mixing, suite, params: APDParams, hooks=None):
-    """Run the schedule-based accelerated solver for params.K steps.
-
-    Returns (output, trace) where output row i is agent i's estimate
-    y_i / v_i and trace is hooks.trace() when the hook provides one.
-    """
-    return _drive(apd_step, params, X0, v0, mixing, suite, hooks)
-
-
-def apdsc_run(X0, v0, mixing, suite, params: APDSCParams, hooks=None):
-    """Run the constant-coefficient accelerated solver for params.K steps."""
-    return _drive(apdsc_step, params, X0, v0, mixing, suite, hooks)
+# The per-algorithm run names bench/child.py calls; ROADMAP item 1 moves it
+# to `run` and deletes them.
+apd_run = apdsc_run = run
 
 
 def push_diging_run(X0, v0, mixing, suite, eta: float, K: int, hooks=None):
-    """Gradient tracking with push-sum weights and a constant stepsize.
-
-    The Y/Z fields of the state mirror X so trace handling is uniform
-    across solvers. Output rows are x_i / v_i.
-    """
-    return _drive(push_diging_step, PushDIGingParams(eta, K), X0, v0, mixing, suite, hooks)
+    return run(X0, v0, mixing, suite, PushDIGingParams(eta, K), hooks)
 
 
 def subgradient_push_run(X0, v0, mixing, suite, step_c: float, K: int, hooks=None):
-    """Push-sum gradient descent with the diminishing schedule c / sqrt(k+1).
-
-    The gradient is applied after mixing: X <- C X - eta_k grad F(V^{-1} X),
-    with the schedule 1-based so the first step is well defined. The G field
-    of the state mirrors the current raw gradient batch.
-    """
-    params = SubgradPushParams(step_c, K)
-    return _drive(subgradient_push_step, params, X0, v0, mixing, suite, hooks)
+    return run(X0, v0, mixing, suite, SubgradPushParams(step_c, K), hooks)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from pushopt import (
     default_params_smooth,
     fit_sublinear_rate,
     iterations_to_threshold,
-    lyapunov_sc,
+    lyapunov,
     make_logistic_suite,
     make_quadratic_suite,
     push_diging_run,
@@ -317,8 +317,8 @@ def test_criterion_09_lyapunov_recursion():
     c5 = (8.0 / 7.0) * (1.5 * d + 6.0 * at**2 * d + 48.0 * at**2 / 7.0)
     worst = np.inf
     for k in range(K - 1):  # boundary iteration K-1 excluded
-        phi4_k = lyapunov_sc(states[k], k, params, nt)[1]
-        phi4_k1 = lyapunov_sc(states[k + 1], k + 1, params, nt)[1]
+        phi4_k = lyapunov(states[k], k, params, nt)[1]
+        phi4_k1 = lyapunov(states[k + 1], k + 1, params, nt)[1]
         force = float(np.linalg.norm(states[k + 1].grad_U - states[k].grad_U) ** 2)
         rhs = (1.0 - d / 8.0) * phi4_k + (c5 * params.eta**2 / d**5) * force
         worst = min(worst, (rhs - phi4_k1) / (1.0 + abs(rhs) + abs(phi4_k1)))

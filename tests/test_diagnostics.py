@@ -23,8 +23,7 @@ from pushopt import (
     global_minimizer,
     init_state,
     iterations_to_threshold,
-    lyapunov_sc,
-    lyapunov_smooth,
+    lyapunov,
     make_logistic_suite,
     make_quadratic_suite,
     optimality_gap,
@@ -125,20 +124,20 @@ def test_lyapunov_zero_cases(small_mixing, small_norm):
     X = rng.standard_normal((n, 3))
     X -= X.mean(axis=0)  # zero row-average
     st = _state(X, X, X.copy(), rng.standard_normal((n, 3)), np.ones(n))
-    phi1, _ = lyapunov_smooth(st, 3, params, small_norm)
+    phi1, _ = lyapunov(st, 3, params, small_norm)
     assert phi1 <= 1e-24
     # X = Z = p c^T and G aligned with p -> phi2 = 0
     c = np.array([1.0, -2.0, 0.3])
     Xp = np.outer(p, c)
     Gp = np.outer(p, np.array([0.1, 0.2, -0.5]))
     st = _state(Xp, Xp, Xp.copy(), Gp, np.ones(n))
-    _, phi2 = lyapunov_smooth(st, 0, params, small_norm)
+    _, phi2 = lyapunov(st, 0, params, small_norm)
     assert phi2 <= 1e-20
     params_sc = APDSCParams(eta=0.1, alpha=2.0, beta=0.05, tau=0.1, K=10)
-    phi3, phi4 = lyapunov_sc(st, 0, params_sc, small_norm)
+    phi3, phi4 = lyapunov(st, 0, params_sc, small_norm)
     assert phi4 <= 1e-20
     st0 = _state(zero, zero, zero, Gp, np.ones(n))
-    assert lyapunov_sc(st0, 2, params_sc, small_norm)[0] == 0.0
+    assert lyapunov(st0, 2, params_sc, small_norm)[0] == 0.0
 
 
 def test_lyapunov_against_independent_formula(small_mixing, small_norm):
@@ -149,7 +148,7 @@ def test_lyapunov_against_independent_formula(small_mixing, small_norm):
     v *= n / v.sum()
     st = _state(X, Y, Z, G, v, k=7)
     params = APDParams(eta=0.05, pa=0.3, wa=0.2, wb=0.9, K=10)
-    phi1, phi2 = lyapunov_smooth(st, 7, params, small_norm)
+    phi1, phi2 = lyapunov(st, 7, params, small_norm)
 
     # independent re-evaluation
     d = small_norm.delta
@@ -165,7 +164,7 @@ def test_lyapunov_against_independent_formula(small_mixing, small_norm):
     assert phi2 == pytest.approx(ref2, rel=1e-10)
 
     params_sc = APDSCParams(eta=0.05, alpha=2.0, beta=0.05, tau=0.1, K=10)
-    phi3, phi4 = lyapunov_sc(st, 7, params_sc, small_norm)
+    phi3, phi4 = lyapunov(st, 7, params_sc, small_norm)
     ref3 = (1 - d) ** 14 * (xbar @ xbar + 8 / d**2 * 0.1**2 * (zbar @ zbar))
     at = 0.2
     c5 = 8 / 7 * (1.5 * d + 6 * at**2 * d + 48 * at**2 / 7)
@@ -303,7 +302,7 @@ def test_trace_recorder_accepts_reference_value_only(small_mixing, small_suite, 
 
 def _oracle_rows(states, suite, mixing, xstar, params, nt, estimate):
     """Recorder columns from the public per-call functions, one state at a
-    time: `consensus_error` and `lyapunov_smooth`/`lyapunov_sc`."""
+    time: `consensus_error` and `lyapunov`."""
     rows = {name: [] for name in TRACE_COLUMNS}
     for s in states:
         rows["k"].append(s.k)
@@ -317,12 +316,8 @@ def _oracle_rows(states, suite, mixing, xstar, params, nt, estimate):
         rows["v_min"].append(float(s.v.min()))
         if nt is None:
             continue
-        if isinstance(params, APDParams):
-            names, phis = ("phi1", "phi2"), lyapunov_smooth(s, s.k, params, nt)
-        else:
-            names, phis = ("phi3", "phi4"), lyapunov_sc(s, s.k, params, nt)
-        rows[names[0]].append(phis[0])
-        rows[names[1]].append(phis[1])
+        for name, phi in zip(params.lyapunov_pair, lyapunov(s, s.k, params, nt)):
+            rows[name].append(phi)
     return rows
 
 

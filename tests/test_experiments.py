@@ -21,6 +21,7 @@ from pushopt import (
     make_quadratic_suite,
     read_trace_csv,
     reproduce_paper_experiment,
+    run,
     run_experiment,
     save_edge_list,
     synthetic_logistic_dataset,
@@ -28,7 +29,7 @@ from pushopt import (
     write_labeled_csv,
 )
 from pushopt.cli import EXIT_CONFIG, main
-from pushopt.diagnostics import _LYAPUNOV, TRACE_COLUMNS
+from pushopt.diagnostics import TRACE_COLUMNS
 from pushopt.experiments import ALGORITHMS
 from pushopt.graphs import DirectedGraph
 
@@ -156,31 +157,53 @@ def test_config_rejects_malformed_params_and_mu(tmp_path, capsys, patch, words):
 
 @pytest.mark.parametrize("name", list(ALGORITHMS))
 def test_params_type_keys_the_diagnostics(name):
-    """An algorithm's defaults are its params_type, and that type alone picks
-    the recorder's Lyapunov columns and the identity monitor's identities."""
-    spec = ALGORITHMS[name]
+    """The params type alone gives an algorithm's "auto" params, its
+    theoretical mode if it has one, the recorder's Lyapunov columns and the
+    identity monitor's identities."""
+    method = ALGORITHMS[name]
     mixing = uniform_out_weights(build_cycle_plus_random(8, 10, 4))
     nt = build_contraction_norm(mixing.C, mixing.p)
     suite = make_quadratic_suite(8, 3, 10.0, 0.1, 2)
     X0, v0 = np.random.default_rng(1).standard_normal((8, 3)), np.ones(8)
-    params = spec.defaults(suite, nt, 20)
-    assert type(params) is spec.params_type
-    if spec.theoretical:
-        theory = calibrate_theory_inputs(mixing, nt, v0)
-        theoretical = spec.defaults(suite, nt, 20, mode="theoretical", theory=theory)
-        assert type(theoretical) is spec.params_type
+    params = method.auto(suite, nt, 20)
+    assert type(params) is method
+    theory = calibrate_theory_inputs(mixing, nt, v0)
+    if method.theoretical:
+        theoretical = method.auto(suite, nt, 20, mode="theoretical", theory=theory)
+        assert type(theoretical) is method
+    else:
+        with pytest.raises(TypeError):
+            method.auto(suite, nt, 20, mode="theoretical", theory=theory)
     rec = TraceRecorder(suite, mixing, params=params, norm_transform=nt)
-    _, trace = spec.run(X0, v0, mixing, suite, params, rec)
+    _, trace = run(X0, v0, mixing, suite, params, rec)
     phis = {c for c in ("phi1", "phi2", "phi3", "phi4") if trace.column(c) is not None}
-    pair = _LYAPUNOV.get(type(params))
-    assert phis == (set(pair[:2]) if pair else set())
-    if name == "subgradpush":
-        with pytest.raises(ValueError, match="SubgradPushParams"):
+    assert phis == set(method.lyapunov_pair or ())
+    if not method.tracks_gradient:
+        with pytest.raises(ValueError, match=method.__name__):
             IdentityMonitor(mixing, params)
         return
     mon = IdentityMonitor(mixing, params)
-    spec.run(X0, v0, mixing, suite, params, mon)
-    assert max(mon.worst().values()) <= 1e-10
+    run(X0, v0, mixing, suite, params, mon)
+    worst = mon.worst()
+    assert max(worst.values()) <= 1e-10
+    # The zbar step and the coupling are checked only along an average step.
+    checked = {key for key, value in worst.items() if value > 0.0}
+    assert ({"zbar", "coupling"} <= checked) == (method.average_step is not None)
+
+
+@pytest.mark.parametrize("name", list(ALGORITHMS))
+def test_summary_params_replay_the_run(tmp_path, name):
+    """The params block summary.json records for an "auto" run, given back
+    as an explicit table, reproduces every trace CSV byte for byte."""
+    cfg = base_config(tmp_path)
+    cfg["graph"] = {"n": 12, "extra_edges": 20, "seed": 4}
+    cfg["algorithms"] = [{"name": name, "params": "auto"}]
+    run_experiment(ExperimentConfig.from_dict(cfg, tmp_path), out_dir=tmp_path / "auto")
+    summary = json.loads((tmp_path / "auto" / "summary.json").read_text())
+    cfg["algorithms"] = [{"name": name, "params": summary["algorithms"][name]["params"]}]
+    run_experiment(ExperimentConfig.from_dict(cfg, tmp_path), out_dir=tmp_path / "table")
+    csv = f"trace_{name}.csv"
+    assert (tmp_path / "table" / csv).read_bytes() == (tmp_path / "auto" / csv).read_bytes()
 
 
 def test_run_experiment_outputs(tmp_path):
@@ -272,6 +295,26 @@ def test_cli_run_names_bad_edge_list_line(tmp_path, capsys, edge, token):
     assert capsys.readouterr().err == (
         f"error: {tmp_path / 'graph.txt'}:3: node {token!r} is not an integer in 1..3\n"
     )
+
+
+@pytest.mark.parametrize("field", ["x0.5", "nan", "inf"])
+def test_cli_reproduce_names_bad_dataset_field(tmp_path, capsys, field):
+    """`pushopt reproduce --data` on a dataset with one non-numeric or
+    non-finite feature exits with the config code and one stderr line naming
+    file, line and column; it writes nothing."""
+    path = tmp_path / "d.csv"
+    write_labeled_csv(synthetic_logistic_dataset(1000, 4, 5), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[499] = field + lines[499][lines[499].index(","):]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = ["reproduce", "--case", "strongly", "--data", str(path), "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {path}:500: column 1: {field!r} is not a finite number\n"
+    )
+    assert not out.exists()
 
 
 def test_logistic_config(tmp_path):

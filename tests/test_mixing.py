@@ -131,13 +131,13 @@ def test_norm_transform_zero_error_map():
     p = np.array([1.5, 0.5])
     C = np.outer(p, np.ones(2)) / 2
     nt = build_contraction_norm(C, p, epsilon=0.3)
-    assert nt.contraction_norm <= 0.3
+    assert nt.rho <= 0.3
 
 
 def test_norm_transform_cycle_contraction():
     mix = uniform_out_weights(CYCLE3)
     nt = build_contraction_norm(mix.C, mix.p, epsilon=0.1)
-    assert nt.contraction_norm <= 0.6 + 1e-12
+    assert nt.rho <= 0.6 + 1e-12
     # rho = 1/2 exactly, rounded up by one grid step.
     assert nt.delta == 1.0 - (0.5 + GRID) - 0.1
 
@@ -172,7 +172,7 @@ def test_run_path_norm_transform_matches_bare_call(n):
     nt = build_contraction_norm(mix.C, mix.p)
     for name in ("w", "p", "Ctilde"):
         assert np.array_equal(getattr(prob.nt, name), getattr(nt, name)), name
-    for name in ("rho", "delta", "theta", "contraction_norm", "projector_norm"):
+    for name in ("rho", "delta", "theta"):
         assert getattr(prob.nt, name) == getattr(nt, name), name
     assert prob.resolved["rho"] == nt.rho
 
@@ -217,30 +217,25 @@ def test_setup_makes_one_symmetric_eigensolve(monkeypatch):
 
 def test_setup_and_recorded_run_leave_certificates_unmeasured(tmp_path, monkeypatch):
     """A run's set-up and one recorded apdsc run take no spectral norm but
-    the build's one symmetric eigensolve, and reading either certificate
-    measures nothing: contraction_norm is rho and projector_norm is 1."""
+    the build's one symmetric eigensolve."""
     graph = _sparse_graph(160)
     callers = _spy_on_eigen_work(monkeypatch)
     prob = _problem(graph, make_quadratic_suite(160, 3, 10.0, 0.1, 2), x0_seed=0)
     _run_and_write(prob, [{"name": "apdsc", "params": "auto"}], 60, 1, tmp_path, {})
     assert callers == ["build_contraction_norm"]
-    assert prob.nt.contraction_norm == prob.nt.rho
-    assert prob.nt.projector_norm == 1.0
-    assert callers == ["build_contraction_norm"]
 
 
 @pytest.mark.parametrize("n", [10, 160, 400])
 def test_norm_certificates_match_svd(n):
-    """contraction_norm and projector_norm against np.linalg.norm(., 2) of
+    """rho and the projector norm 1 against np.linalg.norm(., 2) of
     Ctilde A Ctilde^{-1} for the dense A = C - p 1^T / n and I - p 1^T / n:
-    the first from above within the grid step and the stated bound, the
-    second exactly 1, within 1e-12 of the measured norm."""
+    rho from above within the grid step and the stated bound, 1 within
+    1e-12 of the measured norm."""
     mix = uniform_out_weights(_sparse_graph(n))
     nt = build_contraction_norm(mix.C, mix.p)
     Ct, Ct_inv = nt.Ctilde, np.diag(1.0 / nt.w)
-    _assert_rho_bounds(nt.contraction_norm, Ct @ mix.error_map() @ Ct_inv)
+    _assert_rho_bounds(nt.rho, Ct @ mix.error_map() @ Ct_inv)
     projector = np.eye(n) - np.outer(mix.p, np.ones(n)) / n
-    assert nt.projector_norm == 1.0
     assert abs(np.linalg.norm(Ct @ projector @ Ct_inv, 2) - 1.0) <= 1e-12
 
 
@@ -309,15 +304,14 @@ _REFERENCE_GRAPHS = {
 
 
 def _assert_matches_eager(C, p):
-    """build_contraction_norm gives the eager reference's fields bit for bit;
-    its certificates are rho and 1, and Ctilde is diag(w)."""
+    """build_contraction_norm gives the eager reference's fields bit for bit,
+    and Ctilde is diag(w)."""
     ref = _eager_build(C, p)
     nt = build_contraction_norm(C, p)
     assert np.array_equal(nt.w, ref["w"])
-    assert np.array_equal(nt.p, p) and nt.p is not p and nt.C is C
+    assert np.array_equal(nt.p, p) and nt.p is not p
     for name in ("rho", "delta", "theta"):
         assert getattr(nt, name) == ref[name], name
-    assert nt.contraction_norm == nt.rho and nt.projector_norm == 1.0
     assert np.array_equal(nt.Ctilde, np.diag(ref["w"]))
 
 
@@ -414,7 +408,6 @@ def test_build_rejects_nonpositive_perron_vector(small_mixing):
 def test_projector_norm_recorded(small_mixing, small_norm):
     # Ctilde (I - p 1^T / n) Ctilde^{-1} = I - u u^T with ||u||^2 = sum(p) / n:
     # an orthogonal projector, whose measured norm is 1 to rounding.
-    assert small_norm.projector_norm == 1.0
     n, p, w = small_mixing.n, small_mixing.p, small_norm.w
     measured = np.linalg.norm((np.eye(n) - np.outer(p, np.ones(n)) / n) * w[:, None] / w, 2)
     assert abs(measured - 1.0) <= 1e-12

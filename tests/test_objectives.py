@@ -180,6 +180,25 @@ def test_csv_malformed_row_names_line(tmp_path):
         load_labeled_csv(short)
 
 
+@pytest.mark.parametrize("field, col", [("x1.5", 1), ("nan", 2), ("inf", 4), ("-inf", 1), ("y", 5)])
+def test_csv_rejects_non_finite_or_non_numeric_field_past_the_first_line(
+    tmp_path, field, col
+):
+    """Only the first line may be a header. In a 1000-row file, a later
+    field that is not a finite number is an error naming path:line and the
+    column; the row is neither skipped nor loaded."""
+    path = tmp_path / "rows.csv"
+    write_labeled_csv(synthetic_logistic_dataset(1000, 4, 3), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    fields = lines[499].split(",")
+    fields[col - 1] = field
+    lines[499] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        load_labeled_csv(path)
+    assert str(excinfo.value) == f"{path}:500: column {col}: {field!r} is not a finite number"
+
+
 def test_csv_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("", encoding="utf-8")

@@ -12,9 +12,7 @@ from pushopt import (
     SubgradPushParams,
     TheoryInputs,
     apd_run,
-    apd_step,
     apdsc_run,
-    apdsc_step,
     build_contraction_norm,
     build_cycle_plus_random,
     calibrate_theory_inputs,
@@ -53,7 +51,7 @@ class CountingSuite:
 def test_scalar_step_hand_values():
     params = APDParams(eta=1.0, pa=0.25, wa=0.25, wb=1.0, K=1)
     state = init_state(np.array([[1.0]]), np.array([1.0]), SCALAR)
-    s1 = apd_step(state, MIX1, SCALAR, params)
+    s1 = params.step(state, MIX1, SCALAR)
     assert s1.Y[0, 0] == pytest.approx(0.0, abs=1e-15)
     assert s1.Z[0, 0] == pytest.approx(0.75, abs=1e-15)
     assert params.tau(1) == pytest.approx(0.8)
@@ -64,7 +62,7 @@ def test_scalar_step_hand_values():
 def test_scalar_sc_step_hand_values():
     params = APDSCParams(eta=1.0, alpha=1 / 6, beta=0.25, tau=0.5, K=1)
     state = init_state(np.array([[1.0]]), np.array([1.0]), SCALAR)
-    s1 = apdsc_step(state, MIX1, SCALAR, params)
+    s1 = params.step(state, MIX1, SCALAR)
     assert s1.Y[0, 0] == pytest.approx(0.0, abs=1e-15)
     assert s1.Z[0, 0] == pytest.approx(5 / 6, abs=1e-15)
     assert s1.X[0, 0] == pytest.approx(5 / 12, abs=1e-15)
@@ -81,7 +79,7 @@ def test_beta_zero_matches_constant_alpha_schedule_form(small_mixing, small_suit
     object.__setattr__(params, "tau", tau)
     object.__setattr__(params, "K", 1)
     state = init_state(X0, v0, small_suite)
-    s1 = apdsc_step(state, small_mixing, small_suite, params)
+    s1 = params.step(state, small_mixing, small_suite)
     expected_Z = small_mixing.C @ (state.Z - alpha * eta * state.G)
     assert np.allclose(s1.Z, expected_Z, atol=1e-14)
 
@@ -132,7 +130,7 @@ def test_mass_conservation_single_step(small_mixing, small_suite, small_init):
     X0, v0 = small_init
     params = APDParams(eta=0.01, K=1)
     state = init_state(X0, v0, small_suite)
-    s1 = apd_step(state, small_mixing, small_suite, params)
+    s1 = params.step(state, small_mixing, small_suite)
     assert abs(s1.v.sum() - small_mixing.n) <= 1e-12
 
 
