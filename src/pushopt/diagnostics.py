@@ -81,13 +81,16 @@ def optimality_gap(suite: ObjectiveSuite, output: np.ndarray, xstar, fstar) -> f
     return float(suite.average_values(rows).mean() - fstar)
 
 
-# Records per block of TraceRecorder; measured in its docstring.
-_BLOCK = 32
+def _block(d: int, n: int) -> int:
+    """Records per TraceRecorder block for d-column estimates of n agents:
+    32, or fewer where the (3, B, d, n) float64 stack would exceed 0.75 MiB.
+    Measured in TraceRecorder's docstring."""
+    return max(1, min(32, 786_432 // (3 * d * n * 8)))
 
 
 def _one(state: SolverState) -> tuple:
-    """A state's X, Z, G agent-last in slot 0 of a stack, and its v as (1, n)."""
-    S = np.empty((3, _BLOCK, *state.X.T.shape))
+    """A state's X, Z, G agent-last in a one-record stack, and its v as (1, n)."""
+    S = np.empty((3, 1, *state.X.T.shape))
     S[:, 0] = state.X.T, state.Z.T, state.G.T
     return S, state.v[None]
 
@@ -274,9 +277,11 @@ class TraceRecorder:
     (`params.lyapunov_pair`), if it has one. With stride="auto" every
     iteration is recorded up to k = 10_000 and every 10th beyond.
 
-    A call copies X, Z and G agent-last (X.T, ...) into a (3, B, d, n)
-    stack, v and the estimate's field into block buffers. Every column is
-    evaluated B = 32 records at a time, when a block fills and in trace().
+    stride is "auto" or a positive int. A call copies X, Z and G agent-last
+    (X.T, ...) into a (3, B, d, n) stack, v and the estimate's field into
+    block buffers. Every column is evaluated B records at a time, when a
+    block fills and in trace(); B is 32, or fewer where the stack would
+    exceed about 0.75 MB (16 at n = 400 with d = 5).
     The loss takes one `gap_values` (or, given only f*, `average_values`)
     call on the block's B n ratio rows; the other columns go through
     `_records`, the kernel behind `consensus_error` and `lyapunov`, so
@@ -285,12 +290,14 @@ class TraceRecorder:
     Perron vector), and a Lyapunov block scales the projected stack by the
     norm's weights w, also in O(n d) per record.
 
-    A full n = 400 Lyapunov block takes 1.7-2.4 ms for the whole kernel,
-    0.4-0.6 ms of it the scale, and 0.7-0.9 ms for the loss; per record the
-    kernel costs the same at B = 8, 32 and 64 within that spread (one BLAS
-    thread, 2-CPU x86-64 host, numpy 2.4; medians of 50 calls in each of 3
-    processes). B = 64 raised an n = 400 run's peak RSS by 3.2 MB over
-    B = 32 when that was last measured.
+    At n = 400 with d = 5 a full Lyapunov block (B = 16) takes 0.64-0.75
+    ms for the whole kernel, 0.08-0.09 ms of it the scale, and 0.36-0.43
+    ms for the loss; per record the kernel costs 40-47 us at B = 16,
+    42-67 us at B = 8 and 45-49 us at B = 32 (one BLAS thread, 2-CPU
+    x86-64 host, numpy 2.4; medians of 50 calls in each of 3 processes).
+    On the n = 400 bench config, run in one process, B = 16 gave a peak
+    RSS of 45.38-45.45 MB against 45.86-45.92 MB at B = 32, with the same
+    output bytes; B = 64 had raised it by 3.2 MB over B = 32.
     """
 
     def __init__(
@@ -310,15 +317,20 @@ class TraceRecorder:
         self.params = params
         self.nt = norm_transform
         self.estimate = estimate
+        if stride != "auto" and (
+            not isinstance(stride, int) or isinstance(stride, bool) or stride < 1
+        ):
+            raise ValueError(f'stride must be "auto" or a positive int, got {stride!r}')
         self.stride = stride
         self.label = label
         self.xstar = xstar
         self.fstar = fstar
         self._rows = {name: [] for name in TRACE_COLUMNS}
         self._ks = []  # k of each record in the block
-        self._stack = np.empty((3, _BLOCK, suite.dim, mixing.n))  # X, Z, G agent-last
-        self._est = np.empty((_BLOCK, mixing.n, suite.dim))  # the loss's estimate field
-        self._v = np.empty((_BLOCK, mixing.n))
+        B = _block(suite.dim, mixing.n)
+        self._stack = np.empty((3, B, suite.dim, mixing.n))  # X, Z, G agent-last
+        self._est = np.empty((B, mixing.n, suite.dim))  # the loss's estimate field
+        self._v = np.empty((B, mixing.n))
         if norm_transform is not None and not np.array_equal(norm_transform.p, mixing.p):
             raise ValueError("norm_transform was built for a different Perron vector")
         self._lyapunov = norm_transform is not None and getattr(params, "lyapunov_pair", None)
@@ -326,7 +338,7 @@ class TraceRecorder:
     def _due(self, k: int) -> bool:
         if self.stride == "auto":
             return k <= 10_000 or k % 10 == 0
-        return k % int(self.stride) == 0
+        return k % self.stride == 0
 
     def __call__(self, state: SolverState) -> None:
         if not self._due(state.k):
@@ -336,7 +348,7 @@ class TraceRecorder:
         self._stack[:, j] = state.X.T, state.Z.T, state.G.T
         self._est[j], self._v[j] = getattr(state, self.estimate), state.v
         self._ks.append(state.k)
-        if len(self._ks) == _BLOCK:
+        if len(self._ks) == len(self._v):
             self._flush()
 
     def _flush(self) -> None:

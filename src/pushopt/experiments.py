@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import signal
 import sys
 from contextlib import suppress
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -291,29 +295,127 @@ def _problem(graph: DirectedGraph, suite, x0_seed: int) -> SimpleNamespace:
     )
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _forks() -> bool:
+    """Whether runs go to forked workers: on Linux (macOS system libraries
+    are not fork-safe, Windows has no fork) with two usable CPUs or more."""
+    return sys.platform == "linux" and hasattr(os, "fork") and _usable_cpus() >= 2
+
+
+def _trace(prob, name: str, params, stride) -> RunTrace:
+    """One algorithm's recorded run from prob's start."""
+    recorder = TraceRecorder(
+        prob.suite,
+        prob.mixing,
+        xstar=prob.xstar,
+        params=params,
+        norm_transform=prob.nt,
+        stride=stride,
+        label=name,
+    )
+    return run(prob.X0, prob.v0, prob.mixing, prob.suite, params, recorder)[1]
+
+
+class _Worker:
+    """A forked process that computes job() and sends back its value, or the
+    exception it raised, pickled over a pipe.
+
+    The worker shares the parent's memory copy-on-write, so nothing is sent
+    to it and nothing is imported again (multiprocessing's spawn and
+    forkserver methods re-import numpy and pushopt, about 0.3 s per worker,
+    more than a run takes), and it ends with os._exit on every
+    path: it runs none of the parent's cleanup (which removes the outputs)
+    and flushes none of its stdio buffers. From Python 3.12, os.fork warns
+    with a DeprecationWarning when the process has other threads, as it has
+    when OpenBLAS has started its thread pool; OpenBLAS's own fork handlers
+    keep the fork safe for it, and the warning is left to the warning
+    filters.
+    """
+
+    def __init__(self, job):
+        r, w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(r)
+                try:
+                    reply = (True, job())
+                except Exception as exc:
+                    reply = (False, exc)
+                with open(w, "wb") as pipe:
+                    pipe.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(w)
+        self._pipe = open(r, "rb")
+
+    def result(self):
+        """job()'s value, or raise its exception; reaps the worker."""
+        with self._pipe:
+            data = self._pipe.read()  # to EOF first: a trace outgrows the pipe buffer
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if not data:
+            raise RuntimeError(f"worker ended with wait status {status} and no result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    def stop(self) -> None:
+        """Kill and reap the worker unless result() has reaped it."""
+        self._pipe.close()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
 def _run_and_write(prob, algorithms, K, stride, out: Path, summary: dict, finish=None):
     """Run each algorithm entry from prob's start and write its trace, then
     summary.json (summary plus one block per algorithm) under out. finish(summary,
     traces) may add to the summary and returns the files it wrote. On any
-    failure every file written is removed."""
+    failure every file written is removed.
+
+    The runs share nothing after set-up, so where `_forks` allows, every run
+    after the first computes its trace in a forked worker (one per run)
+    while this process runs the first; each worker builds its own recorder.
+    A single run makes no worker.
+    The traces are taken and written here in plan order either way, so the
+    outputs, and the error raised (that of the first failing run in plan
+    order), are those of running them one after another. Every worker is
+    reaped on every path, and killed first if this process stops early.
+    """
     plan = [(alg["name"], _resolve_params(alg, prob, K)) for alg in algorithms]
+    prob.mixing.op  # built once here rather than in every worker
     written = []
+    workers = {}
     try:
         out.mkdir(parents=True, exist_ok=True)
+        if _forks():
+            for i, (name, params) in enumerate(plan[1:], start=1):
+                try:
+                    workers[i] = _Worker(partial(_trace, prob, name, params, stride))
+                except OSError:  # no process to be had: the rest run here
+                    break
         summary["algorithms"] = {}
         traces = {}
-        for name, params in plan:
-            recorder = TraceRecorder(
-                prob.suite,
-                prob.mixing,
-                xstar=prob.xstar,
-                params=params,
-                norm_transform=prob.nt,
-                stride=stride,
-                label=name,
-            )
+        for i, (name, params) in enumerate(plan):
             try:
-                _, trace = run(prob.X0, prob.v0, prob.mixing, prob.suite, params, recorder)
+                trace = workers[i].result() if i in workers else _trace(
+                    prob, name, params, stride
+                )
             except DivergenceError as exc:
                 exc.algorithm = name
                 raise
@@ -338,6 +440,9 @@ def _run_and_write(prob, algorithms, K, stride, out: Path, summary: dict, finish
             with suppress(OSError):
                 path.unlink()
         raise
+    finally:
+        for worker in workers.values():
+            worker.stop()
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None, x0_seed=None):

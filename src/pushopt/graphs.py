@@ -73,20 +73,23 @@ def build_cycle_plus_random(n: int, extra_edges: int, seed: int) -> DirectedGrap
     if extra_edges < 0:
         raise ValueError("extra_edges must be nonnegative")
     ring = _ring_edges(n)
-    # np.nonzero walks the mask in row-major order, which is the sorted
-    # order of the (i, j) pairs that the sampled indices refer to.
-    allowed = ~np.eye(n, dtype=bool)
-    ring_i, ring_j = np.array(list(ring)).T
-    allowed[ring_i, ring_j] = False
-    rows, cols = np.nonzero(allowed)
-    if extra_edges > len(rows):
+    # Row i of the pair grid lacks (i, i) and the ring pairs (i, i +- 1), so
+    # every row holds the same count of allowed pairs. Index f is the allowed
+    # pair f % count of row f // count in row-major order.
+    per_row = n - min(n, 3)
+    total = n * per_row
+    if extra_edges > total:
         raise ValueError(
-            f"extra_edges={extra_edges} exceeds the {len(rows)} "
+            f"extra_edges={extra_edges} exceeds the {total} "
             f"available non-ring pairs for n={n}"
         )
     # The bidirected ring already makes the graph strongly connected.
-    idx = np.random.default_rng(seed).choice(len(rows), size=extra_edges, replace=False)
-    edges = ring | set(zip(rows[idx].tolist(), cols[idx].tolist()))
+    idx = np.random.default_rng(seed).choice(total, size=extra_edges, replace=False)
+    rows, cols = np.divmod(idx, max(per_row, 1))  # idx is empty where per_row is 0
+    # Step each column past the excluded columns of its row, in ascending order.
+    for excluded in np.sort([(rows - 1) % n, rows, (rows + 1) % n], axis=0):
+        cols += cols >= excluded
+    edges = ring | set(zip(rows.tolist(), cols.tolist()))
     return DirectedGraph(n=n, edges=frozenset(edges), seed=seed)
 
 

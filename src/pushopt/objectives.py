@@ -438,13 +438,11 @@ def make_quadratic_suite(
     # coordinates, so the average objective keeps the condition number kappa
     # instead of the spectra washing out under averaging.
     Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    H = np.empty((n, dim, dim))
-    for i in range(n):
-        eigs = rng.uniform(mu_base, mu_base * kappa, size=dim)
-        eigs[0] = mu_base
-        eigs[-1] = mu_base * kappa
-        H[i] = (Q * eigs) @ Q.T
-        H[i] = 0.5 * (H[i] + H[i].T)
+    eigs = rng.uniform(mu_base, mu_base * kappa, size=(n, dim))  # agent i's draw is row i
+    eigs[:, 0] = mu_base
+    eigs[:, -1] = mu_base * kappa
+    H = (Q * eigs[:, None, :]) @ Q.T
+    H = 0.5 * (H + H.transpose(0, 2, 1))
     b = rng.standard_normal((n, dim))
     return QuadraticSuite(H=H, b=b, L=mu_base * kappa, mu=mu_base)
 

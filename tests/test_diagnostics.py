@@ -290,6 +290,15 @@ def test_trace_recorder_auto_stride(small_mixing, small_suite, small_init):
     assert np.array_equal(rec2.trace().k, np.arange(0, 31, 7))
 
 
+@pytest.mark.parametrize("stride", [0, 2.5, -2, True, "7", None])
+def test_trace_recorder_rejects_invalid_stride(small_mixing, small_suite, stride):
+    """A stride that is not "auto" or a positive int is refused when the
+    recorder is made, not at its first record (0 divided by zero there,
+    2.5 recorded every 2nd iteration)."""
+    with pytest.raises(ValueError, match=f"positive int, got {stride!r}"):
+        TraceRecorder(small_suite, small_mixing, stride=stride)
+
+
 def test_trace_recorder_accepts_reference_value_only(small_mixing, small_suite, small_init):
     X0, v0 = small_init
     _, fstar = small_suite.minimizer()
@@ -394,7 +403,7 @@ def test_trace_recorder_shared_kernel_at_n400():
             assert np.array_equal(tr.column(col), np.array(expect[col])), col
         else:
             assert tr.column(col) is None, col
-    # Given only f*, a block's 32 n rows go through one average_values call.
+    # Given only f*, a block's 16 n rows go through one average_values call.
     gaps = [optimality_gap(suite, s.ratio("Y"), None, fstar) for s in states]
     assert np.array_equal(rec_f.trace().loss, gaps)
 

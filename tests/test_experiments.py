@@ -1,5 +1,8 @@
 import json
+import os
 import runpy
+import signal
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -28,6 +31,7 @@ from pushopt import (
     uniform_out_weights,
     write_labeled_csv,
 )
+from pushopt import experiments
 from pushopt.cli import EXIT_CONFIG, main
 from pushopt.diagnostics import TRACE_COLUMNS
 from pushopt.experiments import ALGORITHMS
@@ -253,6 +257,136 @@ def test_run_experiment_cleanup_on_failure(tmp_path):
         run_experiment(cfg)
     leftovers = list((tmp_path / "fail").glob("*")) if (tmp_path / "fail").exists() else []
     assert leftovers == []
+
+
+# Where `_run_and_write` may fork its workers at all.
+FORKS = sys.platform == "linux" and hasattr(os, "fork")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls made in this process (a child's own list is its
+    copy). A test still waiting for its workers after 60 s fails instead of
+    hanging (a forked child has no pending alarm)."""
+
+    def expired(signum, frame):
+        raise TimeoutError("workers not done within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(60)
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    yield calls
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _cli(argv, cpus, monkeypatch, capsys):
+    """main(argv) with `_usable_cpus` reading cpus: (exit code, stdout, stderr)."""
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    capsys.readouterr()
+    code = main(argv)
+    return (code, *capsys.readouterr())
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("command", ["run", "reproduce"])
+def test_outputs_same_in_workers_and_in_one_process(tmp_path, monkeypatch, capsys, forks, command):
+    """A three-algorithm `run` and a `reproduce` write byte-identical files
+    and print the same lines with one usable CPU (every run in this process)
+    and with two (the second and third runs in forked workers). The run's
+    2000-iteration traces outgrow a pipe buffer."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(base_config(tmp_path / "unused", iterations=2000)))
+    results = {}
+    for cpus in (1, 2):
+        out = tmp_path / f"cpus{cpus}"
+        argv = (
+            ["run", "--config", str(cfg_path)]
+            if command == "run"
+            else ["reproduce", "--case", "strongly", "--iters", "60"]
+        )
+        before = len(forks)
+        code, stdout, err = _cli([*argv, "--out", str(out)], cpus, monkeypatch, capsys)
+        assert (code, err) == (0, "")
+        assert len(forks) - before == (2 if FORKS and cpus == 2 else 0)
+        files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        results[cpus] = (stdout.replace(str(out), "OUT"), files)
+        _assert_no_child_left()
+    assert len(results[1][1]) == (4 if command == "run" else 5)
+    assert results[1] == results[2]
+
+
+@pytest.mark.parametrize("diverging", [0, 1])
+def test_divergence_with_workers_exits_as_in_one_process(
+    tmp_path, monkeypatch, capsys, forks, diverging
+):
+    """One run of three diverges: the first (in this process, while both
+    workers run) or the second (in a worker, while the third diverges too,
+    and earlier, in another). With workers as without, the CLI exits 2 with
+    the first failing run's line, leaves no file and no child process."""
+    runs = [
+        {"name": "apd", "params": {"eta": 1e4}},  # diverges at k = 76
+        {"name": "pushdiging", "params": "auto"},
+        {"name": "subgradpush", "params": {"step_c": 1e6}},  # diverges at k = 55
+    ]
+    runs.insert(1 - diverging, runs.pop(1))
+    cfg = base_config(tmp_path / "unused")
+    cfg["algorithms"] = runs
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    results = {}
+    for cpus in (1, 2):
+        out = tmp_path / f"cpus{cpus}"
+        before = len(forks)
+        argv = ["run", "--config", str(cfg_path), "--out", str(out)]
+        results[cpus] = _cli(argv, cpus, monkeypatch, capsys)
+        assert len(forks) - before == (2 if FORKS and cpus == 2 else 0)
+        assert list(out.iterdir()) == []
+        _assert_no_child_left()
+    assert results[1] == (2, "", "error: apd: non-finite iterate at iteration 76\n")
+    assert results[2] == results[1]
+
+
+def test_interrupted_parent_kills_and_reaps_its_workers(tmp_path, monkeypatch, forks):
+    """A KeyboardInterrupt in this process while it writes the first trace
+    reaches the caller after both workers are killed and reaped."""
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+
+    def interrupted(trace, path):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(experiments, "emit_csv", interrupted)
+    cfg = ExperimentConfig.from_dict(base_config(tmp_path / "out", iterations=3000), tmp_path)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(cfg)
+    assert len(forks) == (2 if FORKS else 0)
+    _assert_no_child_left()
+
+
+def test_single_algorithm_run_never_forks(tmp_path, monkeypatch, capsys):
+    """With one algorithm the run stays in this process, CPUs or not."""
+
+    def refused():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", refused)
+    cfg = base_config(tmp_path / "unused")
+    cfg["algorithms"] = cfg["algorithms"][:1]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    assert _cli(argv, 2, monkeypatch, capsys)[0] == 0
 
 
 def test_config_rejects_duplicate_algorithms(tmp_path):

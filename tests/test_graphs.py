@@ -126,6 +126,20 @@ def _reference_cycle_plus_random(n, extra_edges, seed):
     return frozenset(ring | {candidates[i] for i in idx})
 
 
+def _mask_cycle_plus_random(n, extra_edges, seed):
+    """The generator as an n x n mask of allowed pairs, read in row-major
+    order by np.nonzero; None where extra_edges exceeds the allowed pairs."""
+    ring = {(i, (i + 1) % n) for i in range(n)} | {((i + 1) % n, i) for i in range(n)}
+    allowed = ~np.eye(n, dtype=bool)
+    ring_i, ring_j = np.array(list(ring)).T
+    allowed[ring_i, ring_j] = False
+    rows, cols = np.nonzero(allowed)
+    if extra_edges > len(rows):
+        return None
+    idx = np.random.default_rng(seed).choice(len(rows), size=extra_edges, replace=False)
+    return frozenset(ring | set(zip(rows[idx].tolist(), cols[idx].tolist())))
+
+
 _RNG = np.random.default_rng(2024)
 _RANDOM_CASES = [
     (int(n), int(_RNG.integers(0, n * (n - 3) + 1)), int(_RNG.integers(0, 1000)))
@@ -135,9 +149,25 @@ _RANDOM_CASES = [
 
 @pytest.mark.parametrize(
     "n,extra,seed",
-    [(400, 1200, 7), (100, 300, 0), (20, 50, 3), (3, 0, 0), (2, 0, 1)] + _RANDOM_CASES,
+    [(400, 1200, 7), (100, 300, 0), (20, 50, 7), (20, 50, 3), (3, 0, 0), (2, 0, 1),
+     (4, 4, 0), (5, 10, 2)] + _RANDOM_CASES,
 )
 def test_generator_matches_pairwise_reference(n, extra, seed):
+    """The generator against a plain loop over ordered pairs and against the
+    n x n mask formulation; both draw from the same rng.choice call."""
     g = build_cycle_plus_random(n, extra, seed)
     assert g.edges == _reference_cycle_plus_random(n, extra, seed)
+    assert g.edges == _mask_cycle_plus_random(n, extra, seed)
     assert all(type(i) is int and type(j) is int for i, j in g.edges)
+
+
+@pytest.mark.parametrize("n,available", [(2, 0), (3, 0), (4, 4), (20, 340)])
+def test_generator_budget_matches_the_mask(n, available):
+    """The generator takes as many links as the mask formulation allows and
+    refuses one more, with a message that counts the mask's pairs."""
+    assert _mask_cycle_plus_random(n, available + 1, 0) is None
+    assert build_cycle_plus_random(n, available, 0).edges == _mask_cycle_plus_random(
+        n, available, 0
+    )
+    with pytest.raises(ValueError, match=f"exceeds the {available} available"):
+        build_cycle_plus_random(n, available + 1, 0)

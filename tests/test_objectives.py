@@ -54,6 +54,34 @@ def test_kappa_one_means_equal_constants():
     assert suite.L == suite.mu == pytest.approx(0.7)
 
 
+def _quadratic_suite_per_agent(n, dim, kappa, mu_base, seed):
+    """make_quadratic_suite's H and b drawn and built one agent at a time."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    H = np.empty((n, dim, dim))
+    for i in range(n):
+        eigs = rng.uniform(mu_base, mu_base * kappa, size=dim)
+        eigs[0] = mu_base
+        eigs[-1] = mu_base * kappa
+        H[i] = (Q * eigs) @ Q.T
+        H[i] = 0.5 * (H[i] + H[i].T)
+    return H, rng.standard_normal((n, dim))
+
+
+@pytest.mark.parametrize(
+    "n,dim,kappa,seed",
+    [(1, 5, 100.0, 0), (5, 5, 100.0, 3), (400, 5, 100.0, 11), (10, 3, 10.0, 2),
+     (20, 2, 50.0, 7), (7, 8, 1000.0, 1), (4, 1, 1.0, 5)],
+)
+def test_quadratic_suite_matches_per_agent_loop(n, dim, kappa, seed):
+    """The batched draw and products give the per-agent loop's H and b bit
+    for bit."""
+    suite = make_quadratic_suite(n, dim, kappa, 0.01, seed)
+    H, b = _quadratic_suite_per_agent(n, dim, kappa, 0.01, seed)
+    assert np.array_equal(suite.H, H)
+    assert np.array_equal(suite.b, b)
+
+
 def test_quadratic_constants_match_eigensolver():
     suite = make_quadratic_suite(10, 5, 100.0, 0.01, 3)
     lmaxs = [np.linalg.eigvalsh(suite.H[i]).max() for i in range(10)]

@@ -24,8 +24,12 @@ def _python(args, threads=1, **kwargs):
 
 
 _IMPORTS_SCRIPT = """
-import json, sys
+import json, os, sys
 from pathlib import Path
+
+# One usable CPU keeps every run in this process, where sys.modules shows
+# what it imports; with two, runs would go to forked workers.
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 from pushopt.cli import main
 
 out = Path(sys.argv[1])
@@ -54,7 +58,8 @@ print(json.dumps(report))
 def test_imports_load_no_scipy(tmp_path):
     """`import pushopt.cli` loads numpy.random (every run draws from it) and
     no scipy module; neither an n = 20 `reproduce` nor an n = 160 run on the
-    in-neighbor gather loads one."""
+    in-neighbor gather loads one. The script runs on one CPU, so the
+    three-algorithm `reproduce` makes no worker whose imports it would miss."""
     out = _python(["-c", _IMPORTS_SCRIPT, str(tmp_path)]).stdout
     report = json.loads(out.splitlines()[-1])
     for stage in ("import", "reproduce", "sparse_run"):
