@@ -11,40 +11,30 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-import numpy as np
-
 from pushopt import (
+    APDSCParams,
     TraceRecorder,
-    apdsc_run,
     build_cycle_plus_random,
-    default_params_sc,
+    build_problem,
     emit_svg_plot,
     fit_linear_rate,
     iterations_to_threshold,
     make_quadratic_suite,
-    uniform_out_weights,
+    run,
 )
 
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
 
 graph = build_cycle_plus_random(n=10, extra_edges=20, seed=5)
-mixing = uniform_out_weights(graph)
-rng = np.random.default_rng(11)
-X0 = rng.standard_normal((10, 5))
-v0 = np.ones(10)
 
 traces = []
 counts = {}
 for kappa, mu_base, K in ((1e2, 1e-2, 3000), (1e4, 1e-4, 12000)):
-    suite = make_quadratic_suite(10, 5, kappa, mu_base, 3)
-    xstar, _ = suite.minimizer()
-    params = default_params_sc(suite.L, suite.mu, K=K)
-    rec = TraceRecorder(
-        suite, mixing, xstar=xstar, params=params, stride="auto",
-        label=f"kappa={kappa:g}",
-    )
-    _, tr = apdsc_run(X0, v0, mixing, suite, params, rec)
+    prob = build_problem(graph, make_quadratic_suite(10, 5, kappa, mu_base, 3), x0_seed=11)
+    params = APDSCParams.auto(prob.suite, prob.nt, K)
+    rec = TraceRecorder(prob.suite, prob.mixing, xstar=prob.xstar, label=f"kappa={kappa:g}")
+    _, tr = run(prob.X0, prob.v0, prob.mixing, prob.suite, params, rec)
     traces.append(tr)
     counts[kappa] = iterations_to_threshold(tr, 1e-9)
     rho = fit_linear_rate(tr, 50, counts[kappa])

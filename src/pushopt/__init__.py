@@ -66,6 +66,7 @@ from .diagnostics import (
 from .experiments import (
     ConfigError,
     ExperimentConfig,
+    build_problem,
     emit_csv,
     emit_svg_plot,
     read_trace_csv,

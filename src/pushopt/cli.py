@@ -64,6 +64,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_gaps(summary: dict) -> None:
+    """Each run's final gap, and one stderr line naming every run whose final
+    gap is above its start gap or not finite."""
+    above = []
+    for name, info in summary["algorithms"].items():
+        print(f"{name}: final gap {info['final_gap']:.3e}")
+        if info["final_above_start"]:
+            above.append(name)
+    if above:
+        print(
+            f"warning: final gap above the start gap or not finite: {', '.join(above)}",
+            file=sys.stderr,
+        )
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -71,15 +86,13 @@ def main(argv=None) -> int:
             config = ExperimentConfig.from_json(args.config)
             summary, _ = run_experiment(config, out_dir=args.out, x0_seed=args.seed)
             out = args.out if args.out is not None else config.out_dir
-            for name, info in summary["algorithms"].items():
-                print(f"{name}: final gap {info['final_gap']:.3e}")
+            _print_gaps(summary)
             print(f"wrote traces and summary.json to {out}")
         elif args.command == "reproduce":
             summary, _ = reproduce_paper_experiment(
                 args.data, args.case, args.out, iters=args.iters
             )
-            for name, info in summary["algorithms"].items():
-                print(f"{name}: final gap {info['final_gap']:.3e}")
+            _print_gaps(summary)
             comp = summary["comparison"]
             print(
                 f"accelerated method no worse than pushdiging: {comp['accelerated_no_worse']}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import pickle
 import signal
@@ -48,6 +49,7 @@ from .solvers import (
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
+    "build_problem",
     "run_experiment",
     "reproduce_paper_experiment",
     "emit_csv",
@@ -253,9 +255,12 @@ def _resolve_params(alg: dict, prob, K: int):
 
 
 def _trace_summary(trace: RunTrace, K: int) -> dict:
+    start, final = float(trace.loss[0]), float(trace.loss[-1])
     out = {
         "final_k": int(trace.k[-1]),
-        "final_gap": float(trace.loss[-1]),
+        "final_gap": final,
+        "start_gap": start,
+        "final_above_start": not math.isfinite(final) or final > start,
         "iterations_to": {
             f"{t:.0e}": iterations_to_threshold(trace, t) for t in THRESHOLDS
         },
@@ -270,10 +275,21 @@ def _trace_summary(trace: RunTrace, K: int) -> dict:
     return out
 
 
-def _problem(graph: DirectedGraph, suite, x0_seed: int) -> SimpleNamespace:
-    """The set-up every algorithm of one experiment shares: mixing, norm,
-    reference minimizer, the Gaussian start with all-ones weights, and the
-    summary's facts about them."""
+def build_problem(graph: DirectedGraph, suite, x0_seed: int) -> SimpleNamespace:
+    """The set-up every algorithm of one experiment shares, as `pushopt run`
+    and `reproduce` build it. The namespace's fields:
+    - mixing: `uniform_out_weights(graph)`, C with its Perron vector p;
+    - nt: `build_contraction_norm(mixing.C, mixing.p)`;
+    - suite: the given objective suite;
+    - xstar, fstar: `global_minimizer(suite)`;
+    - X0: the (n, dim) start, standard normal from default_rng(x0_seed);
+    - v0: the all-ones push-sum start weights;
+    - resolved: the summary's facts about them (n, edge_count, rho, delta,
+      theta, L, mu, fstar, xstar).
+
+    Each algorithm then runs as `run(prob.X0, prob.v0, prob.mixing,
+    prob.suite, params, hooks)`.
+    """
     mixing = uniform_out_weights(graph)
     nt = build_contraction_norm(mixing.C, mixing.p)
     xstar, fstar = global_minimizer(suite)
@@ -382,6 +398,18 @@ class _Worker:
             self.pid = None
 
 
+def _finite_or_null(value):
+    """value with every non-finite float in it replaced by None, so that
+    summary.json is strict JSON."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _run_and_write(prob, algorithms, K, stride, out: Path, summary: dict, finish=None):
     """Run each algorithm entry from prob's start and write its trace, then
     summary.json (summary plus one block per algorithm) under out. finish(summary,
@@ -431,9 +459,8 @@ def _run_and_write(prob, algorithms, K, stride, out: Path, summary: dict, finish
         if finish is not None:
             written += finish(summary, traces)
         written.append(out / "summary.json")
-        written[-1].write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        text = json.dumps(_finite_or_null(summary), indent=2, sort_keys=True, allow_nan=False)
+        written[-1].write_text(text + "\n", encoding="utf-8")
         return summary, traces
     except Exception:
         for path in written:
@@ -455,7 +482,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, x0_seed=None):
     out = Path(out_dir if out_dir is not None else config.out_dir)
     seed0 = config.x0_seed if x0_seed is None else int(x0_seed)
     graph = _build_graph(config.graph)
-    prob = _problem(graph, _build_suite(config.objective, graph.n), seed0)
+    prob = build_problem(graph, _build_suite(config.objective, graph.n), seed0)
     summary = {
         "experiment": {
             "graph": config.graph,
@@ -530,7 +557,7 @@ def reproduce_paper_experiment(data_path, case: str, out_dir, iters: int = 3000)
         data = synthetic_logistic_dataset(rows_needed, 4, seed=REPRO_DATA_SEED)
         data_source = "synthetic"
 
-    prob = _problem(
+    prob = build_problem(
         build_cycle_plus_random(REPRO_AGENTS, REPRO_EXTRA_EDGES, REPRO_GRAPH_SEED),
         make_logistic_suite(data, REPRO_AGENTS, block["mu"], REPRO_PARTITION_SEED),
         REPRO_X0_SEED,
@@ -638,7 +665,9 @@ def emit_svg_plot(traces, path, axes: str = "semilogy") -> None:
     """Self-contained SVG comparing loss curves, one polyline per trace.
 
     axes is "semilogy" (linear iteration axis) or "loglog". Losses are
-    floor-clipped at 1e-17 for display only.
+    floor-clipped at 1e-17 for display only; non-finite losses are left out
+    of the axes and the polylines, and a trace with no finite loss to plot
+    (none at k >= 1 on loglog axes) raises ValueError.
     """
     if axes not in ("semilogy", "loglog"):
         raise ValueError(f"axes must be 'semilogy' or 'loglog', got {axes!r}")
@@ -653,16 +682,17 @@ def emit_svg_plot(traces, path, axes: str = "semilogy") -> None:
     pw, ph = W - ml - mr, H - mt - mb
 
     series = []
-    for tr in traces:
-        k = tr.k.astype(float)
-        y = np.log10(np.maximum(tr.loss, FLOOR))
+    at = " at k >= 1" if axes == "loglog" else ""
+    for idx, tr in enumerate(traces):
+        label = tr.label or f"trace{idx}"
+        keep = np.isfinite(tr.loss)
         if axes == "loglog":
-            keep = k >= 1
-            k, y = k[keep], y[keep]
-            x = np.log10(k)
-        else:
-            x = k
-        series.append((x, y, tr.label))
+            keep &= tr.k >= 1
+        if not keep.any():
+            raise ValueError(f"trace {label!r} has no finite loss to plot{at}")
+        k = tr.k[keep].astype(float)
+        y = np.log10(np.maximum(tr.loss[keep], FLOOR))
+        series.append((np.log10(k) if axes == "loglog" else k, y, label))
 
     xmin = min(s[0].min() for s in series)
     xmax = max(s[0].max() for s in series)
@@ -747,7 +777,7 @@ def emit_svg_plot(traces, path, axes: str = "semilogy") -> None:
         )
         parts.append(
             f'<text x="{lx + 30}" y="{ly}" font-size="12" font-family="sans-serif">'
-            f"{label or f'trace{idx}'}</text>"
+            f"{label}</text>"
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8", newline="\n")

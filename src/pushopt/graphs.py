@@ -27,7 +27,6 @@ class DirectedGraph:
 
     n: int
     edges: frozenset
-    seed: int = 0
 
     def __post_init__(self):
         if self.n < 1:
@@ -40,16 +39,19 @@ class DirectedGraph:
 
     def out_neighbors(self) -> list:
         """Sorted out-neighbor lists, indexed by sending node."""
-        nbrs = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            nbrs[i].append(j)
-        return [sorted(v) for v in nbrs]
+        return _adjacency(self.n, self.edges)
 
     def in_neighbors(self) -> list:
-        nbrs = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            nbrs[j].append(i)
-        return [sorted(v) for v in nbrs]
+        """Sorted in-neighbor lists, indexed by receiving node."""
+        return _adjacency(self.n, ((j, i) for i, j in self.edges))
+
+
+def _adjacency(n: int, pairs) -> list:
+    """Sorted lists of the b of every pair (a, b), indexed by a."""
+    nbrs = [[] for _ in range(n)]
+    for a, b in pairs:
+        nbrs[a].append(b)
+    return [sorted(v) for v in nbrs]
 
 
 def _ring_edges(n: int) -> set:
@@ -90,7 +92,7 @@ def build_cycle_plus_random(n: int, extra_edges: int, seed: int) -> DirectedGrap
     for excluded in np.sort([(rows - 1) % n, rows, (rows + 1) % n], axis=0):
         cols += cols >= excluded
     edges = ring | set(zip(rows.tolist(), cols.tolist()))
-    return DirectedGraph(n=n, edges=frozenset(edges), seed=seed)
+    return DirectedGraph(n=n, edges=frozenset(edges))
 
 
 def _reachable(n: int, adj: list, start: int) -> np.ndarray:
@@ -157,4 +159,4 @@ def load_edge_list(path) -> DirectedGraph:
         if ends[0] == ends[1]:
             raise ValueError(f"{path}:{lineno}: self-loop {ln!r} not allowed")
         edges.add((ends[0] - 1, ends[1] - 1))
-    return DirectedGraph(n=n, edges=frozenset(edges), seed=0)
+    return DirectedGraph(n=n, edges=frozenset(edges))

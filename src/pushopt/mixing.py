@@ -168,17 +168,8 @@ class NormTransform:
     theta: float
     p: np.ndarray
 
-    @property
-    def Ctilde(self) -> np.ndarray:
-        """The norm's matrix, diag(w): ||x|| = ||Ctilde x||_2. A new n-by-n
-        array on each read; the library itself scales by w."""
-        return np.diag(self.w)
-
     def vec_norm(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(self.w * x))
-
-    def mat_norm(self, A: np.ndarray) -> float:
-        return float(np.linalg.norm(self.w[:, None] * A))
 
 
 def uniform_out_weights(g: DirectedGraph) -> MixingMatrix:
@@ -189,14 +180,10 @@ def uniform_out_weights(g: DirectedGraph) -> MixingMatrix:
     """
     if not is_strongly_connected(g):
         raise ValueError("mixing weights require a strongly connected graph")
-    n = g.n
-    C = np.zeros((n, n))
-    nbrs = g.out_neighbors()
-    for j in range(n):
-        w = 1.0 / (len(nbrs[j]) + 1)
-        C[j, j] = w
-        for i in nbrs[j]:
-            C[i, j] = w
+    senders, receivers = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2).T
+    share = 1.0 / (np.bincount(senders, minlength=g.n) + 1)
+    C = np.diag(share)
+    C[receivers, senders] = share[senders]
     return MixingMatrix(C=C, p=perron_vector(C))
 
 

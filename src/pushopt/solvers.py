@@ -249,7 +249,7 @@ class SolverState:
     have no Y/Z recursion: from k = 1 their Y and Z are X itself (equal
     copies at k = 0), and subgradient push's G is the raw gradient batch.
     grad_U caches the gradient batch at V^{-1} X so a step evaluates only the
-    new batch. vhat_seen tracks the running max of 1 / min_i v_i.
+    new batch.
     """
 
     X: np.ndarray
@@ -258,7 +258,6 @@ class SolverState:
     G: np.ndarray
     v: np.ndarray
     k: int
-    vhat_seen: float
     grad_U: np.ndarray
 
     @property
@@ -291,7 +290,6 @@ def init_state(X0: np.ndarray, v0: np.ndarray, suite: ObjectiveSuite) -> SolverS
         G=gU.copy(),
         v=v0,
         k=0,
-        vhat_seen=float(1.0 / v0.min()),
         grad_U=gU,
     )
 
@@ -302,8 +300,7 @@ def _advance(state, X1, Y1, Z1, G1, v1, gU1) -> SolverState:
     for a in (X1, G1, v1) if Y1 is X1 and Z1 is X1 else (X1, Y1, Z1, G1, v1):
         if not np.isfinite(a).all():
             raise DivergenceError(k1)
-    v_min = v1.min()
-    if v_min <= 0:
+    if v1.min() <= 0:
         raise DivergenceError(k1, what="push-sum weight")
     return SolverState(
         X=X1,
@@ -312,7 +309,6 @@ def _advance(state, X1, Y1, Z1, G1, v1, gU1) -> SolverState:
         G=G1,
         v=v1,
         k=k1,
-        vhat_seen=max(state.vhat_seen, float(1.0 / v_min)),
         grad_U=gU1,
     )
 

@@ -14,9 +14,8 @@ from pushopt import (
     IdentityMonitor,
     PushDIGingParams,
     QuadraticSuite,
+    SubgradPushParams,
     TraceRecorder,
-    apd_run,
-    apdsc_run,
     build_contraction_norm,
     build_cycle_plus_random,
     centralized_agm_run,
@@ -28,9 +27,8 @@ from pushopt import (
     lyapunov,
     make_logistic_suite,
     make_quadratic_suite,
-    push_diging_run,
     reproduce_paper_experiment,
-    subgradient_push_run,
+    run,
     synthetic_logistic_dataset,
     uniform_out_weights,
 )
@@ -49,7 +47,7 @@ def test_criterion_01_exact_reduction():
     mix1 = MixingMatrix(C=np.array([[1.0]]), p=np.array([1.0]))
     params = APDParams(eta=1.0 / suite.L, K=500)
     states = []
-    apd_run(np.array([[1.0]]), np.array([1.0]), mix1, suite, params, states.append)
+    run(np.array([[1.0]]), np.array([1.0]), mix1, suite, params, states.append)
     agm = centralized_agm_run(np.array([1.0]), suite, eta=1.0 / suite.L, K=500)
     dev = max(
         max(
@@ -87,14 +85,14 @@ def identity_battery():
         v0 = np.ones(n)
         params_apd = default_params_smooth(suite.L, K=500)
         mon = IdentityMonitor(mixing, params_apd)
-        apd_run(X0, v0, mixing, suite, params_apd, mon)
+        run(X0, v0, mixing, suite, params_apd, mon)
         monitors = [mon]
         params_sc = default_params_sc(suite.L, suite.mu, K=500)
         mon = IdentityMonitor(mixing, params_sc)
-        apdsc_run(X0, v0, mixing, suite, params_sc, mon)
+        run(X0, v0, mixing, suite, params_sc, mon)
         monitors.append(mon)
         mon = IdentityMonitor(mixing, PushDIGingParams(0.3 / suite.L, K=500))
-        push_diging_run(X0, v0, mixing, suite, 0.3 / suite.L, 500, mon)
+        run(X0, v0, mixing, suite, PushDIGingParams(0.3 / suite.L, 500), mon)
         monitors.append(mon)
         for m in monitors:
             for key, val in m.worst().items():
@@ -135,11 +133,11 @@ def test_criterion_04_sublinear_acceleration():
     params = default_params_smooth(suite.L, c_prac=0.05, K=K)
 
     rec = TraceRecorder(suite, mixing, xstar=xstar, label="apd")
-    _, tr_apd = apd_run(X0, v0, mixing, suite, params, rec)
+    _, tr_apd = run(X0, v0, mixing, suite, params, rec)
     slope_apd = fit_sublinear_rate(tr_apd, 100, K)
 
     rec = TraceRecorder(suite, mixing, xstar=xstar, label="pushdiging")
-    _, tr_pd = push_diging_run(X0, v0, mixing, suite, params.eta, K, rec)
+    _, tr_pd = run(X0, v0, mixing, suite, PushDIGingParams(params.eta, K), rec)
     try:
         slope_pd = fit_sublinear_rate(tr_pd, 100, K)
         pd_not_accelerated = slope_pd >= -1.4
@@ -150,7 +148,7 @@ def test_criterion_04_sublinear_acceleration():
         pd_note = "pushdiging trace floored"
 
     rec = TraceRecorder(suite, mixing, xstar=xstar, label="subgradpush")
-    _, tr_sp = subgradient_push_run(X0, v0, mixing, suite, 0.18, 400, rec)
+    _, tr_sp = run(X0, v0, mixing, suite, SubgradPushParams(0.18, 400), rec)
     gap_apd_300 = tr_apd.loss[np.searchsorted(tr_apd.k, 300)]
     gap_sp_300 = tr_sp.loss[np.searchsorted(tr_sp.k, 300)]
     ratio_ok = gap_apd_300 * 1e3 <= gap_sp_300
@@ -174,16 +172,16 @@ def test_criterion_05_linear_acceleration():
     X0 = rng.standard_normal((10, 5))
     v0 = np.ones(10)
 
-    def run(kappa, mu_base, K):
+    def iterations(kappa, mu_base, K):
         suite = make_quadratic_suite(10, 5, kappa, mu_base, 3)
         xstar, _ = suite.minimizer()
         params = default_params_sc(suite.L, suite.mu, K=K)
         rec = TraceRecorder(suite, mixing, xstar=xstar, stride="auto", label="apdsc")
-        _, tr = apdsc_run(X0, v0, mixing, suite, params, rec)
+        _, tr = run(X0, v0, mixing, suite, params, rec)
         return iterations_to_threshold(tr, 1e-9), iterations_to_threshold(tr, 1e-12)
 
-    it9_easy, it12_easy = run(1e2, 1e-2, 3000)
-    it9_hard, it12_hard = run(1e4, 1e-4, 12000)
+    it9_easy, it12_easy = iterations(1e2, 1e-2, 3000)
+    it9_hard, it12_hard = iterations(1e4, 1e-4, 12000)
     reached = None not in (it9_easy, it12_easy, it9_hard, it12_hard)
     ratio = it9_hard / it9_easy if reached else float("inf")
     elapsed = time.perf_counter() - t0
@@ -241,11 +239,11 @@ def test_criterion_07_contraction_norm_construction(five_graphs):
     for mixing, nt_decay, nt_default in five_graphs:
         M = mixing.error_map()
         for nt in (nt_decay, nt_default):
-            measured = np.linalg.norm(nt.Ctilde @ M @ np.linalg.inv(nt.Ctilde), 2)
+            measured = np.linalg.norm(np.diag(nt.w) @ M @ np.diag(1 / nt.w), 2)
             worst_contraction = max(worst_contraction, measured - (1.0 - nt.delta))
             for _ in range(100):
                 x = rng.standard_normal(20)
-                a = np.linalg.norm(nt.Ctilde @ x)
+                a = np.linalg.norm(np.diag(nt.w) @ x)
                 b = np.linalg.norm(x)
                 worst_equiv = max(worst_equiv, a - b * (1 + 1e-10))
                 worst_equiv = max(worst_equiv, b - nt.theta * a * (1 + 1e-10))
@@ -271,7 +269,7 @@ def test_criterion_08_inexact_bound_spot_checks():
 
     states_apd = []
     params = default_params_smooth(suite.L, c_prac=0.05, K=300)
-    apd_run(X0, v0, mixing, suite, params, states_apd.append)
+    run(X0, v0, mixing, suite, params, states_apd.append)
     violations = 0
     min_slack = np.inf
     for idx in (0, 30, 75, 150, 300):  # 5 states x 20 trials = 100 pairs
@@ -281,7 +279,7 @@ def test_criterion_08_inexact_bound_spot_checks():
 
     states_sc = []
     params_sc = default_params_sc(suite.L, suite.mu, K=300)
-    apdsc_run(X0, v0, mixing, suite, params_sc, states_sc.append)
+    run(X0, v0, mixing, suite, params_sc, states_sc.append)
     sc_slack = np.inf
     for idx in (0, 30, 75, 150, 300):
         rep = check_inexact_bounds(suite, states_sc[idx], trials=1, seed=idx, xstar=xstar)
@@ -312,7 +310,7 @@ def test_criterion_09_lyapunov_recursion():
     assert params.beta**2 * params.tau**2 <= 7 * nt.delta**4 / 384
 
     states = []
-    apdsc_run(X0, v0, mixing, suite, params, states.append)
+    run(X0, v0, mixing, suite, params, states.append)
     d = nt.delta
     c5 = (8.0 / 7.0) * (1.5 * d + 6.0 * at**2 * d + 48.0 * at**2 / 7.0)
     worst = np.inf

@@ -1,16 +1,19 @@
 """The benchmark's sample script runs against the library as it stands.
 
 bench/child.py calls about 20 public pushopt names with fixed signatures;
-if one breaks, every benchmark sample fails. This test runs the script's
-`run` and `traced` modes on both gated workloads and applies the
-benchmark's own traced-output rule. It reads bench/ and writes only under
+if one breaks, every benchmark sample fails. These tests run the script's
+`setup`, `run` and `traced` modes on both gated workloads and apply the
+benchmark's own traced-output rule. They read bench/ and write only under
 the test's temporary directory.
 
-Budget: 8 s for the four sample processes (they took 4.3-5.0 s in all on a
-2-CPU x86-64 host with one BLAS thread).
+Budget: 8 s for the four `run` and `traced` sample processes (they took
+4.3-5.0 s in all on a 2-CPU x86-64 host with one BLAS thread), plus about
+0.5 s for each `setup` process.
 """
 
 import importlib.util
+import json
+import math
 import os
 import subprocess
 import sys
@@ -62,3 +65,15 @@ def test_bench_child_run_and_traced_agree(tmp_path, monkeypatch, workload):
     for ref in traces:
         twin = outs["traced"] / ref.relative_to(outs["run"])
         assert twin.read_bytes() == ref.read_bytes(), twin.relative_to(tmp_path)
+
+
+@pytest.mark.parametrize("workload", ["run_quadratic_n400", "reproduce_logistic"])
+def test_bench_child_setup(tmp_path, monkeypatch, workload):
+    """The setup mode, which gives the gated setup_s, exits 0 and ends its
+    output with a JSON line holding a finite, positive setup_s."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    inp = _workloads().write_inputs(workload, SEED, tmp_path / "inputs")
+    proc = _child("setup", workload, inp, tmp_path / "setup")
+    assert proc.returncode == 0, f"child.py setup {workload}:\n{proc.stderr}"
+    setup_s = json.loads(proc.stdout.splitlines()[-1])["setup_s"]
+    assert math.isfinite(setup_s) and setup_s > 0

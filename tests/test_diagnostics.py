@@ -8,10 +8,9 @@ import pytest
 from pushopt import (
     APDParams,
     APDSCParams,
+    PushDIGingParams,
     RunTrace,
     TraceRecorder,
-    apd_run,
-    apdsc_run,
     build_contraction_norm,
     build_cycle_plus_random,
     check_inexact_bounds,
@@ -27,7 +26,7 @@ from pushopt import (
     make_logistic_suite,
     make_quadratic_suite,
     optimality_gap,
-    push_diging_run,
+    run,
     synthetic_logistic_dataset,
     uniform_out_weights,
 )
@@ -47,9 +46,7 @@ from pushopt.solvers import SolverState
 
 
 def _state(X, Y, Z, G, v, k=0):
-    return SolverState(
-        X=X, Y=Y, Z=Z, G=G, v=v, k=k, vhat_seen=float(1 / v.min()), grad_U=G.copy()
-    )
+    return SolverState(X=X, Y=Y, Z=Z, G=G, v=v, k=k, grad_U=G.copy())
 
 
 def synthetic_trace(losses, ks=None):
@@ -95,19 +92,20 @@ def test_consensus_error_bound_from_weighted_norm(small_mixing, small_suite, sma
     nt = build_contraction_norm(small_mixing.C, small_mixing.p)
     params = default_params_smooth(small_suite.L, c_prac=0.05, K=150)
     states = []
-    apd_run(X0, v0, small_mixing, small_suite, params, states.append)
+    run(X0, v0, small_mixing, small_suite, params, states.append)
     d0 = nt.vec_norm(v0 - small_mixing.p)
     n = small_mixing.n
     Pi = np.eye(n) - np.outer(small_mixing.p, np.ones(n)) / n
+    vhat = np.maximum.accumulate([1.0 / s.v.min() for s in states])
     for s in states[:: 25]:
         u_err, _ = consensus_error(s, small_mixing.p)
         xbar = s.X.mean(0)
         rhs = (
             2.0
             * nt.theta**2
-            * s.vhat_seen**2
+            * vhat[s.k] ** 2
             * (
-                nt.mat_norm(Pi @ s.X) ** 2
+                np.linalg.norm(nt.w[:, None] * (Pi @ s.X)) ** 2
                 + (1 - nt.delta) ** (2 * s.k) * d0**2 * float(xbar @ xbar)
             )
         )
@@ -152,7 +150,7 @@ def test_lyapunov_against_independent_formula(small_mixing, small_norm):
 
     # independent re-evaluation
     d = small_norm.delta
-    Ct = small_norm.Ctilde
+    Ct = np.diag(small_norm.w)
     Pi = np.eye(n) - np.outer(small_mixing.p, np.ones(n)) / n
     tau7 = 0.9 / (1 + 0.2 * 7)
     xbar, zbar = X.mean(0), Z.mean(0)
@@ -198,7 +196,7 @@ def test_inexact_bounds_along_runs(small_mixing, small_suite, small_init):
     X0, v0 = small_init
     params = default_params_smooth(small_suite.L, c_prac=0.05, K=120)
     states = []
-    apd_run(X0, v0, small_mixing, small_suite, params, states.append)
+    run(X0, v0, small_mixing, small_suite, params, states.append)
     xstar, _ = small_suite.minimizer()
     total_viol = 0
     for s in states[::30]:
@@ -267,7 +265,7 @@ def test_trace_recorder_contents(small_mixing, small_suite, small_init):
         small_suite, small_mixing, xstar=xstar, params=params,
         norm_transform=nt, estimate="Y", label="apdsc",
     )
-    out, tr = apdsc_run(X0, v0, small_mixing, small_suite, params, rec)
+    out, tr = run(X0, v0, small_mixing, small_suite, params, rec)
     assert tr is rec.trace() or np.array_equal(tr.k, rec.trace().k)
     assert np.array_equal(tr.k, np.arange(41))
     assert (np.diff(tr.k) > 0).all()
@@ -283,10 +281,10 @@ def test_trace_recorder_contents(small_mixing, small_suite, small_init):
 def test_trace_recorder_auto_stride(small_mixing, small_suite, small_init):
     X0, v0 = small_init
     rec = TraceRecorder(small_suite, small_mixing, stride="auto")
-    apd_run(X0, v0, small_mixing, small_suite, APDParams(eta=0.01, K=30), rec)
+    run(X0, v0, small_mixing, small_suite, APDParams(eta=0.01, K=30), rec)
     assert len(rec.trace()) == 31  # below the auto cutoff everything records
     rec2 = TraceRecorder(small_suite, small_mixing, stride=7)
-    apd_run(X0, v0, small_mixing, small_suite, APDParams(eta=0.01, K=30), rec2)
+    run(X0, v0, small_mixing, small_suite, APDParams(eta=0.01, K=30), rec2)
     assert np.array_equal(rec2.trace().k, np.arange(0, 31, 7))
 
 
@@ -303,7 +301,7 @@ def test_trace_recorder_accepts_reference_value_only(small_mixing, small_suite, 
     X0, v0 = small_init
     _, fstar = small_suite.minimizer()
     rec = TraceRecorder(small_suite, small_mixing, fstar=fstar)
-    apd_run(X0, v0, small_mixing, small_suite, APDParams(eta=0.01, K=5), rec)
+    run(X0, v0, small_mixing, small_suite, APDParams(eta=0.01, K=5), rec)
     tr = rec.trace()
     assert np.isfinite(tr.loss).all()
     assert tr.loss.min() >= -1e-12
@@ -340,17 +338,11 @@ def test_trace_recorder_bit_exact_against_per_call_formulas(name):
     v0 = np.ones(40)
     K = 60
     if name == "apd":
-        params = default_params_smooth(suite.L, K=K)
-        def run(hook):
-            return apd_run(X0, v0, mixing, suite, params, hook)
+        params = method = default_params_smooth(suite.L, K=K)
     elif name == "apdsc":
-        params = default_params_sc(suite.L, suite.mu, K=K, delta=nt.delta)
-        def run(hook):
-            return apdsc_run(X0, v0, mixing, suite, params, hook)
+        params = method = default_params_sc(suite.L, suite.mu, K=K, delta=nt.delta)
     else:
-        params = None
-        def run(hook):
-            return push_diging_run(X0, v0, mixing, suite, 0.3 / suite.L, K, hook)
+        params, method = None, PushDIGingParams(0.3 / suite.L, K)
     accel = params is not None
     estimate = "Y" if accel else "X"
     rec = TraceRecorder(
@@ -363,7 +355,7 @@ def test_trace_recorder_bit_exact_against_per_call_formulas(name):
         states.append(state)
         rec(state)
 
-    run(hook)
+    run(X0, v0, mixing, suite, method, hook)
     tr = rec.trace()
     expect = _oracle_rows(states, suite, mixing, xstar, params, nt if accel else None, estimate)
     assert len(tr) == K + 1
@@ -394,7 +386,7 @@ def test_trace_recorder_shared_kernel_at_n400():
         rec(state)
         rec_f(state)
 
-    apdsc_run(X0, np.ones(400), mixing, suite, params, hook)
+    run(X0, np.ones(400), mixing, suite, params, hook)
     tr = rec.trace()
     expect = _oracle_rows(states, suite, mixing, xstar, params, nt, "Y")
     assert len(tr) == 41
@@ -428,16 +420,10 @@ def test_trace_recorder_logistic_loss_bit_exact(case):
     K = 70
     if case == "nonstrongly":
         accel = APDParams(**block["apd"], K=K)
-        run_accel = apd_run
     else:
         accel = APDSCParams(**block["apdsc"], K=K)
-        run_accel = apdsc_run
-    eta = block["pushdiging"]["eta"]
-    runs = {
-        "Y": lambda hook: run_accel(X0, v0, mixing, suite, accel, hook),
-        "X": lambda hook: push_diging_run(X0, v0, mixing, suite, eta, K, hook),
-    }
-    for estimate, run in runs.items():
+    methods = {"Y": accel, "X": PushDIGingParams(block["pushdiging"]["eta"], K)}
+    for estimate, method in methods.items():
         recs = [
             TraceRecorder(suite, mixing, xstar=xstar, estimate=estimate),
             TraceRecorder(suite, mixing, fstar=fstar, estimate=estimate),
@@ -449,7 +435,7 @@ def test_trace_recorder_logistic_loss_bit_exact(case):
             for rec in recs:
                 rec(state)
 
-        run(hook)
+        run(X0, v0, mixing, suite, method, hook)
         assert len(states) == K + 1
         far = [np.abs((s.ratio(estimate) - xstar) @ LZ.T).max() >= 1.0 for s in states]
         assert any(far), estimate
@@ -474,7 +460,7 @@ def test_trace_record_depends_only_on_its_state():
         rec = TraceRecorder(
             suite, mixing, xstar=xstar, params=params, norm_transform=nt, stride=stride
         )
-        return apdsc_run(X0, np.ones(40), mixing, suite, replace(params, K=steps), rec)[1]
+        return run(X0, np.ones(40), mixing, suite, replace(params, K=steps), rec)[1]
 
     base = record(1, K)
     assert np.array_equal(base.k, np.arange(K + 1))
@@ -495,7 +481,7 @@ def test_trace_recorder_copies_the_state(small_mixing, small_suite, small_norm, 
     xstar, _ = small_suite.minimizer()
     params = default_params_sc(small_suite.L, small_suite.mu, K=40, delta=small_norm.delta)
     states = []
-    apdsc_run(X0, v0, small_mixing, small_suite, params, states.append)
+    run(X0, v0, small_mixing, small_suite, params, states.append)
 
     def copy(s):
         return replace(s, X=s.X.copy(), Y=s.Y.copy(), Z=s.Z.copy(), G=s.G.copy(), v=s.v.copy())
@@ -632,7 +618,7 @@ def test_block_kernel_accuracy_on_reproduce_records():
     X0 = np.random.default_rng(REPRO_X0_SEED).standard_normal((REPRO_AGENTS, suite.dim))
     states = []
     params = APDSCParams(**block["apdsc"], K=500)
-    apdsc_run(X0, np.ones(REPRO_AGENTS), mixing, suite, params, states.append)
+    run(X0, np.ones(REPRO_AGENTS), mixing, suite, params, states.append)
     for s in states[-10:]:
         (u_err, pe), _ = _check_kernel_accuracy(s.X, s.v, mixing.p)
         assert (u_err, pe) == consensus_error(s, mixing.p)

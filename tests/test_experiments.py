@@ -529,7 +529,7 @@ def test_emit_csv_bytes_equal_per_value_format(tmp_path):
 
 
 def test_csv_round_trip_bit_exact(tmp_path, small_mixing, small_norm, small_suite, small_init):
-    from pushopt import TraceRecorder, apd_run, default_params_smooth
+    from pushopt import TraceRecorder, default_params_smooth
 
     X0, v0 = small_init
     xstar, fstar = small_suite.minimizer()
@@ -538,7 +538,7 @@ def test_csv_round_trip_bit_exact(tmp_path, small_mixing, small_norm, small_suit
         small_suite, small_mixing, xstar=xstar, params=params,
         norm_transform=small_norm, label="apd",
     )
-    _, tr = apd_run(X0, v0, small_mixing, small_suite, params, rec)
+    _, tr = run(X0, v0, small_mixing, small_suite, params, rec)
     path = tmp_path / "t.csv"
     emit_csv(tr, path)
     back = read_trace_csv(path)
@@ -589,6 +589,56 @@ def test_svg_rejects_empty(tmp_path):
         emit_svg_plot([empty_trace()], tmp_path / "p.svg")
     with pytest.raises(ValueError):
         emit_svg_plot([], tmp_path / "p.svg")
+
+
+def _loss_trace(label, loss):
+    k = np.arange(len(loss))
+    z = k * 0.0
+    return RunTrace(label, k, np.asarray(loss, dtype=float), z, z, z, z + 1)
+
+
+def test_svg_leaves_out_non_finite_losses(tmp_path, capsys):
+    """Non-finite losses are left out of the axes and the polyline; `plot`
+    draws such a trace read back from its CSV, where it raised
+    OverflowError (inf) or printed a NaN conversion error before."""
+    loss = [1.0, 1e-3, np.inf, 1e-6, np.nan, 1e-9]
+    emit_csv(_loss_trace("broken", loss), tmp_path / "trace_broken.csv")
+    path = tmp_path / "p.svg"
+    argv = ["plot", "--in", str(tmp_path / "trace_broken.csv"), "--out", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    tree = ET.parse(path)
+    (line,) = tree.findall(".//svg:polyline", SVG_NS)
+    points = line.get("points").split()
+    assert len(points) == 4
+    assert all(np.isfinite(float(v)) for pt in points for v in pt.split(","))
+    texts = [t.text for t in tree.findall(".//svg:text", SVG_NS)]
+    assert "1e-9" in texts and "1e0" in texts and "1e1" not in texts
+    finite = _loss_trace("finite", [1.0, 1e-3, 1e-6, 1e-9])
+    finite.k[2:] = [3, 5]
+    emit_svg_plot([finite], tmp_path / "finite.svg")
+    assert (tmp_path / "finite.svg").read_bytes().replace(b"finite", b"broken") == (
+        path.read_bytes()
+    )
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_svg_rejects_trace_without_finite_loss(tmp_path, capsys, bad):
+    good = _loss_trace("good", [1.0, 0.1])
+    with pytest.raises(ValueError, match="'lost' has no finite loss"):
+        emit_svg_plot([good, _loss_trace("lost", [bad, bad])], tmp_path / "p.svg")
+    emit_csv(_loss_trace("lost", [bad, bad]), tmp_path / "trace_lost.csv")
+    argv = ["plot", "--in", str(tmp_path / "trace_lost.csv"), "--out", str(tmp_path / "q.svg")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: trace 'lost' has no finite loss to plot\n"
+    assert not (tmp_path / "p.svg").exists() and not (tmp_path / "q.svg").exists()
+
+
+def test_svg_loglog_rejects_trace_without_finite_loss_past_k0(tmp_path):
+    with pytest.raises(ValueError, match="'first' has no finite loss to plot at k >= 1"):
+        emit_svg_plot([_loss_trace("first", [1.0, np.nan])], tmp_path / "p.svg", axes="loglog")
+    assert not (tmp_path / "p.svg").exists()
 
 
 def test_reproduce_smoke(tmp_path):
@@ -730,7 +780,7 @@ def test_cli_divergence_names_the_algorithm(tmp_path, capsys, name, k):
     stderr."""
     n = 10
     edges = {(i, (i + 1) % n) for i in range(n)} | {(i, 0) for i in range(1, n)}
-    save_edge_list(DirectedGraph(n=n, edges=frozenset(edges), seed=0), tmp_path / "hub.txt")
+    save_edge_list(DirectedGraph(n=n, edges=frozenset(edges)), tmp_path / "hub.txt")
     cfg = {
         "graph": {"edge_list": "hub.txt"},
         "objective": {"kind": "quadratic", "dim": 5, "kappa": 100.0, "mu_base": 0.01, "seed": 0},
@@ -742,3 +792,59 @@ def test_cli_divergence_names_the_algorithm(tmp_path, capsys, name, k):
     assert main(["run", "--config", str(tmp_path / "hub.json")]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {name}: non-finite iterate at iteration {k}\n"
+
+
+def _reject_constant(name):
+    raise ValueError(f"summary.json holds the non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("K", [600, 900])
+def test_cli_flags_finite_divergence(tmp_path, capsys, K):
+    """On the n = 400 ring + 1200 links with graph seed 10, every "auto" run
+    blows up without a non-finite iterate: at K = 600 the final gaps are
+    finite (up to 9.3e215), at K = 900 apd's has overflowed to inf. The CLI
+    exits 0, flags all three runs in summary.json and names them on one
+    stderr line; summary.json stays strict JSON, with null for inf and NaN."""
+    names = ["apd", "apdsc", "pushdiging"]
+    cfg = {
+        "graph": {"n": 400, "extra_edges": 1200, "seed": 10},
+        "objective": {"kind": "quadratic", "dim": 5, "kappa": 100.0, "mu_base": 0.01, "seed": 11},
+        "init": {"x0_seed": 11},
+        "run": {"iterations": K, "out_dir": str(tmp_path / "out")},
+        "algorithms": [{"name": name, "params": "auto"} for name in names],
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 0
+    err = capsys.readouterr().err
+    assert err == f"warning: final gap above the start gap or not finite: {', '.join(names)}\n"
+    text = (tmp_path / "out" / "summary.json").read_text()
+    summary = json.loads(text, parse_constant=_reject_constant)
+    for name in names:
+        info = summary["algorithms"][name]
+        assert info["final_above_start"] is True
+        assert 0 < info["start_gap"] < 10
+        final = read_trace_csv(tmp_path / "out" / f"trace_{name}.csv").loss[-1]
+        assert info["final_gap"] == (final if np.isfinite(final) else None)
+    apd = summary["algorithms"]["apd"]
+    if K == 900:
+        assert apd["final_gap"] is None and apd["linear_rate"] is None
+    else:
+        assert apd["final_gap"] > 1e200
+
+
+def test_cli_flags_no_converging_run(tmp_path, capsys):
+    """Runs that end below their start gap are not flagged, and `run` and
+    `reproduce` then print nothing to stderr."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(base_config(tmp_path / "run", iterations=200)))
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    argv = ["reproduce", "--case", "strongly", "--iters", "60", "--out", str(tmp_path / "rep")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    for out in ("run", "rep"):
+        summary = json.loads((tmp_path / out / "summary.json").read_text())
+        for info in summary["algorithms"].values():
+            assert info["final_above_start"] is False
+            assert info["final_gap"] <= info["start_gap"]

@@ -11,11 +11,12 @@ from pushopt import (
     MixingMatrix,
     build_contraction_norm,
     build_cycle_plus_random,
+    build_problem,
     make_quadratic_suite,
     perron_vector,
     uniform_out_weights,
 )
-from pushopt.experiments import _problem, _run_and_write
+from pushopt.experiments import _run_and_write
 from pushopt.mixing import _InNeighborGather
 
 TRIANGLE = DirectedGraph(
@@ -145,13 +146,13 @@ def test_norm_transform_cycle_contraction():
 def test_norm_transform_invariants(small_mixing):
     nt = build_contraction_norm(small_mixing.C, small_mixing.p)
     M = small_mixing.error_map()
-    measured = np.linalg.norm(nt.Ctilde @ M @ np.linalg.inv(nt.Ctilde), 2)
+    measured = np.linalg.norm(np.diag(nt.w) @ M @ np.diag(1 / nt.w), 2)
     assert measured <= 1.0 - nt.delta + 1e-10
     assert nt.theta >= 1.0
     rng = np.random.default_rng(0)
     for _ in range(100):
         x = rng.standard_normal(small_mixing.n)
-        a = np.linalg.norm(nt.Ctilde @ x)
+        a = np.linalg.norm(np.diag(nt.w) @ x)
         b = np.linalg.norm(x)
         assert a <= b * (1 + 1e-10)
         assert b <= nt.theta * a * (1 + 1e-10)
@@ -167,10 +168,10 @@ def test_run_path_norm_transform_matches_bare_call(n):
     build_contraction_norm(C, p) build bitwise the same transform, and the
     rho the run reports is the transform's."""
     graph = _sparse_graph(n)
-    prob = _problem(graph, make_quadratic_suite(n, 3, 10.0, 0.1, 2), x0_seed=0)
+    prob = build_problem(graph, make_quadratic_suite(n, 3, 10.0, 0.1, 2), x0_seed=0)
     mix = uniform_out_weights(graph)
     nt = build_contraction_norm(mix.C, mix.p)
-    for name in ("w", "p", "Ctilde"):
+    for name in ("w", "p"):
         assert np.array_equal(getattr(prob.nt, name), getattr(nt, name)), name
     for name in ("rho", "delta", "theta"):
         assert getattr(prob.nt, name) == getattr(nt, name), name
@@ -207,7 +208,7 @@ def test_setup_makes_one_symmetric_eigensolve(monkeypatch):
     graph = _sparse_graph(160)
     suite = make_quadratic_suite(160, 3, 10.0, 0.1, 2)
     callers = _spy_on_eigen_work(monkeypatch)
-    _problem(graph, suite, x0_seed=0)
+    build_problem(graph, suite, x0_seed=0)
     assert callers == ["build_contraction_norm"]
     callers.clear()
     mix = uniform_out_weights(graph)
@@ -220,7 +221,7 @@ def test_setup_and_recorded_run_leave_certificates_unmeasured(tmp_path, monkeypa
     the build's one symmetric eigensolve."""
     graph = _sparse_graph(160)
     callers = _spy_on_eigen_work(monkeypatch)
-    prob = _problem(graph, make_quadratic_suite(160, 3, 10.0, 0.1, 2), x0_seed=0)
+    prob = build_problem(graph, make_quadratic_suite(160, 3, 10.0, 0.1, 2), x0_seed=0)
     _run_and_write(prob, [{"name": "apdsc", "params": "auto"}], 60, 1, tmp_path, {})
     assert callers == ["build_contraction_norm"]
 
@@ -228,12 +229,12 @@ def test_setup_and_recorded_run_leave_certificates_unmeasured(tmp_path, monkeypa
 @pytest.mark.parametrize("n", [10, 160, 400])
 def test_norm_certificates_match_svd(n):
     """rho and the projector norm 1 against np.linalg.norm(., 2) of
-    Ctilde A Ctilde^{-1} for the dense A = C - p 1^T / n and I - p 1^T / n:
+    diag(w) A diag(w)^{-1} for the dense A = C - p 1^T / n and I - p 1^T / n:
     rho from above within the grid step and the stated bound, 1 within
     1e-12 of the measured norm."""
     mix = uniform_out_weights(_sparse_graph(n))
     nt = build_contraction_norm(mix.C, mix.p)
-    Ct, Ct_inv = nt.Ctilde, np.diag(1.0 / nt.w)
+    Ct, Ct_inv = np.diag(nt.w), np.diag(1.0 / nt.w)
     _assert_rho_bounds(nt.rho, Ct @ mix.error_map() @ Ct_inv)
     projector = np.eye(n) - np.outer(mix.p, np.ones(n)) / n
     assert abs(np.linalg.norm(Ct @ projector @ Ct_inv, 2) - 1.0) <= 1e-12
@@ -304,21 +305,32 @@ _REFERENCE_GRAPHS = {
 
 
 def _assert_matches_eager(C, p):
-    """build_contraction_norm gives the eager reference's fields bit for bit,
-    and Ctilde is diag(w)."""
+    """build_contraction_norm gives the eager reference's fields bit for bit."""
     ref = _eager_build(C, p)
     nt = build_contraction_norm(C, p)
     assert np.array_equal(nt.w, ref["w"])
     assert np.array_equal(nt.p, p) and nt.p is not p
     for name in ("rho", "delta", "theta"):
         assert getattr(nt, name) == ref[name], name
-    assert np.array_equal(nt.Ctilde, np.diag(ref["w"]))
 
 
 @pytest.mark.parametrize("graph", _REFERENCE_GRAPHS)
 def test_norm_transform_bitwise_matches_eager_build(graph):
     mix = uniform_out_weights(_REFERENCE_GRAPHS[graph]())
     _assert_matches_eager(mix.C, mix.p)
+
+
+@pytest.mark.parametrize("graph", _REFERENCE_GRAPHS)
+def test_uniform_weights_match_sender_loop(graph):
+    """The one-pass fill gives, bit for bit, the C of a loop over senders
+    that writes 1 / (outdeg + 1) at the sender and at each receiver."""
+    g = _REFERENCE_GRAPHS[graph]()
+    ref = np.zeros((g.n, g.n))
+    for j, receivers in enumerate(g.out_neighbors()):
+        ref[[j, *receivers], j] = 1.0 / (len(receivers) + 1)
+    mix = uniform_out_weights(g)
+    assert np.array_equal(mix.C, ref)
+    assert np.array_equal(mix.p, perron_vector(ref))
 
 
 @st.composite
@@ -406,7 +418,7 @@ def test_build_rejects_nonpositive_perron_vector(small_mixing):
 
 
 def test_projector_norm_recorded(small_mixing, small_norm):
-    # Ctilde (I - p 1^T / n) Ctilde^{-1} = I - u u^T with ||u||^2 = sum(p) / n:
+    # diag(w) (I - p 1^T / n) diag(w)^{-1} = I - u u^T with ||u||^2 = sum(p) / n:
     # an orthogonal projector, whose measured norm is 1 to rounding.
     n, p, w = small_mixing.n, small_mixing.p, small_norm.w
     measured = np.linalg.norm((np.eye(n) - np.outer(p, np.ones(n)) / n) * w[:, None] / w, 2)

@@ -1,13 +1,18 @@
-"""Properties only a fresh interpreter shows: what `pushopt` imports, and
-outputs that must not depend on the BLAS thread count."""
+"""Properties only a fresh interpreter shows: what `pushopt` imports,
+outputs that must not depend on the BLAS thread count, and the demos'
+committed plots."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+DEMOS = SRC.parent / "demos"
 
 
 def _python(args, threads=1, **kwargs):
@@ -111,3 +116,15 @@ def test_n160_outputs_independent_of_blas_threads(tmp_path):
         "run": {"iterations": 60},
         "algorithms": [{"name": a, "params": "auto"} for a in ("apd", "apdsc", "pushdiging")],
     })
+
+
+@pytest.mark.parametrize("demo", ["quadratic_acceleration", "strongly_convex_scaling"])
+def test_demo_rewrites_committed_svg(tmp_path, demo):
+    """The demo, run from a copy with one BLAS thread, writes the SVG that
+    demos/out/ holds, byte for byte."""
+    copy = tmp_path / "demos" / f"{demo}.py"
+    copy.parent.mkdir()
+    shutil.copy(DEMOS / f"{demo}.py", copy)
+    _python([str(copy)])
+    svg = f"out/{demo}.svg"
+    assert (copy.parent / svg).read_bytes() == (DEMOS / svg).read_bytes()

@@ -11,8 +11,6 @@ from pushopt import (
     QuadraticSuite,
     SubgradPushParams,
     TheoryInputs,
-    apd_run,
-    apdsc_run,
     build_contraction_norm,
     build_cycle_plus_random,
     calibrate_theory_inputs,
@@ -21,8 +19,7 @@ from pushopt import (
     default_params_smooth,
     init_state,
     make_quadratic_suite,
-    push_diging_run,
-    subgradient_push_run,
+    run,
     uniform_out_weights,
 )
 from pushopt.graphs import DirectedGraph
@@ -90,7 +87,7 @@ def test_reduction_to_centralized(small_suite):
     )
     params = APDParams(eta=1.0, pa=0.25, wa=0.25, wb=1.0, K=500)
     states = []
-    apd_run(np.array([[1.0]]), np.array([1.0]), MIX1, suite, params, states.append)
+    run(np.array([[1.0]]), np.array([1.0]), MIX1, suite, params, states.append)
     agm = centralized_agm_run(np.array([1.0]), suite, eta=1.0, K=500)
     dev = 0.0
     for s in states:
@@ -119,9 +116,9 @@ def test_consensus_start_stays_consensus():
     def mon(s):
         rows_equal.append(np.abs(s.X - s.X[0]).max())
         v_ones.append(np.abs(s.v - 1).max())
-    apd_run(X0, np.ones(4), mix, suite, APDParams(eta=0.3, K=100), mon)
+    run(X0, np.ones(4), mix, suite, APDParams(eta=0.3, K=100), mon)
     sc = APDSCParams(eta=0.3, alpha=2.0, beta=0.05, tau=0.1, K=100)
-    apdsc_run(X0, np.ones(4), mix, suite, sc, mon)
+    run(X0, np.ones(4), mix, suite, sc, mon)
     assert max(rows_equal) <= 1e-12
     assert max(v_ones) <= 1e-12
 
@@ -146,8 +143,8 @@ def test_coupling_identity_base_case(small_mixing, small_suite, small_init):
 def test_push_diging_n1_is_gradient_descent():
     suite = QuadraticSuite(H=np.array([[[2.0]]]), b=np.array([[1.0]]), L=2.0, mu=2.0)
     xs = []
-    push_diging_run(
-        np.array([[5.0]]), np.array([1.0]), MIX1, suite, 0.1, 50,
+    run(
+        np.array([[5.0]]), np.array([1.0]), MIX1, suite, PushDIGingParams(0.1, 50),
         lambda s: xs.append(s.X.copy()),
     )
     x = 5.0
@@ -162,7 +159,7 @@ def test_tracking_identity_every_step(small_mixing, small_suite, small_init):
     def mon(s):
         gbar = s.grad_U.mean(0)
         worst.append(np.linalg.norm(s.G.mean(0) - gbar) / (1 + np.linalg.norm(gbar)))
-    push_diging_run(X0, v0, small_mixing, small_suite, 0.3 / small_suite.L, 300, mon)
+    run(X0, v0, small_mixing, small_suite, PushDIGingParams(0.3 / small_suite.L, 300), mon)
     assert max(worst) <= 1e-10
 
 
@@ -175,7 +172,7 @@ def test_subgradient_push_constant_objective_reaches_consensus(small_mixing):
     X0 = rng.standard_normal((n, 3))
     v0 = rng.uniform(0.5, 1.5, n)
     v0 *= n / v0.sum()
-    out, _ = subgradient_push_run(X0, v0, small_mixing, flat, 0.18, 300)
+    out, _ = run(X0, v0, small_mixing, flat, SubgradPushParams(0.18, 300))
     expected = X0.mean(axis=0)  # total mass of v0 is n, so the ratio limit
     assert np.abs(out - expected).max() <= 1e-10
 
@@ -188,7 +185,7 @@ def test_apdsc_tail_decays_geometrically(small_mixing, small_init):
     xstar, _ = suite.minimizer()
     params = default_params_sc(suite.L, suite.mu, K=900)
     rec = TraceRecorder(suite, small_mixing, xstar=xstar, label="apdsc")
-    _, tr = apdsc_run(X0, v0, small_mixing, suite, params, rec)
+    _, tr = run(X0, v0, small_mixing, suite, params, rec)
     assert tr.loss.min() <= 1e-12
     # momentum makes single samples oscillate; the 100-iteration envelope
     # must decay at every sampled point
@@ -207,7 +204,7 @@ def test_apdsc_scalar_monotone_tail_with_saturating_beta():
     losses = []
     fstar = -0.5 * 0.4**2
     mon = lambda s: losses.append(0.5 * s.Y[0, 0] ** 2 - 0.4 * s.Y[0, 0] - fstar)
-    apdsc_run(np.array([[2.0]]), np.array([1.0]), MIX1, suite, params, mon)
+    run(np.array([[2.0]]), np.array([1.0]), MIX1, suite, params, mon)
     tail = losses[150:]
     assert all(b < a for a, b in zip(tail, tail[1:]) if a > 1e-15)
 
@@ -219,7 +216,7 @@ def test_push_diging_linear_decay_strongly_convex(small_mixing, small_init):
     suite = make_quadratic_suite(10, 5, 10.0, 0.1, 3)
     xstar, _ = suite.minimizer()
     rec = TraceRecorder(suite, small_mixing, xstar=xstar, label="pd")
-    _, tr = push_diging_run(X0, v0, small_mixing, suite, 0.5 / suite.L, 800, rec)
+    _, tr = run(X0, v0, small_mixing, suite, PushDIGingParams(0.5 / suite.L, 800), rec)
     assert tr.loss.min() <= 1e-10
 
 
@@ -234,14 +231,14 @@ def test_divergence_raises_with_iteration():
     suite = QuadraticSuite(H=np.ones((1, 1, 1)) * 4.0, b=np.zeros((1, 1)), L=4.0, mu=4.0)
     params = APDParams(eta=200.0, K=2000)
     with pytest.raises(DivergenceError) as err:
-        apd_run(np.array([[1.0]]), np.array([1.0]), MIX1, suite, params)
+        run(np.array([[1.0]]), np.array([1.0]), MIX1, suite, params)
     assert err.value.iteration >= 1
 
 
 def test_K_zero_returns_initial_ratio(small_mixing, small_suite, small_init):
     X0, v0 = small_init
     params = APDParams(eta=0.1, K=0)
-    out, _ = apd_run(X0, v0, small_mixing, small_suite, params)
+    out, _ = run(X0, v0, small_mixing, small_suite, params)
     assert np.allclose(out, X0 / v0[:, None])
 
 
@@ -249,10 +246,10 @@ def test_v0_validation(small_mixing, small_suite):
     X0 = np.zeros((small_mixing.n, 5))
     bad_sign = -np.ones(small_mixing.n)
     with pytest.raises(ValueError):
-        apd_run(X0, bad_sign, small_mixing, small_suite, APDParams(eta=0.1, K=1))
+        run(X0, bad_sign, small_mixing, small_suite, APDParams(eta=0.1, K=1))
     bad_sum = np.full(small_mixing.n, 2.0)
     with pytest.raises(ValueError):
-        apd_run(X0, bad_sum, small_mixing, small_suite, APDParams(eta=0.1, K=1))
+        run(X0, bad_sum, small_mixing, small_suite, APDParams(eta=0.1, K=1))
 
 
 def test_determinism_bitwise(small_mixing, small_suite, small_init):
@@ -261,7 +258,7 @@ def test_determinism_bitwise(small_mixing, small_suite, small_init):
     loss = []
     for _ in range(2):
         states = []
-        apdsc_run(X0, v0, small_mixing, small_suite, params, states.append)
+        run(X0, v0, small_mixing, small_suite, params, states.append)
         loss.append(np.array([s.X.sum() for s in states]))
     assert np.array_equal(loss[0], loss[1])
 
@@ -270,16 +267,8 @@ def test_one_gradient_batch_per_step(small_mixing, small_suite, small_init):
     X0, v0 = small_init
     counting = CountingSuite(small_suite)
     params = APDParams(eta=0.01, K=25)
-    apd_run(X0, v0, small_mixing, counting, params)
+    run(X0, v0, small_mixing, counting, params)
     assert counting.batch_calls == 26  # one at init, one per step
-
-
-def test_vhat_tracks_weight_floor(small_mixing, small_suite, small_init):
-    X0, v0 = small_init
-    final = []
-    apd_run(X0, v0, small_mixing, small_suite, APDParams(eta=0.01, K=120), final.append)
-    vhat = max(1.0 / s.v.min() for s in final)
-    assert final[-1].vhat_seen == pytest.approx(vhat)
 
 
 def test_default_params_smooth_practical():
@@ -335,11 +324,11 @@ def test_theoretical_sc_runs_stably(small_mixing, small_suite, small_init):
     params = default_params_sc(small_suite.L, small_suite.mu, mode="theoretical", theory=ti, K=50)
     assert params.eta > 0
     mon = IdentityMonitor(small_mixing, params)
-    apdsc_run(X0, v0, small_mixing, small_suite, params, mon)
+    run(X0, v0, small_mixing, small_suite, params, mon)
     assert mon.max_mass_err <= 1e-10
     params_s = default_params_smooth(small_suite.L, mode="theoretical", theory=ti, K=50)
     assert params_s.eta > 0
-    apd_run(X0, v0, small_mixing, small_suite, params_s)
+    run(X0, v0, small_mixing, small_suite, params_s)
 
 
 def test_param_validation():
@@ -359,13 +348,13 @@ def test_param_validation():
         PushDIGingParams(eta=0.1, K=-1)
 
 
-@pytest.mark.parametrize("run", [push_diging_run, subgradient_push_run])
-def test_baselines_report_x_as_their_y(small_mixing, small_suite, small_init, run):
+@pytest.mark.parametrize("method", [PushDIGingParams, SubgradPushParams])
+def test_baselines_report_x_as_their_y(small_mixing, small_suite, small_init, method):
     """A baseline's Y is its X from k = 1 on (an equal copy at k = 0), so the
     V^{-1} Y that every run returns is the baseline's V^{-1} X."""
     X0, v0 = small_init
     states = []
-    out, _ = run(X0, v0, small_mixing, small_suite, 0.3 / small_suite.L, 20, states.append)
+    out, _ = run(X0, v0, small_mixing, small_suite, method(0.3 / small_suite.L, 20), states.append)
     assert np.array_equal(states[0].Y, states[0].X) and states[0].Y is not states[0].X
     assert all(s.Y is s.X for s in states[1:])
     assert np.array_equal(out, states[-1].X / states[-1].v[:, None])
@@ -392,43 +381,34 @@ def sparse_problem():
     return mixing, dense, suite, X0, np.ones(n)
 
 
-def _sparse_runs(suite, X0, v0, K=60):
-    """name -> (run(mixing, hooks), IdentityMonitor params or None) on one problem."""
-    pa = default_params_smooth(suite.L, K=K)
-    ps = default_params_sc(suite.L, suite.mu, K=K)
-    eta = 0.3 / suite.L
+def _sparse_params(suite, K=60):
+    """name -> params of a K-step run on one problem."""
     return {
-        "apd": (lambda m, h: apd_run(X0, v0, m, suite, pa, h), pa),
-        "apdsc": (lambda m, h: apdsc_run(X0, v0, m, suite, ps, h), ps),
-        "pushdiging": (
-            lambda m, h: push_diging_run(X0, v0, m, suite, eta, K, h),
-            PushDIGingParams(eta, K),
-        ),
-        "subgradpush": (
-            lambda m, h: subgradient_push_run(X0, v0, m, suite, 0.18, K, h),
-            None,
-        ),
+        "apd": default_params_smooth(suite.L, K=K),
+        "apdsc": default_params_sc(suite.L, suite.mu, K=K),
+        "pushdiging": PushDIGingParams(0.3 / suite.L, K),
+        "subgradpush": SubgradPushParams(0.18, K),
     }
 
 
 @pytest.mark.parametrize("name", ["apd", "apdsc", "pushdiging", "subgradpush"])
 def test_csr_mixing_matches_dense_and_keeps_identities(sparse_problem, name):
     mixing, dense, suite, X0, v0 = sparse_problem
-    run, params = _sparse_runs(suite, X0, v0)[name]
+    params = _sparse_params(suite)[name]
     states, again, ref = [], [], []
-    run(mixing, states.append)
-    run(mixing, again.append)
-    run(dense, ref.append)
+    run(X0, v0, mixing, suite, params, states.append)
+    run(X0, v0, mixing, suite, params, again.append)
+    run(X0, v0, dense, suite, params, ref.append)
     assert len(states) == len(ref) == 61
     for s, t, r in zip(states, again, ref):
         for field in "XYZGv":
             a, b, c = getattr(s, field), getattr(t, field), getattr(r, field)
             assert np.array_equal(a, b)
             assert np.abs(a - c).max() <= 1e-12 * np.abs(c).max()
-    if params is None:
+    if name == "subgradpush":  # no average-iterate identities to monitor
         return
     mon = IdentityMonitor(mixing, params)
-    run(mixing, mon)
+    run(X0, v0, mixing, suite, params, mon)
     worst = mon.worst()
     for key in ("mass", "tracking", "ybar", "zbar", "xbar", "coupling"):
         assert worst[key] <= 1e-10, (key, worst[key])
