@@ -68,17 +68,16 @@ class RunTrace:
 
 
 def optimality_gap(suite: ObjectiveSuite, output: np.ndarray, xstar, fstar) -> float:
-    """Mean over agents of f(estimate_i) - f*, f being the average objective.
+    """Mean over agents of f(estimate_i) - f(x*), f being the average objective.
 
-    Given x*, the gap comes from `suite.gap_values`, which works in float64
-    on the displacement estimate - x* and so resolves the deep tail of the
-    gap. With only f* it is the plain float64 difference, which cannot
-    resolve gaps below about 1e-16 |f*|.
+    The gap comes from `suite.gap_values`, which works in float64 on the
+    displacement estimate - x* and so resolves the deep tail of the gap.
+    x* is required. fstar is not read: it stays only because the benchmark's
+    sweep passes it by position.
     """
-    rows = np.asarray(output, dtype=float)
-    if xstar is not None:
-        return float(suite.gap_values(rows, xstar).mean())
-    return float(suite.average_values(rows).mean() - fstar)
+    if xstar is None:
+        raise ValueError("optimality_gap needs the minimizer x*; xstar is None")
+    return float(suite.gap_values(np.asarray(output, dtype=float), xstar).mean())
 
 
 def _block(d: int, n: int) -> int:
@@ -271,21 +270,21 @@ class TraceRecorder:
     """Hook that accumulates a RunTrace while a solver runs.
 
     Pass as `hooks=` to any run; the run returns recorder.trace(). The loss
-    column is `optimality_gap` of the estimates: exact in float64 when x* is
-    given, the plain difference to f* when only f* is. Given a norm
-    transform, the recorder adds the params' Lyapunov pair
-    (`params.lyapunov_pair`), if it has one. With stride="auto" every
-    iteration is recorded up to k = 10_000 and every 10th beyond.
+    column is `optimality_gap` of the estimates, the gap from the required
+    minimizer x*, exact in float64. Given a norm transform, the recorder
+    adds the params' Lyapunov pair (`params.lyapunov_pair`), if it has one.
+    With stride="auto" every iteration is recorded up to k = 10_000 and
+    every 10th beyond.
 
     stride is "auto" or a positive int. A call copies X, Z and G agent-last
     (X.T, ...) into a (3, B, d, n) stack, v and the estimate's field into
     block buffers. Every column is evaluated B records at a time, when a
     block fills and in trace(); B is 32, or fewer where the stack would
     exceed about 0.75 MB (16 at n = 400 with d = 5).
-    The loss takes one `gap_values` (or, given only f*, `average_values`)
-    call on the block's B n ratio rows; the other columns go through
-    `_records`, the kernel behind `consensus_error` and `lyapunov`, so
-    each equals its per-call value bit for bit. It projects off the Perron
+    The loss takes one `gap_values` call on the block's B n ratio rows;
+    the other columns go through `_records`, the kernel behind
+    `consensus_error` and `lyapunov`, so each equals its per-call value bit
+    for bit. It projects off the Perron
     direction in place in O(n d) (a norm transform must carry the mixing's
     Perron vector), and a Lyapunov block scales the projected stack by the
     norm's weights w, also in O(n d) per record.
@@ -304,8 +303,7 @@ class TraceRecorder:
         self,
         suite: ObjectiveSuite,
         mixing: MixingMatrix,
-        xstar=None,
-        fstar=None,
+        xstar,
         params=None,
         norm_transform: NormTransform | None = None,
         estimate: str = "Y",
@@ -324,7 +322,6 @@ class TraceRecorder:
         self.stride = stride
         self.label = label
         self.xstar = xstar
-        self.fstar = fstar
         self._rows = {name: [] for name in TRACE_COLUMNS}
         self._ks = []  # k of each record in the block
         B = _block(suite.dim, mixing.n)
@@ -367,12 +364,8 @@ class TraceRecorder:
         block's m n ratio rows; a record's mean is the same pairwise sum over
         its n contiguous values as that of `optimality_gap`."""
         m, n = v.shape
-        if self.xstar is None and self.fstar is None:
-            return np.full(m, np.nan)
         rows = (est / v[..., None]).reshape(m * n, -1)
-        if self.xstar is not None:
-            return self.suite.gap_values(rows, self.xstar).reshape(m, n).mean(axis=1)
-        return self.suite.average_values(rows).reshape(m, n).mean(axis=1) - self.fstar
+        return self.suite.gap_values(rows, self.xstar).reshape(m, n).mean(axis=1)
 
     def trace(self) -> RunTrace:
         self._flush()
@@ -409,10 +402,6 @@ class IdentityMonitor:
         self._average_step = params.average_step
         self._prev = None  # (k, xbar, zbar, gbar) of the last state
         self._worst = dict.fromkeys(("mass", "tracking", "ybar", "zbar", "xbar", "coupling"), 0.0)
-
-    @property
-    def max_mass_err(self) -> float:
-        return self._worst["mass"]
 
     def _note(self, key: str, res, scale) -> None:
         self._worst[key] = max(self._worst[key], float(res / scale))

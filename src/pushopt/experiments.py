@@ -107,16 +107,19 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict, base_dir=".") -> "ExperimentConfig":
         base = Path(base_dir)
-        try:
-            graph = dict(raw["graph"])
-            objective = dict(raw["objective"])
-            algorithms = [dict(a) for a in raw["algorithms"]]
-            run_section = dict(raw.get("run", {}))
-            init = dict(raw.get("init", {}))
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"missing or malformed config section: {exc}") from None
-        if not algorithms:
-            raise ConfigError("need at least one algorithm")
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {raw!r}")
+        graph, objective = _section(raw, "graph"), _section(raw, "objective")
+        run_section = _section(raw, "run", optional=True)
+        init = _section(raw, "init", optional=True)
+        algorithms = raw.get("algorithms")
+        if not (isinstance(algorithms, list) and algorithms
+                and all(isinstance(a, dict) for a in algorithms)):
+            raise ConfigError(
+                f"config section 'algorithms' must be a non-empty list of objects, "
+                f"got {algorithms!r}"
+            )
+        algorithms = [dict(a) for a in algorithms]
         iterations = run_section.get("iterations", 1000)
         if not _is_int(iterations):
             raise ConfigError(f"iterations must be a positive integer, got {iterations!r}")
@@ -189,6 +192,18 @@ _INTEGER_FIELDS = {
 # Objective fields that must be finite JSON numbers, by objective kind;
 # float() would otherwise turn true into 1.0 and accept the string "100".
 _FLOAT_FIELDS = {"quadratic": ("kappa", "mu_base"), "logistic": ("mu",)}
+
+
+def _section(raw: dict, name: str, optional: bool = False) -> dict:
+    """A copy of the config section name, which must be a JSON object; an
+    optional section that is absent is empty."""
+    if name not in raw:
+        if optional:
+            return {}
+        raise ConfigError(f"config lacks the section {name!r}")
+    if not isinstance(raw[name], dict):
+        raise ConfigError(f"config section {name!r} must be a JSON object, got {raw[name]!r}")
+    return dict(raw[name])
 
 
 def _is_int(value, least: int = 1) -> bool:

@@ -40,6 +40,12 @@ def _sigmoid(t):
     return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
+# Gradient norm that ObjectiveSuite.minimizer's Newton iteration stops at,
+# and its step cap.
+_NEWTON_TOL = 1e-14
+_NEWTON_MAX_ITER = 100
+
+
 # Entries of one (rows x examples) temporary of LogisticSuite; measured in
 # the gap_values docstring.
 _SLICE_ENTRIES = 2**15
@@ -180,6 +186,7 @@ class ObjectiveSuite:
     the average objective with its gradient and Hessian, and `gap_values`,
     which measures f(row) - f(x*) in float64 from the displacement row - x*,
     so that gaps far below the resolution of f itself stay accurate.
+    `minimizer` finds x* by damped Newton unless a subclass has a closed form.
     """
 
     def __init__(self, n: int, dim: int, L: float, mu: float):
@@ -224,6 +231,37 @@ class ObjectiveSuite:
         1e-16 |f(x*)| stay accurate.
         """
         raise NotImplementedError
+
+    def minimizer(self) -> tuple:
+        """Minimizer (x*, f*) of the average objective, to gradient norm
+        _NEWTON_TOL, by damped Newton from the origin.
+
+        Each step solves with `average_hessian`, then halves its length
+        until the decrease, measured with `gap_values` so it stays exact
+        near x*, meets the Armijo condition. Raises RuntimeError, naming the
+        final gradient norm, if _NEWTON_MAX_ITER steps do not reach the tol.
+        """
+        x = np.zeros(self.dim)
+        for it in range(_NEWTON_MAX_ITER + 1):
+            g = self.average_grad(x)
+            gnorm = float(np.linalg.norm(g))
+            if gnorm <= _NEWTON_TOL:
+                return x, float(self.average_value(x))
+            if it == _NEWTON_MAX_ITER:
+                break
+            step = -np.linalg.solve(self.average_hessian(x), g)
+            slope = float(g @ step)
+            t = 1.0
+            while t > 1e-10:
+                change = self.gap_values((x + t * step)[None, :], x)[0]
+                if change <= 0.25 * t * slope:
+                    break
+                t *= 0.5
+            x = x + t * step
+        raise RuntimeError(
+            f"minimizer did not reach gradient norm {_NEWTON_TOL} in "
+            f"{_NEWTON_MAX_ITER} iterations (final gradient norm {gnorm})"
+        )
 
     def _reference(self, xstar) -> tuple:
         """The x*-only terms of `gap_values`, recomputed only for a new x*."""
@@ -463,41 +501,7 @@ def make_logistic_suite(
     return LogisticSuite(shards=shards, mu=mu)
 
 
-def global_minimizer(
-    suite: ObjectiveSuite,
-    tol: float = 1e-14,
-    max_iter: int = 100,
-    force_iterative: bool = False,
-) -> tuple:
-    """Minimizer (x*, f*) of the average objective, to gradient norm tol.
-
-    Quadratic suites use the closed form. Otherwise damped Newton from the
-    origin: each step solves with `average_hessian`, then halves its length
-    until the decrease, measured with `gap_values` so it stays exact near x*,
-    meets the Armijo condition. Raises RuntimeError, naming the final gradient
-    norm, if max_iter steps do not reach tol.
-    """
-    if isinstance(suite, QuadraticSuite) and not force_iterative:
-        return suite.minimizer()
-
-    x = np.zeros(suite.dim)
-    for it in range(max_iter + 1):
-        g = suite.average_grad(x)
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol:
-            return x, float(suite.average_value(x))
-        if it == max_iter:
-            break
-        step = -np.linalg.solve(suite.average_hessian(x), g)
-        slope = float(g @ step)
-        t = 1.0
-        while t > 1e-10:
-            change = suite.gap_values((x + t * step)[None, :], x)[0]
-            if change <= 0.25 * t * slope:
-                break
-            t *= 0.5
-        x = x + t * step
-    raise RuntimeError(
-        f"minimizer did not reach gradient norm {tol} in {max_iter} iterations "
-        f"(final gradient norm {gnorm})"
-    )
+def global_minimizer(suite: ObjectiveSuite) -> tuple:
+    """Minimizer (x*, f*) of the average objective: `suite.minimizer()`,
+    the closed form for a quadratic suite and damped Newton otherwise."""
+    return suite.minimizer()

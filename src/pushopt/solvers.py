@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 C4 = 26.0 * np.sqrt(np.e)  # tail constant of the schedule-sum bound
+_CALIBRATION_STEPS = 50  # mixing rounds calibrate_theory_inputs watches v over
 
 
 class DivergenceError(RuntimeError):
@@ -420,13 +421,15 @@ def calibrate_theory_inputs(
     mixing: MixingMatrix,
     nt: NormTransform,
     v0: np.ndarray,
-    iters: int = 50,
 ) -> TheoryInputs:
-    """Measure the push-sum weight floor over a short calibration run."""
+    """The theory's graph inputs from the mixing, its norm transform and the
+    start weights v0. vhat, the push-sum weight floor's inverse, is measured
+    as the largest 1 / min v over the first _CALIBRATION_STEPS mixing rounds
+    from v0."""
     _validate_v0(v0)
     v = np.array(v0, dtype=float)
     vhat = 1.0 / v.min()
-    for _ in range(iters):
+    for _ in range(_CALIBRATION_STEPS):
         v = mixing.op @ v
         vhat = max(vhat, 1.0 / v.min())
     return TheoryInputs(

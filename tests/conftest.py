@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 # Allow running the suite from a fresh checkout without installing.
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -11,6 +12,7 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from pushopt import (  # noqa: E402
+    DirectedGraph,
     build_contraction_norm,
     build_cycle_plus_random,
     make_quadratic_suite,
@@ -21,6 +23,18 @@ from pushopt import (  # noqa: E402
 # database, so the suite stays deterministic.
 settings.register_profile("tier1", derandomize=True, database=None, max_examples=150)
 settings.load_profile("tier1")
+
+
+@st.composite
+def strongly_connected(draw):
+    """A random strongly connected digraph on 2-40 nodes: a one-way ring in
+    random order plus random links. Test modules import it from here."""
+    n = draw(st.integers(2, 40))
+    order = draw(st.permutations(range(n)))
+    ring = {(order[i], order[(i + 1) % n]) for i in range(n)}
+    node = st.integers(0, n - 1)
+    extra = draw(st.sets(st.tuples(node, node), max_size=3 * n))
+    return DirectedGraph(n, frozenset(ring | {(i, j) for i, j in extra if i != j}))
 
 
 @pytest.fixture(scope="session")

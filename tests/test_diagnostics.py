@@ -280,10 +280,11 @@ def test_trace_recorder_contents(small_mixing, small_suite, small_init):
 
 def test_trace_recorder_auto_stride(small_mixing, small_suite, small_init):
     X0, v0 = small_init
-    rec = TraceRecorder(small_suite, small_mixing, stride="auto")
+    xstar, _ = small_suite.minimizer()
+    rec = TraceRecorder(small_suite, small_mixing, xstar, stride="auto")
     run(X0, v0, small_mixing, small_suite, APDParams(eta=0.01, K=30), rec)
     assert len(rec.trace()) == 31  # below the auto cutoff everything records
-    rec2 = TraceRecorder(small_suite, small_mixing, stride=7)
+    rec2 = TraceRecorder(small_suite, small_mixing, xstar, stride=7)
     run(X0, v0, small_mixing, small_suite, APDParams(eta=0.01, K=30), rec2)
     assert np.array_equal(rec2.trace().k, np.arange(0, 31, 7))
 
@@ -293,18 +294,20 @@ def test_trace_recorder_rejects_invalid_stride(small_mixing, small_suite, stride
     """A stride that is not "auto" or a positive int is refused when the
     recorder is made, not at its first record (0 divided by zero there,
     2.5 recorded every 2nd iteration)."""
+    xstar, _ = small_suite.minimizer()
     with pytest.raises(ValueError, match=f"positive int, got {stride!r}"):
-        TraceRecorder(small_suite, small_mixing, stride=stride)
+        TraceRecorder(small_suite, small_mixing, xstar, stride=stride)
 
 
-def test_trace_recorder_accepts_reference_value_only(small_mixing, small_suite, small_init):
-    X0, v0 = small_init
-    _, fstar = small_suite.minimizer()
-    rec = TraceRecorder(small_suite, small_mixing, fstar=fstar)
-    run(X0, v0, small_mixing, small_suite, APDParams(eta=0.01, K=5), rec)
-    tr = rec.trace()
-    assert np.isfinite(tr.loss).all()
-    assert tr.loss.min() >= -1e-12
+def test_every_gap_needs_the_minimizer(small_mixing, small_suite):
+    """The recorder takes x* as a required argument, and `optimality_gap`
+    refuses a missing one: no loss is measured from f* alone."""
+    xstar, fstar = small_suite.minimizer()
+    with pytest.raises(TypeError, match="xstar"):
+        TraceRecorder(small_suite, small_mixing)
+    rows = np.tile(xstar, (small_suite.n, 1))
+    with pytest.raises(ValueError, match=r"x\*"):
+        optimality_gap(small_suite, rows, None, fstar)
 
 
 def _oracle_rows(states, suite, mixing, xstar, params, nt, estimate):
@@ -374,17 +377,15 @@ def test_trace_recorder_shared_kernel_at_n400():
     mixing = uniform_out_weights(build_cycle_plus_random(400, 1200, 7))
     nt = build_contraction_norm(mixing.C, mixing.p)
     suite = make_quadratic_suite(400, 5, 100.0, 0.01, 4)
-    xstar, fstar = suite.minimizer()
+    xstar, _ = suite.minimizer()
     X0 = np.random.default_rng(8).standard_normal((400, 5))
     params = default_params_sc(suite.L, suite.mu, K=40, delta=nt.delta)
     rec = TraceRecorder(suite, mixing, xstar=xstar, params=params, norm_transform=nt)
-    rec_f = TraceRecorder(suite, mixing, fstar=fstar)
     states = []
 
     def hook(state):
         states.append(state)
         rec(state)
-        rec_f(state)
 
     run(X0, np.ones(400), mixing, suite, params, hook)
     tr = rec.trace()
@@ -395,16 +396,13 @@ def test_trace_recorder_shared_kernel_at_n400():
             assert np.array_equal(tr.column(col), np.array(expect[col])), col
         else:
             assert tr.column(col) is None, col
-    # Given only f*, a block's 16 n rows go through one average_values call.
-    gaps = [optimality_gap(suite, s.ratio("Y"), None, fstar) for s in states]
-    assert np.array_equal(rec_f.trace().loss, gaps)
 
 
 @pytest.mark.parametrize("case", ["nonstrongly", "strongly"])
 def test_trace_recorder_logistic_loss_bit_exact(case):
     """On the n = 20 logistic problem of `pushopt reproduce`, the recorder's
-    loss equals per-state `optimality_gap` bit for bit, given x* and given
-    only f*, for the accelerated method (estimate Y) and Push-DIGing (X).
+    loss equals per-state `optimality_gap` bit for bit, for the accelerated
+    method (estimate Y) and Push-DIGing (X).
     K = 70 gives blocks of 32, 32 and 7 records; the early records have
     entries |dt| >= 1, which take the far branch of `gap_values`."""
     block = REPRODUCTION_PARAMS[case]
@@ -413,7 +411,7 @@ def test_trace_recorder_logistic_loss_bit_exact(case):
     )
     data = synthetic_logistic_dataset(REPRO_AGENTS * EXAMPLES_PER_AGENT, 4, seed=REPRO_DATA_SEED)
     suite = make_logistic_suite(data, REPRO_AGENTS, block["mu"], REPRO_PARTITION_SEED)
-    xstar, fstar = global_minimizer(suite)
+    xstar, _ = global_minimizer(suite)
     LZ = np.vstack([lam[:, None] * Z for Z, lam in suite.shards])
     X0 = np.random.default_rng(REPRO_X0_SEED).standard_normal((REPRO_AGENTS, suite.dim))
     v0 = np.ones(REPRO_AGENTS)
@@ -424,24 +422,19 @@ def test_trace_recorder_logistic_loss_bit_exact(case):
         accel = APDSCParams(**block["apdsc"], K=K)
     methods = {"Y": accel, "X": PushDIGingParams(block["pushdiging"]["eta"], K)}
     for estimate, method in methods.items():
-        recs = [
-            TraceRecorder(suite, mixing, xstar=xstar, estimate=estimate),
-            TraceRecorder(suite, mixing, fstar=fstar, estimate=estimate),
-        ]
+        rec = TraceRecorder(suite, mixing, xstar=xstar, estimate=estimate)
         states = []
 
         def hook(state):
             states.append(state)
-            for rec in recs:
-                rec(state)
+            rec(state)
 
         run(X0, v0, mixing, suite, method, hook)
         assert len(states) == K + 1
         far = [np.abs((s.ratio(estimate) - xstar) @ LZ.T).max() >= 1.0 for s in states]
         assert any(far), estimate
-        for rec, ref in zip(recs, ((xstar, None), (None, fstar))):
-            gaps = [optimality_gap(suite, s.ratio(estimate), *ref) for s in states]
-            assert np.array_equal(rec.trace().loss, gaps), (estimate, ref[0] is None)
+        gaps = [optimality_gap(suite, s.ratio(estimate), xstar, None) for s in states]
+        assert np.array_equal(rec.trace().loss, gaps), estimate
 
 
 def test_trace_record_depends_only_on_its_state():
@@ -510,7 +503,7 @@ def test_error_map_exact_and_recorder_checks_perron_vector(small_mixing, small_s
     assert np.array_equal(small_mixing.error_map(), small_mixing.C - np.outer(p, np.ones(n)) / n)
     other = build_contraction_norm(small_mixing.C, p * (1.0 + 1e-12))
     with pytest.raises(ValueError, match="Perron vector"):
-        TraceRecorder(small_suite, small_mixing, norm_transform=other)
+        TraceRecorder(small_suite, small_mixing, small_suite.minimizer()[0], norm_transform=other)
 
 
 def _exact_columns(X, v, p):

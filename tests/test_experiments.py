@@ -178,7 +178,7 @@ def test_params_type_keys_the_diagnostics(name):
     else:
         with pytest.raises(TypeError):
             method.auto(suite, nt, 20, mode="theoretical", theory=theory)
-    rec = TraceRecorder(suite, mixing, params=params, norm_transform=nt)
+    rec = TraceRecorder(suite, mixing, suite.minimizer()[0], params=params, norm_transform=nt)
     _, trace = run(X0, v0, mixing, suite, params, rec)
     phis = {c for c in ("phi1", "phi2", "phi3", "phi4") if trace.column(c) is not None}
     assert phis == set(method.lyapunov_pair or ())
@@ -387,6 +387,61 @@ def test_single_algorithm_run_never_forks(tmp_path, monkeypatch, capsys):
     cfg_path.write_text(json.dumps(cfg))
     argv = ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
     assert _cli(argv, 2, monkeypatch, capsys)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "make,words",
+    [
+        (lambda cfg: {**cfg, "graph": "abc"}, ("'graph'", "JSON object")),
+        (lambda cfg: {**cfg, "init": "ab"}, ("'init'", "JSON object")),
+        (lambda cfg: {**cfg, "algorithms": "apd"}, ("'algorithms'", "list of objects")),
+        (lambda cfg: {**cfg, "algorithms": ["apd"]}, ("'algorithms'", "list of objects")),
+        (
+            lambda cfg: {**cfg, "graph": [["n", 20], ["extra_edges", 50], ["seed", 7]]},
+            ("'graph'", "JSON object"),
+        ),
+        (lambda cfg: [1, 2], ("config must be a JSON object", "[1, 2]")),
+    ],
+    ids=["graph-string", "init-string", "algorithms-string", "algorithms-of-strings",
+         "graph-pairs", "top-level-array"],
+)
+def test_config_sections_must_be_objects(tmp_path, capsys, make, words):
+    """The config is a JSON object, each section an object and algorithms a
+    non-empty list of objects; anything else is a ConfigError naming the
+    section (dict() had turned a list of pairs into a graph section)."""
+    cfg = make(base_config(tmp_path / "o"))
+    with pytest.raises(ConfigError) as excinfo:
+        ExperimentConfig.from_dict(cfg, tmp_path)
+    assert all(word in str(excinfo.value) for word in words)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert all(word in err for word in words)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["run", "--seed", "-1"], "--seed must be a non-negative integer, got -1"),
+        (
+            ["reproduce", "--case", "strongly", "--iters", "-5"],
+            "--iters must be a non-negative integer, got -5",
+        ),
+    ],
+    ids=["seed", "iters"],
+)
+def test_cli_rejects_negative_counts(tmp_path, capsys, argv, message):
+    """A negative --seed or --iters ends the CLI with exit 1, one message
+    naming the flag, and no output file."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(base_config(tmp_path / "cfg_out", iterations=10)))
+    if argv[0] == "run":
+        argv = argv + ["--config", str(cfg_path)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_config_rejects_duplicate_algorithms(tmp_path):

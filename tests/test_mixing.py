@@ -19,6 +19,8 @@ from pushopt import (
 from pushopt.experiments import _run_and_write
 from pushopt.mixing import _InNeighborGather
 
+from conftest import strongly_connected
+
 TRIANGLE = DirectedGraph(
     3, frozenset({(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)})
 )
@@ -333,19 +335,7 @@ def test_uniform_weights_match_sender_loop(graph):
     assert np.array_equal(mix.p, perron_vector(ref))
 
 
-@st.composite
-def _strongly_connected(draw):
-    """A random strongly connected digraph on 2-40 nodes: a one-way ring in
-    random order plus random links."""
-    n = draw(st.integers(2, 40))
-    order = draw(st.permutations(range(n)))
-    ring = {(order[i], order[(i + 1) % n]) for i in range(n)}
-    node = st.integers(0, n - 1)
-    extra = draw(st.sets(st.tuples(node, node), max_size=3 * n))
-    return DirectedGraph(n, frozenset(ring | {(i, j) for i, j in extra if i != j}))
-
-
-@given(_strongly_connected())
+@given(strongly_connected())
 def test_norm_transform_and_perron_bitwise_on_random_digraphs(graph):
     mix = uniform_out_weights(graph)
     assert np.array_equal(mix.p, _eager_perron(mix.C))

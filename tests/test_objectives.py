@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from pushopt import (
     LabeledDataset,
+    ObjectiveSuite,
     QuadraticSuite,
     global_minimizer,
     load_labeled_csv,
@@ -17,6 +19,7 @@ from pushopt import (
     synthetic_logistic_dataset,
     write_labeled_csv,
 )
+from pushopt import objectives
 from pushopt.experiments import (
     REPRO_AGENTS,
     REPRO_DATA_SEED,
@@ -102,7 +105,7 @@ def test_quadratic_closed_form_vs_linear_solve_oracle():
 def test_quadratic_iterative_matches_closed_form():
     suite = make_quadratic_suite(8, 4, 50.0, 0.05, 9)
     xc, fc = global_minimizer(suite)
-    xi, fi = global_minimizer(suite, force_iterative=True)
+    xi, fi = ObjectiveSuite.minimizer(suite)  # damped Newton on the quadratic
     assert np.abs(xc - xi).max() <= 1e-10
     assert abs(fc - fi) <= 1e-10
 
@@ -171,7 +174,7 @@ def test_symmetric_dataset_minimizer_at_origin():
     labels = np.concatenate([np.ones(80), np.ones(80)])
     data = LabeledDataset(feats, labels)
     suite = make_logistic_suite(data, 8, 0.05, 2)
-    xstar, _ = global_minimizer(suite, tol=1e-12)
+    xstar, _ = global_minimizer(suite)
     assert np.linalg.norm(xstar) <= 1e-12 / 0.05 + 1e-12
 
 
@@ -251,10 +254,15 @@ def test_standardize_features():
     assert np.array_equal(std.labels, data.labels)
 
 
-def test_minimizer_cap_reports_gradient_norm():
+def test_minimizer_cap_reports_gradient_norm(monkeypatch):
     suite = make_logistic_suite(synthetic_logistic_dataset(200, 4, 3), 5, 0.05, 1)
-    with pytest.raises(RuntimeError, match="gradient norm"):
-        global_minimizer(suite, tol=1e-14, max_iter=3)
+    monkeypatch.setattr(objectives, "_NEWTON_MAX_ITER", 3)
+    with pytest.raises(RuntimeError, match="in 3 iterations .final gradient norm"):
+        global_minimizer(suite)
+
+
+def test_global_minimizer_takes_only_the_suite():
+    assert list(inspect.signature(global_minimizer).parameters) == ["suite"]
 
 
 def test_quadratic_gap_matches_exact_form():

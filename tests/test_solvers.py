@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from pushopt import (
     APDParams,
@@ -25,6 +26,8 @@ from pushopt import (
 from pushopt.graphs import DirectedGraph
 from pushopt.mixing import _InNeighborGather
 from pushopt.solvers import C4
+
+from conftest import strongly_connected
 
 SCALAR = QuadraticSuite(H=np.ones((1, 1, 1)), b=np.zeros((1, 1)), L=1.0, mu=1.0)
 MIX1 = MixingMatrix(C=np.array([[1.0]]), p=np.array([1.0]))
@@ -325,7 +328,7 @@ def test_theoretical_sc_runs_stably(small_mixing, small_suite, small_init):
     assert params.eta > 0
     mon = IdentityMonitor(small_mixing, params)
     run(X0, v0, small_mixing, small_suite, params, mon)
-    assert mon.max_mass_err <= 1e-10
+    assert mon.worst()["mass"] <= 1e-10
     params_s = default_params_smooth(small_suite.L, mode="theoretical", theory=ti, K=50)
     assert params_s.eta > 0
     run(X0, v0, small_mixing, small_suite, params_s)
@@ -364,6 +367,30 @@ def test_baselines_report_x_as_their_y(small_mixing, small_suite, small_init, me
 def test_identity_monitor_rejects_params_without_identities(small_mixing, params):
     with pytest.raises(ValueError, match=type(params).__name__):
         IdentityMonitor(small_mixing, params)
+
+
+@settings(max_examples=100)  # 150 examples took 2.0-3.0 s, over the 3 s budget
+@given(strongly_connected())
+def test_identities_hold_on_random_digraphs(graph):
+    """Over 100 random strongly connected digraphs on 2-40 nodes, every
+    average-iterate identity of the three tracking solvers stays within
+    1e-10 along K = 25 steps at eta = 0.05 / L, and Subgradient-Push keeps
+    its push-sum mass at n to within 1e-10."""
+    n, K = graph.n, 25
+    mixing = uniform_out_weights(graph)
+    suite = make_quadratic_suite(n, 3, 10.0, 0.1, 0)
+    X0, v0 = np.random.default_rng(n).standard_normal((n, 3)), np.ones(n)
+    for params in (
+        default_params_smooth(suite.L, c_prac=0.05, K=K),
+        default_params_sc(suite.L, suite.mu, c_prac=0.05, K=K),
+        PushDIGingParams(0.05 / suite.L, K),
+    ):
+        mon = IdentityMonitor(mixing, params)
+        run(X0, v0, mixing, suite, params, mon)
+        assert max(mon.worst().values()) <= 1e-10, (type(params).__name__, mon.worst())
+    mass = []
+    run(X0, v0, mixing, suite, SubgradPushParams(0.18, K), lambda s: mass.append(s.v.sum()))
+    assert np.abs(np.array(mass) - n).max() <= 1e-10
 
 
 @pytest.fixture(scope="module")
