@@ -13,12 +13,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from pushopt import (
+    APDParams,
     PushDIGingParams,
     SubgradPushParams,
     TraceRecorder,
     build_cycle_plus_random,
     build_problem,
-    default_params_smooth,
     emit_svg_plot,
     fit_sublinear_rate,
     make_quadratic_suite,
@@ -36,7 +36,7 @@ print(f"graph: n={graph.n}, {len(graph.edges)} directed edges, sigma={sigma:.3f}
 print(f"objective: quadratic, condition number {suite.L / suite.mu:.0f}, f* = {prob.fstar:.6f}")
 
 K = 2000
-params = default_params_smooth(suite.L, c_prac=0.05, K=K)
+params = APDParams(eta=0.05 / suite.L, K=K)
 traces = []
 for label, alg in (
     ("accelerated", params),

@@ -83,6 +83,10 @@ class ExperimentConfig:
                {"kind": "logistic", data, mu, partition_seed, standardize}
     algorithms: list of {"name", "params"} where params is "auto",
                "theoretical", or an explicit parameter table
+    init: {x0_seed}; run: {iterations, record_stride, out_dir}
+
+    A key that its table does not define, or a required one that it lacks,
+    is a ConfigError naming the dotted key.
     """
 
     graph: dict
@@ -109,9 +113,22 @@ class ExperimentConfig:
         base = Path(base_dir)
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a JSON object, got {raw!r}")
+        _check_keys(raw, "", (), ("graph", "objective", "init", "run", "algorithms"), "the config")
         graph, objective = _section(raw, "graph"), _section(raw, "objective")
         run_section = _section(raw, "run", optional=True)
         init = _section(raw, "init", optional=True)
+        _check_keys(run_section, "run.", (), ("iterations", "record_stride", "out_dir"), "run")
+        _check_keys(init, "init.", (), ("x0_seed",), "init")
+        if "edge_list" in graph:
+            _check_keys(graph, "graph.", ("edge_list",), (), "an edge-list graph")
+        else:
+            _check_keys(graph, "graph.", ("n", "extra_edges", "seed"), (), "graph")
+        kind = objective.get("kind")
+        if kind not in tuple(_OBJECTIVE_KEYS):
+            raise ConfigError(
+                f"objective.kind must be one of {tuple(_OBJECTIVE_KEYS)}, got {kind!r}"
+            )
+        _check_keys(objective, "objective.", *_OBJECTIVE_KEYS[kind], f"a {kind} objective")
         algorithms = raw.get("algorithms")
         if not (isinstance(algorithms, list) and algorithms
                 and all(isinstance(a, dict) for a in algorithms)):
@@ -128,8 +145,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f'record_stride must be a positive integer or "auto", got {stride!r}'
             )
-        for alg in algorithms:
-            name = alg.get("name")
+        for i, alg in enumerate(algorithms):
+            _check_keys(alg, f"algorithms[{i}].", ("name",), ("params",), "an algorithm entry")
+            name = alg["name"]
             if name not in ALGORITHMS:
                 raise ConfigError(
                     f"unknown algorithm {name!r}; choose from {tuple(ALGORITHMS)}"
@@ -153,17 +171,10 @@ class ExperimentConfig:
             graph["edge_list"] = str(base / graph["edge_list"])
             if not Path(graph["edge_list"]).exists():
                 raise ConfigError(f"edge list {graph['edge_list']} does not exist")
-        elif not {"n", "extra_edges", "seed"} <= set(graph):
-            raise ConfigError("graph needs n/extra_edges/seed or an edge_list path")
-        kind = objective.get("kind")
         if kind == "logistic":
-            if "data" not in objective:
-                raise ConfigError("logistic objective needs a 'data' path")
             objective["data"] = str(base / objective["data"])
             if not Path(objective["data"]).exists():
                 raise ConfigError(f"dataset {objective['data']} does not exist")
-        elif kind != "quadratic":
-            raise ConfigError(f"unknown objective kind {kind!r}")
         for key in _FLOAT_FIELDS[kind]:
             _check_number(f"objective.{key}", objective.get(key))
         return cls(
@@ -176,6 +187,12 @@ class ExperimentConfig:
             out_dir=str(run_section.get("out_dir", "results")),
         )
 
+
+# The keys of each objective kind: (required, optional).
+_OBJECTIVE_KEYS = {
+    "quadratic": (("kind", "dim", "kappa", "mu_base", "seed"), ()),
+    "logistic": (("kind", "data", "mu"), ("partition_seed", "standardize")),
+}
 
 # Config fields that must be JSON integers, with their least value; int()
 # would otherwise truncate them (8.9 agents would run as 8).
@@ -204,6 +221,21 @@ def _section(raw: dict, name: str, optional: bool = False) -> dict:
     if not isinstance(raw[name], dict):
         raise ConfigError(f"config section {name!r} must be a JSON object, got {raw[name]!r}")
     return dict(raw[name])
+
+
+def _check_keys(table: dict, prefix: str, required, optional, where: str) -> None:
+    """Raise a ConfigError naming the dotted key (prefix + key) of the first
+    key of table that is neither required nor optional, or else of the first
+    required key that table lacks; where names the table in the message."""
+    known = (*required, *optional)
+    for key in table:
+        if key not in known:
+            raise ConfigError(
+                f"config key {prefix}{key} is not defined; {where} takes {', '.join(known)}"
+            )
+    for key in required:
+        if key not in table:
+            raise ConfigError(f"config lacks the key {prefix}{key}")
 
 
 def _is_int(value, least: int = 1) -> bool:
@@ -265,7 +297,7 @@ def _resolve_params(alg: dict, prob, K: int):
         return method.auto(prob.suite, prob.nt, K)
     if params == "theoretical":
         theory = calibrate_theory_inputs(prob.mixing, prob.nt, prob.v0)
-        return method.auto(prob.suite, prob.nt, K, mode="theoretical", theory=theory)
+        return method.auto(prob.suite, prob.nt, K, theory=theory)
     return _explicit_params(name, params, K)
 
 

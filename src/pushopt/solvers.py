@@ -13,7 +13,7 @@ Each params type is the one description of its algorithm: its step, its
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,20 +43,22 @@ __all__ = [
 
 C4 = 26.0 * np.sqrt(np.e)  # tail constant of the schedule-sum bound
 _CALIBRATION_STEPS = 50  # mixing rounds calibrate_theory_inputs watches v over
+_C_PRAC = 0.3  # practical stepsize constant: "auto" runs at eta = _C_PRAC / L
 
 
 class DivergenceError(RuntimeError):
-    """A solver iterate became non-finite. `algorithm`, when set (the
-    experiment driver sets it), prefixes the message."""
+    """A solver iterate became non-finite, or a push-sum weight non-positive;
+    `what` says which. `algorithm`, when set (the experiment driver sets it),
+    prefixes the message."""
 
-    def __init__(self, iteration: int, what: str = "iterate"):
+    def __init__(self, iteration: int, what: str = "non-finite iterate"):
         super().__init__(iteration, what)
         self.iteration = iteration
         self.what = what
         self.algorithm = None
 
     def __str__(self) -> str:
-        msg = f"non-finite {self.what} at iteration {self.iteration}"
+        msg = f"{self.what} at iteration {self.iteration}"
         return msg if self.algorithm is None else f"{self.algorithm}: {msg}"
 
 
@@ -67,7 +69,9 @@ class _Method:
     classmethod `auto(suite, nt, K)` gives the practical defaults. The class
     attributes say what else the algorithm defines; this base holds the
     baselines' values:
-    - theoretical: `auto` also takes mode="theoretical" and theory=;
+    - theoretical: `auto` also takes theory= (TheoryInputs); given, the
+      stepsize is the provable ceiling those graph quantities set, not the
+      practical one;
     - strongly_convex: it needs a suite with mu > 0;
     - lyapunov_pair: the trace columns (average, consensus) of its Lyapunov
       pair, with `lyapunov_weights(k, delta)` giving (tau_k, Z weight,
@@ -122,8 +126,8 @@ class APDParams(_Method):
         return self.pa / self.tau(k)
 
     @classmethod
-    def auto(cls, suite, nt, K: int, **mode) -> APDParams:
-        return default_params_smooth(suite.L, K=K, **mode)
+    def auto(cls, suite, nt, K: int, theory=None) -> APDParams:
+        return default_params_smooth(suite.L, theory, K)
 
     def step(self, state, mixing, suite) -> SolverState:
         """One accelerated gradient-tracking step with the time-varying schedule."""
@@ -162,8 +166,8 @@ class APDSCParams(_Method):
             raise ValueError("K must be nonnegative")
 
     @classmethod
-    def auto(cls, suite, nt, K: int, **mode) -> APDSCParams:
-        return default_params_sc(suite.L, suite.mu, K=K, delta=nt.delta, **mode)
+    def auto(cls, suite, nt, K: int, theory=None) -> APDSCParams:
+        return default_params_sc(suite.L, suite.mu, theory, K=K, delta=nt.delta)
 
     def step(self, state, mixing, suite) -> SolverState:
         """One accelerated gradient-tracking step with constant coefficients."""
@@ -197,7 +201,7 @@ class PushDIGingParams(_Method):
 
     @classmethod
     def auto(cls, suite, nt, K: int) -> PushDIGingParams:
-        return cls(eta=0.3 / suite.L, K=K)
+        return cls(eta=_C_PRAC / suite.L, K=K)
 
     def step(self, state, mixing, suite) -> SolverState:
         C = mixing.op
@@ -261,10 +265,6 @@ class SolverState:
     k: int
     grad_U: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
     def ratio(self, field: str = "Y") -> np.ndarray:
         """Push-sum ratio estimate V^{-1} (field); each row is one agent."""
         M = getattr(self, field)
@@ -302,7 +302,7 @@ def _advance(state, X1, Y1, Z1, G1, v1, gU1) -> SolverState:
         if not np.isfinite(a).all():
             raise DivergenceError(k1)
     if v1.min() <= 0:
-        raise DivergenceError(k1, what="push-sum weight")
+        raise DivergenceError(k1, what="non-positive push-sum weight")
     return SolverState(
         X=X1,
         Y=Y1,
@@ -369,27 +369,19 @@ class AGMTrace:
     z: np.ndarray
 
 
-def centralized_agm_run(
-    x0: np.ndarray,
-    suite: ObjectiveSuite,
-    eta: float,
-    pa: float = 0.25,
-    wa: float = 0.25,
-    wb: float = 1.0,
-    K: int = 1000,
-) -> AGMTrace:
-    """Single-agent accelerated recursion on the average objective.
+def centralized_agm_run(x0: np.ndarray, suite: ObjectiveSuite, params: APDParams) -> AGMTrace:
+    """Single-agent accelerated recursion on the average objective, K steps
+    of params' schedule.
 
-    Matches the decentralized solver exactly when n = 1, C = [1], v0 = 1.
+    Matches the decentralized solver run with the same params exactly when
+    n = 1, C = [1], v0 = 1.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    params = APDParams(eta=eta, pa=pa, wa=wa, wb=wb, K=K)
+    eta = params.eta
     x = np.array(x0, dtype=float)
     y = x.copy()
     z = x.copy()
     xs, ys, zs = [x.copy()], [y.copy()], [z.copy()]
-    for k in range(K):
+    for k in range(params.K):
         g = suite.average_grad(x)
         if not np.isfinite(g).all():
             raise DivergenceError(k)
@@ -449,7 +441,8 @@ def _c5(at: float, d: float) -> float:  # at = alpha * tau
     return (8.0 / 7.0) * (1.5 * d + 6.0 * at**2 * d + 48.0 * at**2 / 7.0)
 
 
-def _smooth_eta_ceiling(L, pa, wa, wb, ti: TheoryInputs) -> float:
+def _smooth_eta_ceiling(L, params: APDParams, ti: TheoryInputs) -> float:
+    pa, wa, wb = params.pa, params.wa, params.wb
     d, th, vh, dist, n = ti.delta, ti.theta, ti.vhat, ti.v0_dist, ti.n
     c3 = _c3(pa, d)
     terms = [
@@ -482,60 +475,41 @@ def _sc_eta_ceiling(L, at, ti: TheoryInputs) -> float:
     return float(min(terms))
 
 
-def default_params_smooth(
-    L: float,
-    mode: str = "practical",
-    theory: TheoryInputs | None = None,
-    c_prac: float = 0.3,
-    K: int = 1000,
-) -> APDParams:
-    """Default schedule parameters for the smooth convex solver.
-
-    Practical mode uses the hand-tuned stepsize c_prac / L. Theoretical mode
-    evaluates the provable stepsize ceilings from the supplied graph
-    quantities and therefore needs `theory`.
+def default_params_smooth(L: float, theory: TheoryInputs | None = None, K: int = 1000) -> APDParams:
+    """Default parameters for the smooth convex solver: APDParams' own
+    schedule defaults with the practical stepsize _C_PRAC / L when `theory` is
+    None, else with the provable stepsize ceiling that the graph quantities
+    in `theory` set. Another practical stepsize is APDParams(eta=c / L, K=K).
     """
     if L <= 0:
         raise ValueError("L must be positive")
-    pa, wb = 0.25, 1.0
-    wa = wb / 4.0
-    if mode == "practical":
-        eta = c_prac / L
-    elif mode == "theoretical":
-        if theory is None:
-            raise ValueError("theoretical mode needs TheoryInputs")
-        eta = _smooth_eta_ceiling(L, pa, wa, wb, theory)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return APDParams(eta=eta, pa=pa, wa=wa, wb=wb, K=K)
+    params = APDParams(eta=_C_PRAC / L, K=K)
+    if theory is not None:
+        params = replace(params, eta=_smooth_eta_ceiling(L, params, theory))
+    return params
 
 
 def default_params_sc(
     L: float,
     mu: float,
-    mode: str = "practical",
     theory: TheoryInputs | None = None,
-    c_prac: float = 0.3,
+    c_prac: float = _C_PRAC,
     K: int = 1000,
     delta: float | None = None,
 ) -> APDSCParams:
     """Default parameters for the strongly convex solver.
 
-    Sets tau = sqrt(mu eta / 24) and alpha = 1 / (12 tau), so alpha tau =
-    1/12 and the candidate mu alpha eta / 2 equals tau. The graph-dependent
-    caps on beta apply when delta is known (explicitly or via `theory`).
+    The stepsize is the practical c_prac / L when `theory` is None, else the
+    provable ceiling that the graph quantities in `theory` set (c_prac is
+    then unused). Sets tau = sqrt(mu eta / 24) and alpha = 1 / (12 tau), so
+    alpha tau = 1/12 and the candidate mu alpha eta / 2 equals tau. The
+    graph-dependent caps on beta apply when delta is known (explicitly or
+    via `theory`).
     """
     if not 0 < mu <= L:
         raise ValueError("need 0 < mu <= L")
     at = 1.0 / 12.0
-    if mode == "practical":
-        eta = c_prac / L
-    elif mode == "theoretical":
-        if theory is None:
-            raise ValueError("theoretical mode needs TheoryInputs")
-        eta = _sc_eta_ceiling(L, at, theory)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    eta = c_prac / L if theory is None else _sc_eta_ceiling(L, at, theory)
     tau = np.sqrt(mu * eta / 24.0)
     alpha = 1.0 / (12.0 * tau)
     beta_candidates = [tau, 0.5 * mu * alpha * eta]

@@ -48,7 +48,7 @@ def test_criterion_01_exact_reduction():
     params = APDParams(eta=1.0 / suite.L, K=500)
     states = []
     run(np.array([[1.0]]), np.array([1.0]), mix1, suite, params, states.append)
-    agm = centralized_agm_run(np.array([1.0]), suite, eta=1.0 / suite.L, K=500)
+    agm = centralized_agm_run(np.array([1.0]), suite, params)
     dev = max(
         max(
             abs(s.X[0, 0] - agm.x[s.k, 0]),
@@ -130,7 +130,7 @@ def test_criterion_04_sublinear_acceleration():
     X0 = rng.standard_normal((10, 5))
     v0 = np.ones(10)
     K = 2000
-    params = default_params_smooth(suite.L, c_prac=0.05, K=K)
+    params = APDParams(eta=0.05 / suite.L, K=K)
 
     rec = TraceRecorder(suite, mixing, xstar=xstar, label="apd")
     _, tr_apd = run(X0, v0, mixing, suite, params, rec)
@@ -268,7 +268,7 @@ def test_criterion_08_inexact_bound_spot_checks():
     v0 = np.ones(10)
 
     states_apd = []
-    params = default_params_smooth(suite.L, c_prac=0.05, K=300)
+    params = APDParams(eta=0.05 / suite.L, K=300)
     run(X0, v0, mixing, suite, params, states_apd.append)
     violations = 0
     min_slack = np.inf

@@ -90,7 +90,7 @@ def test_consensus_error_bound_from_weighted_norm(small_mixing, small_suite, sma
     # with norms taken through the constructed transform
     X0, v0 = small_init
     nt = build_contraction_norm(small_mixing.C, small_mixing.p)
-    params = default_params_smooth(small_suite.L, c_prac=0.05, K=150)
+    params = APDParams(eta=0.05 / small_suite.L, K=150)
     states = []
     run(X0, v0, small_mixing, small_suite, params, states.append)
     d0 = nt.vec_norm(v0 - small_mixing.p)
@@ -194,7 +194,7 @@ def test_inexact_bounds_trivial_cases(small_mixing, small_suite, small_init):
 
 def test_inexact_bounds_along_runs(small_mixing, small_suite, small_init):
     X0, v0 = small_init
-    params = default_params_smooth(small_suite.L, c_prac=0.05, K=120)
+    params = APDParams(eta=0.05 / small_suite.L, K=120)
     states = []
     run(X0, v0, small_mixing, small_suite, params, states.append)
     xstar, _ = small_suite.minimizer()

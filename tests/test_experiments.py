@@ -1,9 +1,11 @@
 import json
 import os
+import re
 import runpy
 import signal
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from pushopt import (
     TraceRecorder,
     build_contraction_norm,
     build_cycle_plus_random,
+    build_problem,
     calibrate_theory_inputs,
     emit_csv,
     emit_svg_plot,
@@ -38,6 +41,9 @@ from pushopt.experiments import ALGORITHMS
 from pushopt.graphs import DirectedGraph
 
 SVG_NS = {"svg": "http://www.w3.org/2000/svg"}
+
+
+LOGISTIC = {"kind": "logistic", "data": "d.csv", "partition_seed": 3}
 
 
 def base_config(out_dir, iterations=80):
@@ -99,18 +105,18 @@ def test_config_validation(tmp_path):
 )
 def test_config_rejects_non_integer_counts(tmp_path, capsys, key, value):
     cfg = base_config(tmp_path / "o")
+    if key == "objective.partition_seed":  # a key of the logistic objective only
+        write_labeled_csv(synthetic_logistic_dataset(120, 4, 5), tmp_path / "d.csv")
+        cfg["objective"] = {**LOGISTIC, "mu": 0.05}
     section, _, field = key.rpartition(".")
     cfg[section or "run"][field] = value
-    with pytest.raises(ConfigError, match=key):
+    with pytest.raises(ConfigError, match=f"^{key} must be"):
         ExperimentConfig.from_dict(cfg, tmp_path)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(path)]) == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
-
-
-LOGISTIC = {"kind": "logistic", "data": "d.csv", "partition_seed": 3}
 
 
 @pytest.mark.parametrize(
@@ -159,6 +165,97 @@ def test_config_rejects_malformed_params_and_mu(tmp_path, capsys, patch, words):
     assert not (tmp_path / "o").exists()
 
 
+def _drop(table, key):
+    return {k: v for k, v in table.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "key,patch",
+    [
+        ("objective.dim", lambda c: {"objective": _drop(c["objective"], "dim")}),
+        ("objective.seed", lambda c: {"objective": _drop(c["objective"], "seed")}),
+        ("objective.kind", lambda c: {"objective": _drop(c["objective"], "kind")}),
+        ("objective.data", lambda c: {"objective": {**_drop(LOGISTIC, "data"), "mu": 0.1}}),
+        ("objective.partition_sed", lambda c: {"objective": {**LOGISTIC, "mu": 0.1,
+                                                            "partition_sed": 3}}),
+        ("objective.partition_seed", lambda c: {"objective": {**c["objective"],
+                                                             "partition_seed": 3}}),
+        ("graph.seed", lambda c: {"graph": _drop(c["graph"], "seed")}),
+        ("graph.n", lambda c: {"graph": {"edge_list": "hub.txt", "n": 8}}),
+        ("run.itrations", lambda c: {"run": {**c["run"], "itrations": 9}}),
+        ("init.x0seed", lambda c: {"init": {"x0seed": 1}}),
+        ("algorithms[1].prams", lambda c: {"algorithms": [
+            {"name": "apd"}, {"name": "pushdiging", "prams": {"eta": 0.1}}]}),
+        ("algorithms[0].name", lambda c: {"algorithms": [{"params": "auto"}]}),
+        ("algoritms", lambda c: {"algoritms": c["algorithms"]}),
+    ],
+)
+def test_config_rejects_missing_and_undefined_keys(tmp_path, capsys, key, patch):
+    """A required key that is missing, or a key its table does not define,
+    is a ConfigError naming the dotted key, and `pushopt run` exits 1 with
+    the key in stderr and writes nothing."""
+    write_labeled_csv(synthetic_logistic_dataset(120, 4, 5), tmp_path / "d.csv")
+    save_edge_list(build_cycle_plus_random(8, 10, 4), tmp_path / "hub.txt")
+    cfg = base_config(tmp_path / "o")
+    cfg.update(patch(cfg))
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        ExperimentConfig.from_dict(cfg, tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_theoretical_params(tmp_path, capsys):
+    """apd and apdsc with params "theoretical" run through `pushopt run` at
+    the params `auto` gives with the calibrated theory inputs."""
+    cfg = base_config(tmp_path / "o", iterations=20)
+    cfg["algorithms"] = [
+        {"name": "apd", "params": "theoretical"},
+        {"name": "apdsc", "params": "theoretical"},
+    ]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    g, o = cfg["graph"], cfg["objective"]
+    prob = build_problem(  # as `pushopt run` sets it up
+        build_cycle_plus_random(g["n"], g["extra_edges"], g["seed"]),
+        make_quadratic_suite(g["n"], o["dim"], o["kappa"], o["mu_base"], o["seed"]),
+        cfg["init"]["x0_seed"],
+    )
+    theory = calibrate_theory_inputs(prob.mixing, prob.nt, prob.v0)
+    for name in ("apd", "apdsc"):
+        params = ALGORITHMS[name].auto(prob.suite, prob.nt, 20, theory=theory)
+        expect = {f.name: getattr(params, f.name) for f in fields(params) if f.name != "K"}
+        assert summary["algorithms"][name]["params"] == expect
+        assert params.eta < ALGORITHMS[name].auto(prob.suite, prob.nt, 20).eta
+
+
+@pytest.mark.parametrize(
+    "patch,words",
+    [
+        ({"algorithms": [{"name": "pushdiging", "params": "theoretical"}]},
+         "pushdiging has no theoretical stepsize mode"),
+        ({"objective": {**LOGISTIC, "mu": 0.0},
+          "algorithms": [{"name": "apdsc", "params": "auto"}]},
+         "apdsc needs a strongly convex suite"),
+    ],
+    ids=["pushdiging-theoretical", "apdsc-mu-0"],
+)
+def test_run_rejects_unsupported_algorithm_setups(tmp_path, capsys, patch, words):
+    """An algorithm without a theoretical mode asked for one, and apdsc on a
+    suite with mu = 0: `pushopt run` exits 1 naming the cause and writes
+    nothing."""
+    write_labeled_csv(synthetic_logistic_dataset(120, 4, 5), tmp_path / "d.csv")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**base_config(tmp_path / "o"), **patch}))
+    assert main(["run", "--config", str(path)]) == 1
+    assert words in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("name", list(ALGORITHMS))
 def test_params_type_keys_the_diagnostics(name):
     """The params type alone gives an algorithm's "auto" params, its
@@ -173,11 +270,11 @@ def test_params_type_keys_the_diagnostics(name):
     assert type(params) is method
     theory = calibrate_theory_inputs(mixing, nt, v0)
     if method.theoretical:
-        theoretical = method.auto(suite, nt, 20, mode="theoretical", theory=theory)
+        theoretical = method.auto(suite, nt, 20, theory=theory)
         assert type(theoretical) is method
     else:
         with pytest.raises(TypeError):
-            method.auto(suite, nt, 20, mode="theoretical", theory=theory)
+            method.auto(suite, nt, 20, theory=theory)
     rec = TraceRecorder(suite, mixing, suite.minimizer()[0], params=params, norm_transform=nt)
     _, trace = run(X0, v0, mixing, suite, params, rec)
     phis = {c for c in ("phi1", "phi2", "phi3", "phi4") if trace.column(c) is not None}

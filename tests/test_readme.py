@@ -1,0 +1,40 @@
+"""The README's examples run: the quick start's Python and the config
+schema's JSON, each taken from the first fenced block under its heading."""
+
+import json
+import math
+import re
+from pathlib import Path
+
+from pushopt.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def fenced_block(heading: str, lang: str) -> str:
+    """The first ```lang block after the line `## heading` in README.md."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index(f"\n## {heading}\n")
+    match = re.compile(rf"^```{lang}\n(.*?)^```$", re.M | re.S).search(text, start)
+    assert match, f"no {lang} block under {heading!r}"
+    return match.group(1)
+
+
+def test_quick_start_runs(capsys):
+    namespace = {}
+    exec(compile(fenced_block("Quick start", "python"), "README quick start", "exec"), namespace)
+    trace = namespace["trace"]
+    assert math.isfinite(trace.loss[-1]) and trace.loss[-1] < trace.loss[0]
+    assert float(capsys.readouterr().out) == trace.loss[-1]
+
+
+def test_config_schema_example_runs(tmp_path, capsys):
+    config = json.loads(fenced_block("Config schema (JSON, UTF-8)", "json"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    names = [alg["name"] for alg in config["algorithms"]]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [f"trace_{name}.csv" for name in names] + ["summary.json"]
+    )

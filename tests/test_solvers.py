@@ -91,7 +91,7 @@ def test_reduction_to_centralized(small_suite):
     params = APDParams(eta=1.0, pa=0.25, wa=0.25, wb=1.0, K=500)
     states = []
     run(np.array([[1.0]]), np.array([1.0]), MIX1, suite, params, states.append)
-    agm = centralized_agm_run(np.array([1.0]), suite, eta=1.0, K=500)
+    agm = centralized_agm_run(np.array([1.0]), suite, params)
     dev = 0.0
     for s in states:
         dev = max(
@@ -224,7 +224,7 @@ def test_push_diging_linear_decay_strongly_convex(small_mixing, small_init):
 
 
 def test_centralized_agm_hand_values():
-    agm = centralized_agm_run(np.array([1.0]), SCALAR, eta=1.0, K=1)
+    agm = centralized_agm_run(np.array([1.0]), SCALAR, APDParams(eta=1.0, K=1))
     assert agm.y[1, 0] == pytest.approx(0.0, abs=1e-15)
     assert agm.z[1, 0] == pytest.approx(0.75, abs=1e-15)
     assert agm.x[1, 0] == pytest.approx(0.6, abs=1e-15)
@@ -236,6 +236,16 @@ def test_divergence_raises_with_iteration():
     with pytest.raises(DivergenceError) as err:
         run(np.array([[1.0]]), np.array([1.0]), MIX1, suite, params)
     assert err.value.iteration >= 1
+
+
+def test_non_positive_weight_is_named():
+    """A mixing round that leaves a finite but non-positive push-sum weight,
+    v1 = (-0.5, 2.5) from v0 = (1, 1), is reported as such."""
+    mix = MixingMatrix(C=np.array([[-1.0, 0.5], [2.0, 0.5]]), p=np.ones(2))
+    suite = make_quadratic_suite(2, 3, 10.0, 0.1, 0)
+    with pytest.raises(DivergenceError) as err:
+        run(np.ones((2, 3)), np.ones(2), mix, suite, PushDIGingParams(0.01, 5))
+    assert str(err.value) == "non-positive push-sum weight at iteration 1"
 
 
 def test_K_zero_returns_initial_ratio(small_mixing, small_suite, small_init):
@@ -281,7 +291,7 @@ def test_default_params_smooth_practical():
 
 def test_default_params_smooth_theoretical_formula():
     ti = TheoryInputs(n=4, delta=0.999, theta=1.0, vhat=1.0, v0_dist=0.0)
-    p = default_params_smooth(2.0, mode="theoretical", theory=ti)
+    p = default_params_smooth(2.0, theory=ti)
     # independent evaluation of the surviving ceilings
     pa, wb, wa, L, d = 0.25, 1.0, 0.25, 2.0, 0.999
     c3 = 3 * (d**2 + 2 * pa**2 * d + 4 * pa**2)
@@ -294,11 +304,6 @@ def test_default_params_smooth_theoretical_formula():
     )
     assert p.eta == pytest.approx(expected, rel=1e-12)
     assert p.eta > 0
-
-
-def test_default_params_smooth_requires_theory_inputs():
-    with pytest.raises(ValueError):
-        default_params_smooth(1.0, mode="theoretical")
 
 
 def test_hand_tuned_parameter_sets_accepted():
@@ -324,12 +329,12 @@ def test_theoretical_sc_runs_stably(small_mixing, small_suite, small_init):
     nt = build_contraction_norm(small_mixing.C, small_mixing.p)
     ti = calibrate_theory_inputs(small_mixing, nt, v0)
     assert ti.vhat >= 1.0
-    params = default_params_sc(small_suite.L, small_suite.mu, mode="theoretical", theory=ti, K=50)
+    params = default_params_sc(small_suite.L, small_suite.mu, theory=ti, K=50)
     assert params.eta > 0
     mon = IdentityMonitor(small_mixing, params)
     run(X0, v0, small_mixing, small_suite, params, mon)
     assert mon.worst()["mass"] <= 1e-10
-    params_s = default_params_smooth(small_suite.L, mode="theoretical", theory=ti, K=50)
+    params_s = default_params_smooth(small_suite.L, theory=ti, K=50)
     assert params_s.eta > 0
     run(X0, v0, small_mixing, small_suite, params_s)
 
@@ -381,7 +386,7 @@ def test_identities_hold_on_random_digraphs(graph):
     suite = make_quadratic_suite(n, 3, 10.0, 0.1, 0)
     X0, v0 = np.random.default_rng(n).standard_normal((n, 3)), np.ones(n)
     for params in (
-        default_params_smooth(suite.L, c_prac=0.05, K=K),
+        APDParams(eta=0.05 / suite.L, K=K),
         default_params_sc(suite.L, suite.mu, c_prac=0.05, K=K),
         PushDIGingParams(0.05 / suite.L, K),
     ):
