@@ -8,6 +8,7 @@ import sys
 from .experiments import (
     ConfigError,
     ExperimentConfig,
+    check_count,
     emit_svg_plot,
     read_trace_csv,
     reproduce_paper_experiment,
@@ -79,24 +80,19 @@ def _print_gaps(summary: dict) -> None:
         )
 
 
-def _check_count(flag: str, value) -> None:
-    """Raise a ConfigError naming flag unless value is None or >= 0."""
-    if value is not None and value < 0:
-        raise ConfigError(f"{flag} must be a non-negative integer, got {value}")
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            _check_count("--seed", args.seed)
+            if args.seed is not None:
+                check_count("--seed", args.seed)
             config = ExperimentConfig.from_json(args.config)
             summary, _ = run_experiment(config, out_dir=args.out, x0_seed=args.seed)
-            out = args.out if args.out is not None else config.out_dir
+            out = args.out if args.out is not None else config.run["out_dir"]
             _print_gaps(summary)
             print(f"wrote traces and summary.json to {out}")
         elif args.command == "reproduce":
-            _check_count("--iters", args.iters)
+            check_count("--iters", args.iters)
             summary, _ = reproduce_paper_experiment(
                 args.data, args.case, args.out, iters=args.iters
             )

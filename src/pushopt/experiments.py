@@ -74,28 +74,148 @@ ALGORITHMS = {
 }
 
 
+def _is(test, what: str, then=None):
+    """A check: a ConfigError says that key must be what unless test(value);
+    it returns then(key, value, base) if then is given, else value."""
+
+    def check(key, value, base=None):
+        if not test(value):
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
+        return value if then is None else then(key, value, base)
+
+    return check
+
+
+# A bool is not an integer, nor an integral float (int() would run 8.9 agents
+# as 8); a bool or a numeric string is not a number. check_count also checks
+# the CLI's --seed and --iters.
+check_count = _is(lambda v: type(v) is int and v >= 0, "a non-negative integer")
+_positive = _is(lambda v: type(v) is int and v >= 1, "a positive integer")
+_stride = _is(lambda v: v == "auto" or type(v) is int and v >= 1, 'a positive integer or "auto"')
+_number = _is(
+    lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, "a finite number",
+    lambda key, value, base: float(value),
+)
+_bool = _is(lambda v: type(v) is bool, "true or false")
+_path = _is(lambda v: type(v) is str, "a path string")
+_KINDS, _NAMES = ("quadratic", "logistic"), tuple(ALGORITHMS)
+_kind = _is(lambda v: v in _KINDS, f"one of {_KINDS}")
+_algorithm = _is(lambda v: v in _NAMES, f"one of {_NAMES}")
+
+
+def _file(key, value, base: Path) -> str:
+    """A path string, relative to the config's directory, to a file that exists."""
+    path = str(base / _path(key, value))
+    if not Path(path).exists():
+        raise ConfigError(f"{key}: {path} does not exist")
+    return path
+
+
+def _subtable(where):
+    """A check for a JSON object, walked as the table where(object) names."""
+
+    def check(key, value, base):
+        if not isinstance(value, dict):
+            raise ConfigError(f"config section {key!r} must be a JSON object, got {value!r}")
+        return _table(value, f"{key}.", where(value), base)
+
+    return check
+
+
+_graph = _subtable(lambda t: "an edge-list graph" if "edge_list" in t else "a ring graph")
+_objective = _subtable(lambda t: f"a {_kind('objective.kind', t.get('kind'))} objective")
+
+
+def _algorithms(key, value, base):
+    if not (isinstance(value, list) and value and all(isinstance(a, dict) for a in value)):
+        raise ConfigError(
+            f"config section {key!r} must be a non-empty list of objects, got {value!r}"
+        )
+    entries = [_table(a, f"{key}[{i}].", "an algorithm entry", base) for i, a in enumerate(value)]
+    names = [a["name"] for a in entries]
+    if len(set(names)) != len(names):
+        raise ConfigError("algorithm names must be unique within one experiment")
+    return entries
+
+
+# The config format: each table by the name its errors give it, each key of a
+# table with its check and its default (_REQUIRED: none). A check takes the
+# dotted key, the value and the config's directory, and returns the value to
+# use; a key without a check is taken as given.
+_REQUIRED = object()
+_SCHEMA = {
+    "the config": {
+        "graph": (_graph, _REQUIRED),
+        "objective": (_objective, _REQUIRED),
+        "init": (_subtable(lambda t: "init"), {}),
+        "run": (_subtable(lambda t: "run"), {}),
+        "algorithms": (_algorithms, _REQUIRED),
+    },
+    "init": {"x0_seed": (check_count, 0)},
+    "run": {
+        "iterations": (_positive, 1000),
+        "record_stride": (_stride, "auto"),  # "auto": every 10th beyond k = 10^4
+        "out_dir": (_path, "results"),
+    },
+    "a ring graph": {
+        "n": (_positive, _REQUIRED),
+        "extra_edges": (check_count, _REQUIRED),
+        "seed": (check_count, _REQUIRED),
+    },
+    "an edge-list graph": {"edge_list": (_file, _REQUIRED)},
+    "a quadratic objective": {
+        "kind": (_kind, _REQUIRED),
+        "dim": (_positive, _REQUIRED),
+        "kappa": (_number, _REQUIRED),
+        "mu_base": (_number, _REQUIRED),
+        "seed": (check_count, _REQUIRED),
+    },
+    "a logistic objective": {
+        "kind": (_kind, _REQUIRED),
+        "data": (_file, _REQUIRED),
+        "mu": (_number, _REQUIRED),
+        "partition_seed": (check_count, 0),
+        "standardize": (_bool, False),
+    },
+    "an algorithm entry": {
+        "name": (_algorithm, _REQUIRED),
+        "params": (None, "auto"),  # from_dict checks it against its algorithm
+    },
+}
+
+
+def _table(raw: dict, prefix: str, where: str, base: Path) -> dict:
+    """raw checked against the table _SCHEMA[where], with its defaults
+    filled in. A ConfigError names the dotted key (prefix + key) of the first
+    key the table does not define, else of the first key, in the table's
+    order, that raw lacks without a default or whose value fails its check."""
+    keys = _SCHEMA[where]
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(
+                f"config key {prefix}{key} is not defined; {where} takes {', '.join(keys)}"
+            )
+    out = {}
+    for key, (check, default) in keys.items():
+        if key not in raw and default is _REQUIRED:
+            raise ConfigError(f"config lacks the key {prefix}{key}")
+        value = raw.get(key, default)
+        out[key] = value if check is None else check(prefix + key, value, base)
+    return out
+
+
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description.
-
-    graph: {"n", "extra_edges", "seed"} or {"edge_list": path}
-    objective: {"kind": "quadratic", dim, kappa, mu_base, seed} or
-               {"kind": "logistic", data, mu, partition_seed, standardize}
-    algorithms: list of {"name", "params"} where params is "auto",
-               "theoretical", or an explicit parameter table
-    init: {x0_seed}; run: {iterations, record_stride, out_dir}
-
-    A key that its table does not define, or a required one that it lacks,
-    is a ConfigError naming the dotted key.
-    """
+    """An experiment config: each table checked against _SCHEMA, its defaults
+    filled in and its paths resolved. given_objective is the objective as the
+    config gave it, numbers as written, which the summary echoes."""
 
     graph: dict
     objective: dict
+    init: dict
+    run: dict
     algorithms: list
-    iterations: int
-    x0_seed: int = 0
-    record_stride: object = "auto"  # int stride, or every 10th beyond k=10^4
-    out_dir: str = "results"
+    given_objective: dict
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -110,144 +230,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir=".") -> "ExperimentConfig":
-        base = Path(base_dir)
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a JSON object, got {raw!r}")
-        _check_keys(raw, "", (), ("graph", "objective", "init", "run", "algorithms"), "the config")
-        graph, objective = _section(raw, "graph"), _section(raw, "objective")
-        run_section = _section(raw, "run", optional=True)
-        init = _section(raw, "init", optional=True)
-        _check_keys(run_section, "run.", (), ("iterations", "record_stride", "out_dir"), "run")
-        _check_keys(init, "init.", (), ("x0_seed",), "init")
-        if "edge_list" in graph:
-            _check_keys(graph, "graph.", ("edge_list",), (), "an edge-list graph")
-        else:
-            _check_keys(graph, "graph.", ("n", "extra_edges", "seed"), (), "graph")
-        kind = objective.get("kind")
-        if kind not in tuple(_OBJECTIVE_KEYS):
-            raise ConfigError(
-                f"objective.kind must be one of {tuple(_OBJECTIVE_KEYS)}, got {kind!r}"
-            )
-        _check_keys(objective, "objective.", *_OBJECTIVE_KEYS[kind], f"a {kind} objective")
-        algorithms = raw.get("algorithms")
-        if not (isinstance(algorithms, list) and algorithms
-                and all(isinstance(a, dict) for a in algorithms)):
-            raise ConfigError(
-                f"config section 'algorithms' must be a non-empty list of objects, "
-                f"got {algorithms!r}"
-            )
-        algorithms = [dict(a) for a in algorithms]
-        iterations = run_section.get("iterations", 1000)
-        if not _is_int(iterations):
-            raise ConfigError(f"iterations must be a positive integer, got {iterations!r}")
-        stride = run_section.get("record_stride", "auto")
-        if stride != "auto" and not _is_int(stride):
-            raise ConfigError(
-                f'record_stride must be a positive integer or "auto", got {stride!r}'
-            )
-        for i, alg in enumerate(algorithms):
-            _check_keys(alg, f"algorithms[{i}].", ("name",), ("params",), "an algorithm entry")
-            name = alg["name"]
-            if name not in ALGORITHMS:
-                raise ConfigError(
-                    f"unknown algorithm {name!r}; choose from {tuple(ALGORITHMS)}"
-                )
-            params = alg.setdefault("params", "auto")
+        cfg = _table(raw, "", "the config", Path(base_dir))
+        for alg in cfg["algorithms"]:
+            name, params = alg["name"], alg["params"]
             if params == "theoretical" and not ALGORITHMS[name].theoretical:
                 raise ConfigError(f"{name} has no theoretical stepsize mode")
             if params not in ("auto", "theoretical"):
-                _explicit_params(name, params, iterations)
-        names = [a["name"] for a in algorithms]
-        if len(set(names)) != len(names):
-            raise ConfigError("algorithm names must be unique within one experiment")
-        sections = {"graph": graph, "objective": objective, "init": init}
-        for name, least in _INTEGER_FIELDS.items():
-            section, key = name.split(".")
-            value = sections[section].get(key, least)
-            if not _is_int(value, least):
-                kind = "positive" if least else "non-negative"
-                raise ConfigError(f"{name} must be a {kind} integer, got {value!r}")
-        if "edge_list" in graph:
-            graph["edge_list"] = str(base / graph["edge_list"])
-            if not Path(graph["edge_list"]).exists():
-                raise ConfigError(f"edge list {graph['edge_list']} does not exist")
-        if kind == "logistic":
-            objective["data"] = str(base / objective["data"])
-            if not Path(objective["data"]).exists():
-                raise ConfigError(f"dataset {objective['data']} does not exist")
-        for key in _FLOAT_FIELDS[kind]:
-            _check_number(f"objective.{key}", objective.get(key))
-        return cls(
-            graph=graph,
-            objective=objective,
-            algorithms=algorithms,
-            iterations=iterations,
-            x0_seed=int(init.get("x0_seed", 0)),
-            record_stride=stride,
-            out_dir=str(run_section.get("out_dir", "results")),
-        )
-
-
-# The keys of each objective kind: (required, optional).
-_OBJECTIVE_KEYS = {
-    "quadratic": (("kind", "dim", "kappa", "mu_base", "seed"), ()),
-    "logistic": (("kind", "data", "mu"), ("partition_seed", "standardize")),
-}
-
-# Config fields that must be JSON integers, with their least value; int()
-# would otherwise truncate them (8.9 agents would run as 8).
-_INTEGER_FIELDS = {
-    "graph.n": 1,
-    "graph.extra_edges": 0,
-    "graph.seed": 0,
-    "objective.dim": 1,
-    "objective.seed": 0,
-    "objective.partition_seed": 0,
-    "init.x0_seed": 0,
-}
-
-# Objective fields that must be finite JSON numbers, by objective kind;
-# float() would otherwise turn true into 1.0 and accept the string "100".
-_FLOAT_FIELDS = {"quadratic": ("kappa", "mu_base"), "logistic": ("mu",)}
-
-
-def _section(raw: dict, name: str, optional: bool = False) -> dict:
-    """A copy of the config section name, which must be a JSON object; an
-    optional section that is absent is empty."""
-    if name not in raw:
-        if optional:
-            return {}
-        raise ConfigError(f"config lacks the section {name!r}")
-    if not isinstance(raw[name], dict):
-        raise ConfigError(f"config section {name!r} must be a JSON object, got {raw[name]!r}")
-    return dict(raw[name])
-
-
-def _check_keys(table: dict, prefix: str, required, optional, where: str) -> None:
-    """Raise a ConfigError naming the dotted key (prefix + key) of the first
-    key of table that is neither required nor optional, or else of the first
-    required key that table lacks; where names the table in the message."""
-    known = (*required, *optional)
-    for key in table:
-        if key not in known:
-            raise ConfigError(
-                f"config key {prefix}{key} is not defined; {where} takes {', '.join(known)}"
-            )
-    for key in required:
-        if key not in table:
-            raise ConfigError(f"config lacks the key {prefix}{key}")
-
-
-def _is_int(value, least: int = 1) -> bool:
-    """True for a JSON integer >= least; bools and integral floats are not integers."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
-
-
-def _check_number(name: str, value) -> None:
-    """Raise unless value is a finite JSON number; bools and numeric strings are not."""
-    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    if not finite or isinstance(value, bool):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+                _explicit_params(name, params, cfg["run"]["iterations"])
+        given = {k: cfg["objective"][k] if k == "data" else v for k, v in raw["objective"].items()}
+        return cls(**cfg, given_objective=given)
 
 
 def _explicit_params(name: str, table, K: int):
@@ -256,10 +249,9 @@ def _explicit_params(name: str, table, K: int):
         raise ConfigError(
             f'{name} params must be "auto", "theoretical" or an object, got {table!r}'
         )
-    for key, value in table.items():
-        _check_number(f"{name} params.{key}", value)
+    values = {key: _number(f"{name} params.{key}", value) for key, value in table.items()}
     try:
-        return ALGORITHMS[name](K=K, **{k: float(v) for k, v in table.items()})
+        return ALGORITHMS[name](K=K, **values)
     except (TypeError, ValueError) as exc:  # unknown, missing or out-of-range keys
         raise ConfigError(f"{name} params: {exc}") from None
 
@@ -267,24 +259,16 @@ def _explicit_params(name: str, table, K: int):
 def _build_graph(cfg: dict) -> DirectedGraph:
     if "edge_list" in cfg:
         return load_edge_list(cfg["edge_list"])
-    return build_cycle_plus_random(int(cfg["n"]), int(cfg["extra_edges"]), int(cfg["seed"]))
+    return build_cycle_plus_random(cfg["n"], cfg["extra_edges"], cfg["seed"])
 
 
 def _build_suite(cfg: dict, n: int):
     if cfg["kind"] == "quadratic":
-        return make_quadratic_suite(
-            n=n,
-            dim=int(cfg["dim"]),
-            kappa=float(cfg["kappa"]),
-            mu_base=float(cfg["mu_base"]),
-            seed=int(cfg["seed"]),
-        )
+        return make_quadratic_suite(n, cfg["dim"], cfg["kappa"], cfg["mu_base"], cfg["seed"])
     data = load_labeled_csv(cfg["data"])
-    if cfg.get("standardize", False):
+    if cfg["standardize"]:
         data = standardize_features(data)
-    return make_logistic_suite(
-        data, n=n, mu=float(cfg["mu"]), partition_seed=int(cfg.get("partition_seed", 0))
-    )
+    return make_logistic_suite(data, n, cfg["mu"], cfg["partition_seed"])
 
 
 def _resolve_params(alg: dict, prob, K: int):
@@ -526,26 +510,26 @@ def run_experiment(config: ExperimentConfig, out_dir=None, x0_seed=None):
     Returns (summary dict, {name: RunTrace}). On any failure the partial
     output files are removed and the error re-raised.
     """
-    out = Path(out_dir if out_dir is not None else config.out_dir)
-    seed0 = config.x0_seed if x0_seed is None else int(x0_seed)
+    K, stride = config.run["iterations"], config.run["record_stride"]
+    out = Path(out_dir if out_dir is not None else config.run["out_dir"])
+    seed0 = config.init["x0_seed"] if x0_seed is None else x0_seed
     graph = _build_graph(config.graph)
     prob = build_problem(graph, _build_suite(config.objective, graph.n), seed0)
     summary = {
         "experiment": {
             "graph": config.graph,
             "objective": {
-                k: v for k, v in config.objective.items() if k != "standardize"
+                k: v for k, v in config.given_objective.items() if k != "standardize"
             },
-            "standardize": bool(config.objective.get("standardize", False)),
-            "iterations": config.iterations,
+            # a quadratic objective has no features to standardize
+            "standardize": config.objective.get("standardize", False),
+            "iterations": K,
             "x0_seed": seed0,
-            "record_stride": config.record_stride,
+            "record_stride": stride,
         },
         "resolved": prob.resolved,
     }
-    return _run_and_write(
-        prob, config.algorithms, config.iterations, config.record_stride, out, summary
-    )
+    return _run_and_write(prob, config.algorithms, K, stride, out, summary)
 
 
 # Hand-tuned parameter sets of the benchmark comparison.

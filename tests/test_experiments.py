@@ -84,10 +84,10 @@ def test_config_validation(tmp_path):
 @pytest.mark.parametrize(
     "key,value",
     [
-        ("iterations", 2.7),
-        ("iterations", True),
-        ("iterations", "abc"),
-        ("record_stride", True),
+        ("run.iterations", 2.7),
+        ("run.iterations", True),
+        ("run.iterations", "abc"),
+        ("run.record_stride", True),
         ("graph.n", 8.9),
         ("graph.extra_edges", True),
         ("graph.seed", -1),
@@ -108,8 +108,8 @@ def test_config_rejects_non_integer_counts(tmp_path, capsys, key, value):
     if key == "objective.partition_seed":  # a key of the logistic objective only
         write_labeled_csv(synthetic_logistic_dataset(120, 4, 5), tmp_path / "d.csv")
         cfg["objective"] = {**LOGISTIC, "mu": 0.05}
-    section, _, field = key.rpartition(".")
-    cfg[section or "run"][field] = value
+    section, field = key.split(".")
+    cfg[section][field] = value
     with pytest.raises(ConfigError, match=f"^{key} must be"):
         ExperimentConfig.from_dict(cfg, tmp_path)
     path = tmp_path / "cfg.json"
@@ -516,6 +516,79 @@ def test_config_sections_must_be_objects(tmp_path, capsys, make, words):
     err = capsys.readouterr().err
     assert all(word in err for word in words)
     assert not (tmp_path / "o").exists()
+
+
+SWEEP_COMMON = {
+    "init": {"x0_seed": 11},
+    "run": {"iterations": 3, "record_stride": 1, "out_dir": "out"},
+    "algorithms": [{"name": "apd", "params": "auto"}],
+}
+SWEEP_CONFIGS = {
+    "quadratic": {
+        "graph": {"n": 8, "extra_edges": 10, "seed": 4},
+        "objective": {
+            "kind": "quadratic", "dim": 3, "kappa": 10.0, "mu_base": 0.1, "seed": 2,
+        },
+        **SWEEP_COMMON,
+    },
+    "logistic": {
+        "graph": {"edge_list": "g.txt"},
+        "objective": {**LOGISTIC, "mu": 0.05, "standardize": False},
+        **SWEEP_COMMON,
+    },
+}
+
+
+def _key_paths(table, prefix=()):
+    """The path of every key in a config, nested ones included."""
+    for key, value in table.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+        elif isinstance(value, list):
+            for i, entry in enumerate(value):
+                yield from _key_paths(entry, prefix + (key, i))
+
+
+@pytest.mark.parametrize(
+    "kind,path",
+    [(kind, path) for kind, cfg in SWEEP_CONFIGS.items() for path in _key_paths(cfg)],
+    ids=lambda p: p if isinstance(p, str) else ".".join(map(str, p)),
+)
+def test_config_type_sweep(tmp_path, monkeypatch, capsys, kind, path):
+    """Each of the JSON values 5, 2.5, true, "x", null, [1] and {"a": 1} at
+    any key of a working config either runs, with the value as given, or is
+    a ConfigError, and `pushopt run` exits 1 with one error line and writes
+    nothing; no other exception escapes."""
+    write_labeled_csv(synthetic_logistic_dataset(120, 4, 5), tmp_path / "d.csv")
+    save_edge_list(build_cycle_plus_random(8, 10, 4), tmp_path / "g.txt")
+    for i, value in enumerate([5, 2.5, True, "x", None, [1], {"a": 1}]):
+        cfg = json.loads(json.dumps(SWEEP_CONFIGS[kind]))
+        *parents, key = path
+        table = cfg
+        for step in parents:
+            table = table[step]
+        table[key] = value
+        try:
+            ExperimentConfig.from_dict(cfg, tmp_path)
+            valid = True
+        except ConfigError:
+            valid = False
+        cfg_path = tmp_path / f"cfg{i}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        cwd = tmp_path / f"cwd{i}"  # where run.out_dir leads
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        code = main(["run", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        if code != 0 or not valid:
+            assert code == EXIT_CONFIG, value
+            assert err.startswith("error: ") and err.count("\n") == 1, (value, err)
+            assert list(cwd.iterdir()) == [], value
+        else:
+            out = cwd / cfg["run"]["out_dir"]
+            experiment = json.loads((out / "summary.json").read_text())["experiment"]
+            assert experiment["standardize"] is cfg["objective"].get("standardize", False)
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,23 @@
 """The README's examples run: the quick start's Python and the config
-schema's JSON, each taken from the first fenced block under its heading."""
+schema's JSON, each taken from the first fenced block under its heading;
+and the config schema's prose names every config key."""
 
 import json
 import math
 import re
 from pathlib import Path
 
+from pushopt import experiments
 from pushopt.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def section(heading: str) -> str:
+    """The text of README.md from the line `## heading` to the next heading."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index(f"\n## {heading}\n")
+    return text[start:text.index("\n## ", start + 1)]
 
 
 def fenced_block(heading: str, lang: str) -> str:
@@ -38,3 +47,13 @@ def test_config_schema_example_runs(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == sorted(
         [f"trace_{name}.csv" for name in names] + ["summary.json"]
     )
+
+
+def test_config_schema_names_every_key():
+    """Each key the config schema declares appears in a code span of the
+    prose under "Config schema" (its example block does not count), so the
+    README and the schema cannot drift apart."""
+    prose = re.sub(r"^```.*?^```$", "", section("Config schema (JSON, UTF-8)"), flags=re.M | re.S)
+    words = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]+)`", prose))))
+    declared = {key for table in experiments._SCHEMA.values() for key in table}
+    assert sorted(declared - words) == []
