@@ -6,6 +6,7 @@ import argparse
 import sys
 
 from .experiments import (
+    REPRO_ITERATIONS,
     ConfigError,
     ExperimentConfig,
     check_count,
@@ -51,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="labeled CSV dataset; omit to use the deterministic synthetic set",
     )
     p_rep.add_argument("--out", default="reproduction", help="output directory")
-    p_rep.add_argument("--iters", type=int, default=3000, help="iteration count")
+    p_rep.add_argument("--iters", type=int, default=REPRO_ITERATIONS, help="iteration count")
 
     p_plot = sub.add_parser("plot", help="render trace CSVs as an SVG comparison")
     p_plot.add_argument(
@@ -84,13 +85,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            if args.seed is not None:
-                check_count("--seed", args.seed)
             config = ExperimentConfig.from_json(args.config)
-            summary, _ = run_experiment(config, out_dir=args.out, x0_seed=args.seed)
-            out = args.out if args.out is not None else config.run["out_dir"]
+            if args.out is not None:
+                config.run["out_dir"] = args.out
+            if args.seed is not None:
+                config.init["x0_seed"] = check_count("--seed", args.seed)
+            summary, _ = run_experiment(config)
             _print_gaps(summary)
-            print(f"wrote traces and summary.json to {out}")
+            print(f"wrote traces and summary.json to {config.run['out_dir']}")
         elif args.command == "reproduce":
             check_count("--iters", args.iters)
             summary, _ = reproduce_paper_experiment(

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random  # loaded at import, not by the first default_rng of a set-up
 
 from .mixing import MixingMatrix, NormTransform
 from .objectives import ObjectiveSuite, global_minimizer

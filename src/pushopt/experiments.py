@@ -15,7 +15,6 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
-import numpy.random  # loaded at import, not by the first default_rng of a set-up
 
 from .diagnostics import (
     TRACE_COLUMNS,
@@ -229,7 +228,7 @@ class ExperimentConfig:
         return cls.from_dict(raw, base_dir=path.parent)
 
     @classmethod
-    def from_dict(cls, raw: dict, base_dir=".") -> "ExperimentConfig":
+    def from_dict(cls, raw: dict, base_dir) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a JSON object, got {raw!r}")
         cfg = _table(raw, "", "the config", Path(base_dir))
@@ -503,18 +502,18 @@ def _run_and_write(prob, algorithms, K, stride, out: Path, summary: dict, finish
             worker.stop()
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None, x0_seed=None):
+def run_experiment(config: ExperimentConfig):
     """Build the shared graph/suite/minimizer, run every configured algorithm
-    from identical initial conditions, and write traces plus a summary.
+    from identical initial conditions, and write traces plus a summary into
+    config.run["out_dir"]. Every setting comes from the config.
 
     Returns (summary dict, {name: RunTrace}). On any failure the partial
     output files are removed and the error re-raised.
     """
     K, stride = config.run["iterations"], config.run["record_stride"]
-    out = Path(out_dir if out_dir is not None else config.run["out_dir"])
-    seed0 = config.init["x0_seed"] if x0_seed is None else x0_seed
+    out = Path(config.run["out_dir"])
     graph = _build_graph(config.graph)
-    prob = build_problem(graph, _build_suite(config.objective, graph.n), seed0)
+    prob = build_problem(graph, _build_suite(config.objective, graph.n), config.init["x0_seed"])
     summary = {
         "experiment": {
             "graph": config.graph,
@@ -524,7 +523,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, x0_seed=None):
             # a quadratic objective has no features to standardize
             "standardize": config.objective.get("standardize", False),
             "iterations": K,
-            "x0_seed": seed0,
+            "x0_seed": config.init["x0_seed"],
             "record_stride": stride,
         },
         "resolved": prob.resolved,
@@ -555,9 +554,10 @@ REPRO_GRAPH_SEED = 7
 REPRO_X0_SEED = 12345
 REPRO_DATA_SEED = 2026
 REPRO_PARTITION_SEED = 1
+REPRO_ITERATIONS = 3000
 
 
-def reproduce_paper_experiment(data_path, case: str, out_dir, iters: int = 3000):
+def reproduce_paper_experiment(data_path, case: str, out_dir, iters: int = REPRO_ITERATIONS):
     """Benchmark comparison on the banknote-style logistic problem.
 
     20 agents on a bidirected ring plus 50 random directed links, 50
@@ -585,7 +585,7 @@ def reproduce_paper_experiment(data_path, case: str, out_dir, iters: int = 3000)
             keep = rng.choice(len(data), size=rows_needed, replace=False)
             data = LabeledDataset(data.features[keep], data.labels[keep])
     else:
-        data = synthetic_logistic_dataset(rows_needed, 4, seed=REPRO_DATA_SEED)
+        data = synthetic_logistic_dataset(rows_needed, 4, REPRO_DATA_SEED)
         data_source = "synthetic"
 
     prob = build_problem(
@@ -682,7 +682,7 @@ def read_trace_csv(path) -> RunTrace:
         return parse(name, lambda v: float(v) if v else np.nan)
 
     return RunTrace(
-        label=Path(path).stem.replace("trace_", ""),
+        label=Path(path).stem.removeprefix("trace_"),
         k=parse("k", int),
         **{name: fcol(name) for name in TRACE_COLUMNS[1:]},
     )

@@ -157,7 +157,7 @@ class NormTransform:
     C - p 1^T / n is ||D^-1/2 (C - p 1^T / n) D^1/2||_2, D = diag(p); rho is
     an upper bound of it on a 2^-32 grid, below 1 and at most about 3e-9
     above it at n = 400 (see `build_contraction_norm`), and delta =
-    1 - rho - epsilon. The induced norm of I - p 1^T / n is 1: it maps to
+    1 - rho. The induced norm of I - p 1^T / n is 1: it maps to
     I - u u^T with u = sqrt(p / n), an orthogonal projector as sum(p) = n.
     Applying the norm costs O(n) per vector, O(n d) per stack.
     """
@@ -187,12 +187,15 @@ def uniform_out_weights(g: DirectedGraph) -> MixingMatrix:
     return MixingMatrix(C=C, p=perron_vector(C))
 
 
-def perron_vector(C: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+_PERRON_TOL = 1e-12  # perron_vector's relative residual
+
+
+def perron_vector(C: np.ndarray) -> np.ndarray:
     """Positive right eigenvector of a regular column-stochastic C at
     eigenvalue 1, normalized so its entries sum to n.
 
     Power iteration; raises if the residual does not fall below
-    tol * ||p|| within the iteration cap (a non-regular matrix).
+    _PERRON_TOL * ||p|| within the iteration cap (a non-regular matrix).
     """
     n = C.shape[0]
     cap = int(100 * n * max(np.log(n), 1.0)) + 10_000
@@ -202,7 +205,7 @@ def perron_vector(C: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         p = Cp
         p *= n / p.sum()
         Cp = C @ p
-        if np.linalg.norm(Cp - p) <= tol * np.linalg.norm(p):
+        if np.linalg.norm(Cp - p) <= _PERRON_TOL * np.linalg.norm(p):
             break
     else:
         raise RuntimeError(
@@ -219,11 +222,9 @@ def perron_vector(C: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 _RHO_GRID = 2.0**-32
 
 
-def build_contraction_norm(
-    C: np.ndarray, p: np.ndarray, epsilon: float = 0.0
-) -> NormTransform:
+def build_contraction_norm(C: np.ndarray, p: np.ndarray) -> NormTransform:
     """Construct the Perron-weighted diagonal norm under which C - p 1^T / n
-    contracts: delta = 1 - rho - epsilon, theta = sqrt(p_max / p_min).
+    contracts: delta = 1 - rho, theta = sqrt(p_max / p_min).
 
     rho = ||M||_2 for M = D^-1/2 (C - p 1^T / n) D^1/2, D = diag(p), which
     equals S - u u^T with S = D^-1/2 C D^1/2 and u = sqrt(p / n). Where C
@@ -231,7 +232,7 @@ def build_contraction_norm(
     graph (as `uniform_out_weights` builds it) and p its Perron vector, rho
     is the second singular value of S and below 1 (Fill, Ann. Appl. Probab.
     1(1), 1991: S S^T keeps C's support, so it is irreducible). rho >= 1
-    raises ValueError, and epsilon must lie in [0, 1 - rho).
+    raises ValueError.
 
     M is formed once from the given p and C, entry by entry, and rho is the
     square root of the top eigenvalue of its Gram matrix G = M^T M from
@@ -285,13 +286,11 @@ def build_contraction_norm(
     rho = float(np.ceil(rho / _RHO_GRID) * _RHO_GRID)
     if rho >= 1.0:
         raise ValueError(f"contraction factor {rho} >= 1: invalid mixing matrix")
-    if not 0.0 <= epsilon < 1.0 - rho:
-        raise ValueError(f"epsilon must lie in [0, {1.0 - rho}); got {epsilon}")
     p_min = p.min()
     return NormTransform(
         w=np.sqrt(p_min / p),
         rho=rho,
-        delta=1.0 - rho - epsilon,
+        delta=1.0 - rho,
         theta=float(np.sqrt(p.max() / p_min)),
         p=p.copy(),
     )

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-import numpy.random  # loaded at import, not by the first default_rng of a set-up
+import numpy.random  # numpy's own import is lazy; set-up timing should not pay for it
 
 __all__ = [
     "LabeledDataset",
@@ -44,6 +44,9 @@ def _sigmoid(t):
 # and its step cap.
 _NEWTON_TOL = 1e-14
 _NEWTON_MAX_ITER = 100
+# Smallest Hessian eigenvalue, as a fraction of L, at which the Newton end
+# point counts as a minimizer; measured in ObjectiveSuite.minimizer.
+_MIN_CURVATURE = 1e-10
 
 
 # Entries of one (rows x examples) temporary of LogisticSuite; measured in
@@ -160,9 +163,7 @@ def write_labeled_csv(data: LabeledDataset, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def synthetic_logistic_dataset(
-    rows: int = 1000, dim: int = 4, seed: int = 2026
-) -> LabeledDataset:
+def synthetic_logistic_dataset(rows: int, dim: int, seed: int) -> LabeledDataset:
     """Deterministic stand-in for a small real classification set.
 
     Features are modest-norm Gaussians and labels carry both margin noise and
@@ -240,12 +241,30 @@ class ObjectiveSuite:
         until the decrease, measured with `gap_values` so it stays exact
         near x*, meets the Armijo condition. Raises RuntimeError, naming the
         final gradient norm, if _NEWTON_MAX_ITER steps do not reach the tol.
+
+        The end point is x* only if the objective curves there: where the
+        smallest eigenvalue lambda_min of `average_hessian` is below
+        _MIN_CURVATURE * L = 1e-10 L, a ValueError names lambda_min and L.
+        On linearly separable data with mu = 0 the loss has no minimizer and
+        its gradient fades along the separating direction: 200 rows with 2
+        features, labelled by the sign of the first, over 10 agents, end at
+        x = [4570.6, -10.4] with lambda_min = 1.1e-17 against L = 13.1
+        (8.7e-19 L). The reproduce data, which has a minimizer, ends with
+        lambda_min = 0.70 against L = 26.7 (0.026 L).
         """
         x = np.zeros(self.dim)
         for it in range(_NEWTON_MAX_ITER + 1):
             g = self.average_grad(x)
             gnorm = float(np.linalg.norm(g))
             if gnorm <= _NEWTON_TOL:
+                lam_min = float(np.linalg.eigvalsh(self.average_hessian(x))[0])
+                if not lam_min >= _MIN_CURVATURE * self.L:
+                    raise ValueError(
+                        "the average objective has no minimizer to report: its gradient "
+                        f"fades where the Hessian's smallest eigenvalue, {lam_min:.3g}, is "
+                        f"below {_MIN_CURVATURE:g} L with L = {self.L:.3g} "
+                        "(linearly separable data with mu = 0?)"
+                    )
                 return x, float(self.average_value(x))
             if it == _NEWTON_MAX_ITER:
                 break

@@ -13,7 +13,7 @@ Each params type is the one description of its algorithm: its step, its
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -102,7 +102,7 @@ class APDParams(_Method):
     pa: float = 0.25
     wa: float = 0.25
     wb: float = 1.0
-    K: int = 1000
+    K: int = field(kw_only=True)
 
     theoretical = True
     lyapunov_pair = ("phi1", "phi2")
@@ -127,7 +127,7 @@ class APDParams(_Method):
 
     @classmethod
     def auto(cls, suite, nt, K: int, theory=None) -> APDParams:
-        return default_params_smooth(suite.L, theory, K)
+        return default_params_smooth(suite.L, theory, K=K)
 
     def step(self, state, mixing, suite) -> SolverState:
         """One accelerated gradient-tracking step with the time-varying schedule."""
@@ -149,7 +149,7 @@ class APDSCParams(_Method):
     alpha: float
     beta: float
     tau: float
-    K: int = 1000
+    K: int
 
     theoretical = True
     strongly_convex = True
@@ -191,7 +191,7 @@ class PushDIGingParams(_Method):
     """
 
     eta: float
-    K: int = 1000
+    K: int
 
     def __post_init__(self):
         if self.eta <= 0:
@@ -223,7 +223,7 @@ class SubgradPushParams(_Method):
     """
 
     step_c: float
-    K: int = 1000
+    K: int
 
     tracks_gradient = False
 
@@ -347,7 +347,7 @@ def run(X0, v0, mixing, suite, params, hooks=None):
         return state.ratio(), hooks.trace() if hasattr(hooks, "trace") else None
 
 
-# The per-algorithm run names bench/child.py calls; ROADMAP item 1 moves it
+# The per-algorithm run names bench/child.py calls; ROADMAP item 10 moves it
 # to `run` and deletes them.
 apd_run = apdsc_run = run
 
@@ -475,7 +475,7 @@ def _sc_eta_ceiling(L, at, ti: TheoryInputs) -> float:
     return float(min(terms))
 
 
-def default_params_smooth(L: float, theory: TheoryInputs | None = None, K: int = 1000) -> APDParams:
+def default_params_smooth(L: float, theory: TheoryInputs | None = None, *, K: int) -> APDParams:
     """Default parameters for the smooth convex solver: APDParams' own
     schedule defaults with the practical stepsize _C_PRAC / L when `theory` is
     None, else with the provable stepsize ceiling that the graph quantities
@@ -494,7 +494,8 @@ def default_params_sc(
     mu: float,
     theory: TheoryInputs | None = None,
     c_prac: float = _C_PRAC,
-    K: int = 1000,
+    *,
+    K: int,
     delta: float | None = None,
 ) -> APDSCParams:
     """Default parameters for the strongly convex solver.

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the report lines.
 All tolerances and runtime budgets are asserted, not just printed.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -203,9 +204,8 @@ def five_graphs():
         nt_default = build_contraction_norm(mixing.C, mixing.p)
         # Small-delta transform: keeps the certified decay curve well above
         # the double-precision floor of v_k over the k <= 200 horizon.
-        nt_decay = build_contraction_norm(
-            mixing.C, mixing.p, epsilon=0.875 * (1.0 - nt_default.rho)
-        )
+        rho = nt_default.rho
+        nt_decay = dataclasses.replace(nt_default, delta=1.0 - rho - 0.875 * (1.0 - rho))
         out.append((mixing, nt_decay, nt_default))
     return out
 

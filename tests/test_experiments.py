@@ -16,6 +16,7 @@ from pushopt import (
     DivergenceError,
     ExperimentConfig,
     IdentityMonitor,
+    LabeledDataset,
     RunTrace,
     TraceRecorder,
     build_contraction_norm,
@@ -299,10 +300,12 @@ def test_summary_params_replay_the_run(tmp_path, name):
     cfg = base_config(tmp_path)
     cfg["graph"] = {"n": 12, "extra_edges": 20, "seed": 4}
     cfg["algorithms"] = [{"name": name, "params": "auto"}]
-    run_experiment(ExperimentConfig.from_dict(cfg, tmp_path), out_dir=tmp_path / "auto")
+    cfg["run"]["out_dir"] = str(tmp_path / "auto")
+    run_experiment(ExperimentConfig.from_dict(cfg, tmp_path))
     summary = json.loads((tmp_path / "auto" / "summary.json").read_text())
     cfg["algorithms"] = [{"name": name, "params": summary["algorithms"][name]["params"]}]
-    run_experiment(ExperimentConfig.from_dict(cfg, tmp_path), out_dir=tmp_path / "table")
+    cfg["run"]["out_dir"] = str(tmp_path / "table")
+    run_experiment(ExperimentConfig.from_dict(cfg, tmp_path))
     csv = f"trace_{name}.csv"
     assert (tmp_path / "table" / csv).read_bytes() == (tmp_path / "auto" / csv).read_bytes()
 
@@ -775,6 +778,20 @@ def test_csv_round_trip_bit_exact(tmp_path, small_mixing, small_norm, small_suit
     assert back.phi3 is None and back.phi4 is None
 
 
+@pytest.mark.parametrize(
+    "stem, label",
+    [
+        ("trace_apdsc", "apdsc"),
+        ("mytrace_apdsc", "mytrace_apdsc"),
+        ("old_trace_apdsc", "old_trace_apdsc"),
+    ],
+)
+def test_read_trace_csv_strips_only_a_leading_trace_prefix(tmp_path, stem, label):
+    ones = np.ones(2)
+    emit_csv(RunTrace("x", np.arange(2), ones, ones, ones, ones, ones), tmp_path / f"{stem}.csv")
+    assert read_trace_csv(tmp_path / f"{stem}.csv").label == label
+
+
 def test_svg_single_polyline(tmp_path):
     k = np.arange(1, 50)
     tr = RunTrace(
@@ -980,6 +997,45 @@ def test_cli_seed_override(tmp_path):
     assert main(["run", "--config", str(cfg_path), "--seed", "77", "--out", str(tmp_path / "s2")]) == 0
     a = json.loads((tmp_path / "s2" / "summary.json").read_text())
     assert a["experiment"]["x0_seed"] == 77
+
+
+@pytest.mark.parametrize("with_out", [True, False], ids=["out", "config-out_dir"])
+def test_cli_reports_the_directory_it_wrote(tmp_path, capsys, with_out):
+    """`pushopt run`'s last stdout line names the directory that holds
+    summary.json: --out where given, else the config's run.out_dir."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(base_config(tmp_path / "cfg_out", iterations=10)))
+    argv = ["run", "--config", str(cfg_path), "--seed", "77"]
+    expected = tmp_path / ("cli_out" if with_out else "cfg_out")
+    assert main(argv + ["--out", str(expected)] if with_out else argv) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"wrote traces and summary.json to {expected}"
+    summary = json.loads((expected / "summary.json").read_text())
+    assert summary["experiment"]["x0_seed"] == 77
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["config.json", expected.name])
+
+
+def test_cli_rejects_separable_data_without_penalty(tmp_path, capsys):
+    """Linearly separable data has no logistic minimizer with mu = 0: the CLI
+    exits 1 naming the Hessian's smallest eigenvalue and L, and writes
+    nothing. With mu = 0.05 the same data runs."""
+    rng = np.random.default_rng(0)
+    Z = rng.standard_normal((200, 2))
+    write_labeled_csv(LabeledDataset(Z, np.where(Z[:, 0] >= 0, 1.0, -1.0)), tmp_path / "d.csv")
+    cfg = base_config(tmp_path / "out", iterations=10)
+    cfg["graph"]["n"] = 10
+    cfg_path = tmp_path / "config.json"
+    for mu, code in ((0.0, EXIT_CONFIG), (0.05, 0)):
+        cfg["objective"] = {"kind": "logistic", "data": "d.csv", "mu": mu}
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path)]) == code
+        assert (tmp_path / "out").exists() == (code == 0)
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"error: the average objective has no minimizer to report: .* smallest eigenvalue, "
+        r"\S+, is below 1e-10 L with L = 13\.1 \(linearly separable data with mu = 0\?\)\n",
+        err,
+    ), err
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -37,12 +37,11 @@ def test_package_imports_only_exported_names():
 DECLARED = {"pushopt", "numpy"}
 
 
-def test_imports_name_only_declared_dependencies():
-    """Every import in src/pushopt, at module level or inside a function,
-    names pushopt, a declared dependency or a standard-library module."""
+def _absolute_imports():
+    """(file name, line, module name) of every absolute import in
+    src/pushopt, at module level or inside a function."""
     files = sorted(Path(pushopt.__file__).parent.glob("*.py"))
     assert files
-    allowed = DECLARED | set(sys.stdlib_module_names)
     for path in files:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -52,5 +51,21 @@ def test_imports_name_only_declared_dependencies():
             else:
                 continue
             for name in names:
-                top = name.partition(".")[0]
-                assert top in allowed, f"{path.name}:{node.lineno} imports {name}"
+                yield path.name, node.lineno, name
+
+
+def test_imports_name_only_declared_dependencies():
+    """Every import names pushopt, a declared dependency or a standard-library
+    module."""
+    allowed = DECLARED | set(sys.stdlib_module_names)
+    for file, line, name in _absolute_imports():
+        assert name.partition(".")[0] in allowed, f"{file}:{line} imports {name}"
+
+
+def test_one_module_imports_numpy_random():
+    """numpy loads numpy.random on first use; one module of the package loads
+    it at import, so that no set-up's timing pays for it."""
+    importers = [
+        f"{file}:{line}" for file, line, name in _absolute_imports() if name == "numpy.random"
+    ]
+    assert len(importers) == 1, importers

@@ -64,7 +64,7 @@ def test_perron_doubly_stochastic_gives_ones():
 def test_perron_against_dense_eigensolver():
     # graph {1->2, 1->3, 2->3, 3->1} with uniform out-weights
     C = np.array([[1 / 3, 0, 1 / 2], [1 / 3, 1 / 2, 0], [1 / 3, 1 / 2, 1 / 2]])
-    p = perron_vector(C, tol=1e-13)
+    p = perron_vector(C)
     assert np.linalg.norm(C @ p - p) <= 1e-10 * np.linalg.norm(p)
     assert abs(p.sum() - 3.0) <= 1e-10
     # oracle: dominant eigenvector from the dense solver
@@ -130,19 +130,19 @@ def test_build_rejects_rho_at_least_one():
 
 
 def test_norm_transform_zero_error_map():
-    # C = p 1^T / n: the error map vanishes, any epsilon works
+    # C = p 1^T / n: the error map vanishes
     p = np.array([1.5, 0.5])
     C = np.outer(p, np.ones(2)) / 2
-    nt = build_contraction_norm(C, p, epsilon=0.3)
+    nt = build_contraction_norm(C, p)
     assert nt.rho <= 0.3
 
 
 def test_norm_transform_cycle_contraction():
     mix = uniform_out_weights(CYCLE3)
-    nt = build_contraction_norm(mix.C, mix.p, epsilon=0.1)
+    nt = build_contraction_norm(mix.C, mix.p)
     assert nt.rho <= 0.6 + 1e-12
     # rho = 1/2 exactly, rounded up by one grid step.
-    assert nt.delta == 1.0 - (0.5 + GRID) - 0.1
+    assert nt.delta == 1.0 - (0.5 + GRID)
 
 
 def test_norm_transform_invariants(small_mixing):
@@ -258,7 +258,7 @@ def test_norm_contracts_with_small_theta_at_scale(n):
     assert np.linalg.norm(W @ projector @ W_inv, 2) <= 1.0 + 1e-12
 
 
-def _eager_build(C, p, epsilon=0.0):
+def _eager_build(C, p):
     """Reference: the diagonal norm built out of place, as the build's
     docstring states it. Returns the transform's fields as a dict."""
     n = p.shape[0]
@@ -271,7 +271,7 @@ def _eager_build(C, p, epsilon=0.0):
     return {
         "w": np.sqrt(p.min() / p),
         "rho": rho,
-        "delta": 1.0 - rho - epsilon,
+        "delta": 1.0 - rho,
         "theta": float(np.sqrt(p.max() / p.min())),
     }
 
@@ -395,9 +395,8 @@ def test_build_rejects_non_finite_error_map(small_mixing):
 def test_norm_transform_epsilon_validation(small_mixing, small_norm):
     rho = small_norm.rho
     assert small_norm.delta == 1.0 - rho
-    for epsilon in (1.0 - rho, -1e-3):
-        with pytest.raises(ValueError, match="epsilon"):
-            build_contraction_norm(small_mixing.C, small_mixing.p, epsilon=epsilon)
+    with pytest.raises(TypeError, match="epsilon"):
+        build_contraction_norm(small_mixing.C, small_mixing.p, epsilon=0.1)
 
 
 def test_build_rejects_nonpositive_perron_vector(small_mixing):

@@ -35,15 +35,18 @@ from pathlib import Path
 # One usable CPU keeps every run in this process, where sys.modules shows
 # what it imports; with two, runs would go to forked workers.
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-from pushopt.cli import main
 
-out = Path(sys.argv[1])
 def loaded():
     return {
         "scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
         "numpy.random": "numpy.random" in sys.modules,
     }
-report = {"import": loaded()}
+import pushopt.objectives
+report = {"objectives": loaded()}
+from pushopt.cli import main
+
+out = Path(sys.argv[1])
+report["import"] = loaded()
 assert main(["reproduce", "--case", "strongly", "--iters", "20", "--out", str(out / "rep")]) == 0
 report["reproduce"] = loaded()
 config = {
@@ -61,13 +64,14 @@ print(json.dumps(report))
 
 
 def test_imports_load_no_scipy(tmp_path):
-    """`import pushopt.cli` loads numpy.random (every run draws from it) and
-    no scipy module; neither an n = 20 `reproduce` nor an n = 160 run on the
-    in-neighbor gather loads one. The script runs on one CPU, so the
-    three-algorithm `reproduce` makes no worker whose imports it would miss."""
+    """`import pushopt.objectives`, and so `import pushopt.cli`, loads
+    numpy.random (every run draws from it) and no scipy module; neither an
+    n = 20 `reproduce` nor an n = 160 run on the in-neighbor gather loads
+    one. The script runs on one CPU, so the three-algorithm `reproduce`
+    makes no worker whose imports it would miss."""
     out = _python(["-c", _IMPORTS_SCRIPT, str(tmp_path)]).stdout
     report = json.loads(out.splitlines()[-1])
-    for stage in ("import", "reproduce", "sparse_run"):
+    for stage in ("objectives", "import", "reproduce", "sparse_run"):
         assert report[stage]["scipy"] == [], stage
         assert report[stage]["numpy.random"], stage
 

@@ -285,13 +285,13 @@ def test_one_gradient_batch_per_step(small_mixing, small_suite, small_init):
 
 
 def test_default_params_smooth_practical():
-    p = default_params_smooth(1.0)
+    p = default_params_smooth(1.0, K=1)
     assert (p.eta, p.pa, p.wb, p.wa) == (0.3, 0.25, 1.0, 0.25)
 
 
 def test_default_params_smooth_theoretical_formula():
     ti = TheoryInputs(n=4, delta=0.999, theta=1.0, vhat=1.0, v0_dist=0.0)
-    p = default_params_smooth(2.0, theory=ti)
+    p = default_params_smooth(2.0, theory=ti, K=1)
     # independent evaluation of the surviving ceilings
     pa, wb, wa, L, d = 0.25, 1.0, 0.25, 2.0, 0.999
     c3 = 3 * (d**2 + 2 * pa**2 * d + 4 * pa**2)
@@ -312,7 +312,7 @@ def test_hand_tuned_parameter_sets_accepted():
 
 
 def test_default_params_sc_closed_form():
-    p = default_params_sc(1.0, 1.0, c_prac=1 / 24, delta=0.99)
+    p = default_params_sc(1.0, 1.0, c_prac=1 / 24, K=1, delta=0.99)
     assert p.tau == pytest.approx(1 / 24)
     assert p.alpha == pytest.approx(2.0)
     assert p.beta == pytest.approx(1 / 24)
@@ -320,7 +320,7 @@ def test_default_params_sc_closed_form():
 
 
 def test_default_params_sc_caps_bind():
-    p = default_params_sc(1.0, 1.0, c_prac=1 / 24, delta=0.1)
+    p = default_params_sc(1.0, 1.0, c_prac=1 / 24, K=1, delta=0.1)
     assert p.beta == pytest.approx(0.1 / 16)
 
 
@@ -341,17 +341,17 @@ def test_theoretical_sc_runs_stably(small_mixing, small_suite, small_init):
 
 def test_param_validation():
     with pytest.raises(ValueError):
-        APDParams(eta=-1.0)
+        APDParams(eta=-1.0, K=1)
     with pytest.raises(ValueError):
-        APDParams(eta=0.1, pa=1.5)
+        APDParams(eta=0.1, pa=1.5, K=1)
     with pytest.raises(ValueError):
-        APDSCParams(eta=0.1, alpha=1.0, beta=0.5, tau=0.2)
+        APDSCParams(eta=0.1, alpha=1.0, beta=0.5, tau=0.2, K=1)
     with pytest.raises(ValueError):
-        default_params_sc(1.0, 2.0)  # mu > L
+        default_params_sc(1.0, 2.0, K=1)  # mu > L
     with pytest.raises(ValueError, match="eta"):
-        PushDIGingParams(eta=0.0)
+        PushDIGingParams(eta=0.0, K=1)
     with pytest.raises(ValueError, match="step_c"):
-        SubgradPushParams(step_c=-1.0)
+        SubgradPushParams(step_c=-1.0, K=1)
     with pytest.raises(ValueError, match="K"):
         PushDIGingParams(eta=0.1, K=-1)
 
@@ -368,7 +368,7 @@ def test_baselines_report_x_as_their_y(small_mixing, small_suite, small_init, me
     assert np.array_equal(out, states[-1].X / states[-1].v[:, None])
 
 
-@pytest.mark.parametrize("params", [SubgradPushParams(step_c=0.18), None])
+@pytest.mark.parametrize("params", [SubgradPushParams(step_c=0.18, K=1), None])
 def test_identity_monitor_rejects_params_without_identities(small_mixing, params):
     with pytest.raises(ValueError, match=type(params).__name__):
         IdentityMonitor(small_mixing, params)
