@@ -31,7 +31,6 @@ from .objectives import (
     write_labeled_csv,
 )
 from .solvers import (
-    AGMTrace,
     APDParams,
     APDSCParams,
     DivergenceError,
@@ -42,7 +41,6 @@ from .solvers import (
     apd_run,
     apdsc_run,
     calibrate_theory_inputs,
-    centralized_agm_run,
     default_params_sc,
     default_params_smooth,
     init_state,
@@ -52,10 +50,8 @@ from .solvers import (
 )
 from .diagnostics import (
     IdentityMonitor,
-    InexactBoundsReport,
     RunTrace,
     TraceRecorder,
-    check_inexact_bounds,
     consensus_error,
     fit_linear_rate,
     fit_sublinear_rate,

@@ -1,4 +1,4 @@
-"""Error metrics, Lyapunov functions, inequality spot-checks, and rate fits."""
+"""Error metrics, Lyapunov functions, identity monitors, and rate fits."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mixing import MixingMatrix, NormTransform
-from .objectives import ObjectiveSuite, global_minimizer
+from .objectives import ObjectiveSuite
 from .solvers import SolverState
 
 __all__ = [
@@ -17,8 +17,6 @@ __all__ = [
     "optimality_gap",
     "consensus_error",
     "lyapunov",
-    "check_inexact_bounds",
-    "InexactBoundsReport",
     "fit_sublinear_rate",
     "fit_linear_rate",
     "iterations_to_threshold",
@@ -168,70 +166,6 @@ def lyapunov(state: SolverState, k: int, params, nt: NormTransform) -> tuple:
         raise ValueError(f"no Lyapunov pair for {type(params).__name__}")
     cols = _records(nt.p, *_one(state), (nt, params, [k]))
     return tuple(float(cols[name][0]) for name in params.lyapunov_pair)
-
-
-@dataclass(frozen=True)
-class InexactBoundsReport:
-    """Outcome of the inexact convexity/strong-convexity spot-checks."""
-
-    trials: int
-    min_slack: float
-    sc_slack: float | None
-    violations: int
-
-
-def check_inexact_bounds(
-    suite: ObjectiveSuite,
-    state: SolverState,
-    trials: int,
-    seed: int,
-    xstar: np.ndarray | None = None,
-) -> InexactBoundsReport:
-    """Verify the descent bounds that hold despite gradient-average error.
-
-    Samples random row pairs (a, b) and checks
-    f(a) - f(b) <= <gbar, a - b> + (L / 2n) ||U - 1 a||_F^2; when the suite
-    is strongly convex also checks the mu-variant at (xbar, x*). Slack is
-    RHS - LHS; violations are counted below -1e-8 * scale.
-    """
-    rng = np.random.default_rng(seed)
-    n, dim, L = suite.n, suite.dim, suite.L
-    gbar = state.G.mean(axis=0)
-    U = state.X / state.v[:, None]
-    xbar = state.X.mean(axis=0)
-    scale_ref = 1.0 + float(np.linalg.norm(xbar))
-
-    min_slack = np.inf
-    violations = 0
-    for _ in range(trials):
-        a = scale_ref * rng.standard_normal(dim)
-        b = scale_ref * rng.standard_normal(dim)
-        lhs = float(suite.average_value(a) - suite.average_value(b))
-        rhs = float(gbar @ (a - b)) + (L / (2.0 * n)) * float(
-            np.linalg.norm(U - a[None, :]) ** 2
-        )
-        slack = rhs - lhs
-        min_slack = min(min_slack, slack)
-        if slack < -1e-8 * (1.0 + abs(lhs) + abs(rhs)):
-            violations += 1
-
-    sc_slack = None
-    if suite.mu > 0:
-        if xstar is None:
-            xstar, _ = global_minimizer(suite)
-        lhs = float(suite.average_value(xbar))
-        rhs = (
-            float(suite.average_value(xstar))
-            + float(gbar @ (xbar - xstar))
-            - 0.25 * suite.mu * float(np.linalg.norm(xbar - xstar) ** 2)
-            + (L / n) * float(np.linalg.norm(U - xbar[None, :]) ** 2)
-        )
-        sc_slack = rhs - lhs
-        if sc_slack < -1e-8 * (1.0 + abs(lhs) + abs(rhs)):
-            violations += 1
-    return InexactBoundsReport(
-        trials=trials, min_slack=float(min_slack), sc_slack=sc_slack, violations=violations
-    )
 
 
 def _fit_window(trace: RunTrace, k_lo: int, k_hi: int) -> tuple:

@@ -557,7 +557,7 @@ REPRO_PARTITION_SEED = 1
 REPRO_ITERATIONS = 3000
 
 
-def reproduce_paper_experiment(data_path, case: str, out_dir, iters: int = REPRO_ITERATIONS):
+def reproduce_paper_experiment(data_path, case: str, out_dir, iters: int):
     """Benchmark comparison on the banknote-style logistic problem.
 
     20 agents on a bidirected ring plus 50 random directed links, 50
@@ -692,7 +692,7 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 FLOOR = 1e-17
 
 
-def emit_svg_plot(traces, path, axes: str = "semilogy") -> None:
+def emit_svg_plot(traces, path, axes: str) -> None:
     """Self-contained SVG comparing loss curves, one polyline per trace.
 
     axes is "semilogy" (linear iteration axis) or "loglog". Losses are

@@ -250,7 +250,9 @@ class ObjectiveSuite:
         features, labelled by the sign of the first, over 10 agents, end at
         x = [4570.6, -10.4] with lambda_min = 1.1e-17 against L = 13.1
         (8.7e-19 L). The reproduce data, which has a minimizer, ends with
-        lambda_min = 0.70 against L = 26.7 (0.026 L).
+        lambda_min = 0.70 against L = 26.7 (0.026 L). A singular average
+        Hessian on the way, as linearly dependent features with mu = 0 give,
+        raises ValueError too.
         """
         x = np.zeros(self.dim)
         for it in range(_NEWTON_MAX_ITER + 1):
@@ -268,7 +270,13 @@ class ObjectiveSuite:
                 return x, float(self.average_value(x))
             if it == _NEWTON_MAX_ITER:
                 break
-            step = -np.linalg.solve(self.average_hessian(x), g)
+            try:
+                step = -np.linalg.solve(self.average_hessian(x), g)
+            except np.linalg.LinAlgError:
+                raise ValueError(
+                    "the average objective has no unique minimizer to report: its average "
+                    "Hessian is singular (linearly dependent features with mu = 0?)"
+                ) from None
             slope = float(g @ step)
             t = 1.0
             while t > 1e-10:

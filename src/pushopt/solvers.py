@@ -34,8 +34,6 @@ __all__ = [
     "apdsc_run",
     "push_diging_run",
     "subgradient_push_run",
-    "centralized_agm_run",
-    "AGMTrace",
     "default_params_smooth",
     "default_params_sc",
     "calibrate_theory_inputs",
@@ -361,44 +359,6 @@ def subgradient_push_run(X0, v0, mixing, suite, step_c: float, K: int, hooks=Non
 
 
 @dataclass(frozen=True)
-class AGMTrace:
-    """Iterate history of the centralized accelerated recursion."""
-
-    x: np.ndarray  # (K+1, dim)
-    y: np.ndarray
-    z: np.ndarray
-
-
-def centralized_agm_run(x0: np.ndarray, suite: ObjectiveSuite, params: APDParams) -> AGMTrace:
-    """Single-agent accelerated recursion on the average objective, K steps
-    of params' schedule.
-
-    Matches the decentralized solver run with the same params exactly when
-    n = 1, C = [1], v0 = 1.
-    """
-    eta = params.eta
-    x = np.array(x0, dtype=float)
-    y = x.copy()
-    z = x.copy()
-    xs, ys, zs = [x.copy()], [y.copy()], [z.copy()]
-    for k in range(params.K):
-        g = suite.average_grad(x)
-        if not np.isfinite(g).all():
-            raise DivergenceError(k)
-        y1 = x - eta * g
-        z1 = z - (params.alpha(k) * eta) * g
-        tau_next = params.tau(k + 1)
-        x = (1.0 - tau_next) * y1 + tau_next * z1
-        y, z = y1, z1
-        if not np.isfinite(x).all():
-            raise DivergenceError(k + 1)
-        xs.append(x.copy())
-        ys.append(y.copy())
-        zs.append(z.copy())
-    return AGMTrace(x=np.array(xs), y=np.array(ys), z=np.array(zs))
-
-
-@dataclass(frozen=True)
 class TheoryInputs:
     """Graph-dependent quantities entering the provable stepsize ceilings."""
 
@@ -496,16 +456,17 @@ def default_params_sc(
     c_prac: float = _C_PRAC,
     *,
     K: int,
-    delta: float | None = None,
+    delta: float,
 ) -> APDSCParams:
-    """Default parameters for the strongly convex solver.
+    """Default parameters for the strongly convex solver on a graph whose
+    contraction norm has gap delta (`NormTransform.delta`).
 
     The stepsize is the practical c_prac / L when `theory` is None, else the
     provable ceiling that the graph quantities in `theory` set (c_prac is
     then unused). Sets tau = sqrt(mu eta / 24) and alpha = 1 / (12 tau), so
-    alpha tau = 1/12 and the candidate mu alpha eta / 2 equals tau. The
-    graph-dependent caps on beta apply when delta is known (explicitly or
-    via `theory`).
+    alpha tau = 1/12 and the candidate mu alpha eta / 2 equals tau. beta is
+    the least of tau, mu alpha eta / 2 and the graph's caps delta / 16 and
+    delta^2 / (8 tau).
     """
     if not 0 < mu <= L:
         raise ValueError("need 0 < mu <= L")
@@ -513,10 +474,5 @@ def default_params_sc(
     eta = c_prac / L if theory is None else _sc_eta_ceiling(L, at, theory)
     tau = np.sqrt(mu * eta / 24.0)
     alpha = 1.0 / (12.0 * tau)
-    beta_candidates = [tau, 0.5 * mu * alpha * eta]
-    if delta is None and theory is not None:
-        delta = theory.delta
-    if delta is not None:
-        beta_candidates += [delta / 16.0, delta**2 / (8.0 * tau)]
-    beta = float(min(beta_candidates))
+    beta = float(min(tau, 0.5 * mu * alpha * eta, delta / 16.0, delta**2 / (8.0 * tau)))
     return APDSCParams(eta=float(eta), alpha=float(alpha), beta=beta, tau=float(tau), K=K)

@@ -19,8 +19,6 @@ from pushopt import (
     TraceRecorder,
     build_contraction_norm,
     build_cycle_plus_random,
-    centralized_agm_run,
-    check_inexact_bounds,
     default_params_sc,
     default_params_smooth,
     fit_sublinear_rate,
@@ -34,6 +32,8 @@ from pushopt import (
     uniform_out_weights,
 )
 from pushopt.mixing import MixingMatrix
+
+from reference import centralized_agm_run, check_inexact_bounds
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -49,12 +49,12 @@ def test_criterion_01_exact_reduction():
     params = APDParams(eta=1.0 / suite.L, K=500)
     states = []
     run(np.array([[1.0]]), np.array([1.0]), mix1, suite, params, states.append)
-    agm = centralized_agm_run(np.array([1.0]), suite, params)
+    x, y, z = centralized_agm_run(np.array([1.0]), suite, params)
     dev = max(
         max(
-            abs(s.X[0, 0] - agm.x[s.k, 0]),
-            abs(s.Y[0, 0] - agm.y[s.k, 0]),
-            abs(s.Z[0, 0] - agm.z[s.k, 0]),
+            abs(s.X[0, 0] - x[s.k, 0]),
+            abs(s.Y[0, 0] - y[s.k, 0]),
+            abs(s.Z[0, 0] - z[s.k, 0]),
         )
         for s in states
     )
@@ -88,7 +88,8 @@ def identity_battery():
         mon = IdentityMonitor(mixing, params_apd)
         run(X0, v0, mixing, suite, params_apd, mon)
         monitors = [mon]
-        params_sc = default_params_sc(suite.L, suite.mu, K=500)
+        nt = build_contraction_norm(mixing.C, mixing.p)
+        params_sc = default_params_sc(suite.L, suite.mu, K=500, delta=nt.delta)
         mon = IdentityMonitor(mixing, params_sc)
         run(X0, v0, mixing, suite, params_sc, mon)
         monitors.append(mon)
@@ -169,6 +170,7 @@ def test_criterion_05_linear_acceleration():
     t0 = time.perf_counter()
     graph = build_cycle_plus_random(10, 20, 5)
     mixing = uniform_out_weights(graph)
+    nt = build_contraction_norm(mixing.C, mixing.p)
     rng = np.random.default_rng(11)
     X0 = rng.standard_normal((10, 5))
     v0 = np.ones(10)
@@ -176,7 +178,7 @@ def test_criterion_05_linear_acceleration():
     def iterations(kappa, mu_base, K):
         suite = make_quadratic_suite(10, 5, kappa, mu_base, 3)
         xstar, _ = suite.minimizer()
-        params = default_params_sc(suite.L, suite.mu, K=K)
+        params = default_params_sc(suite.L, suite.mu, K=K, delta=nt.delta)
         rec = TraceRecorder(suite, mixing, xstar=xstar, stride="auto", label="apdsc")
         _, tr = run(X0, v0, mixing, suite, params, rec)
         return iterations_to_threshold(tr, 1e-9), iterations_to_threshold(tr, 1e-12)
@@ -273,12 +275,13 @@ def test_criterion_08_inexact_bound_spot_checks():
     violations = 0
     min_slack = np.inf
     for idx in (0, 30, 75, 150, 300):  # 5 states x 20 trials = 100 pairs
-        rep = check_inexact_bounds(suite, states_apd[idx], trials=20, seed=idx)
+        rep = check_inexact_bounds(suite, states_apd[idx], trials=20, seed=idx, xstar=xstar)
         violations += rep.violations
         min_slack = min(min_slack, rep.min_slack)
 
     states_sc = []
-    params_sc = default_params_sc(suite.L, suite.mu, K=300)
+    nt = build_contraction_norm(mixing.C, mixing.p)
+    params_sc = default_params_sc(suite.L, suite.mu, K=300, delta=nt.delta)
     run(X0, v0, mixing, suite, params_sc, states_sc.append)
     sc_slack = np.inf
     for idx in (0, 30, 75, 150, 300):

@@ -828,9 +828,9 @@ def test_svg_decade_ticks_and_legend_order(tmp_path):
 
 def test_svg_rejects_empty(tmp_path):
     with pytest.raises(ValueError):
-        emit_svg_plot([empty_trace()], tmp_path / "p.svg")
+        emit_svg_plot([empty_trace()], tmp_path / "p.svg", axes="semilogy")
     with pytest.raises(ValueError):
-        emit_svg_plot([], tmp_path / "p.svg")
+        emit_svg_plot([], tmp_path / "p.svg", axes="semilogy")
 
 
 def _loss_trace(label, loss):
@@ -858,7 +858,7 @@ def test_svg_leaves_out_non_finite_losses(tmp_path, capsys):
     assert "1e-9" in texts and "1e0" in texts and "1e1" not in texts
     finite = _loss_trace("finite", [1.0, 1e-3, 1e-6, 1e-9])
     finite.k[2:] = [3, 5]
-    emit_svg_plot([finite], tmp_path / "finite.svg")
+    emit_svg_plot([finite], tmp_path / "finite.svg", axes="semilogy")
     assert (tmp_path / "finite.svg").read_bytes().replace(b"finite", b"broken") == (
         path.read_bytes()
     )
@@ -868,7 +868,7 @@ def test_svg_leaves_out_non_finite_losses(tmp_path, capsys):
 def test_svg_rejects_trace_without_finite_loss(tmp_path, capsys, bad):
     good = _loss_trace("good", [1.0, 0.1])
     with pytest.raises(ValueError, match="'lost' has no finite loss"):
-        emit_svg_plot([good, _loss_trace("lost", [bad, bad])], tmp_path / "p.svg")
+        emit_svg_plot([good, _loss_trace("lost", [bad, bad])], tmp_path / "p.svg", axes="semilogy")
     emit_csv(_loss_trace("lost", [bad, bad]), tmp_path / "trace_lost.csv")
     argv = ["plot", "--in", str(tmp_path / "trace_lost.csv"), "--out", str(tmp_path / "q.svg")]
     capsys.readouterr()
@@ -891,7 +891,7 @@ def test_reproduce_smoke(tmp_path):
     assert summary["experiment"]["data"] == "synthetic"
     assert summary["algorithms"]["apdsc"]["params"]["eta"] == pytest.approx(0.0125)
     with pytest.raises(ConfigError):
-        reproduce_paper_experiment(None, "sideways", tmp_path / "rep2")
+        reproduce_paper_experiment(None, "sideways", tmp_path / "rep2", iters=25)
 
 
 @pytest.mark.parametrize("case", ["nonstrongly", "strongly"])
@@ -934,7 +934,7 @@ def test_reproduce_subsamples_large_dataset(tmp_path):
     small = synthetic_logistic_dataset(500, 4, 9)
     write_labeled_csv(small, tmp_path / "small.csv")
     with pytest.raises(ConfigError):
-        reproduce_paper_experiment(tmp_path / "small.csv", "strongly", tmp_path / "rep4")
+        reproduce_paper_experiment(tmp_path / "small.csv", "strongly", tmp_path / "rep4", iters=5)
 
 
 def test_cli_run_and_plot(tmp_path, capsys):
@@ -1036,6 +1036,26 @@ def test_cli_rejects_separable_data_without_penalty(tmp_path, capsys):
         r"\S+, is below 1e-10 L with L = 13\.1 \(linearly separable data with mu = 0\?\)\n",
         err,
     ), err
+
+
+def test_cli_rejects_dependent_features_without_penalty(tmp_path, capsys):
+    """A feature column repeated makes the average Hessian singular with
+    mu = 0, so the Newton solve for x* fails: the CLI exits 1 naming the
+    singular Hessian and the likely cause, and writes nothing."""
+    data = synthetic_logistic_dataset(200, 2, 5)
+    features = np.column_stack([data.features, data.features[:, 0]])
+    write_labeled_csv(LabeledDataset(features, data.labels), tmp_path / "d.csv")
+    cfg = base_config(tmp_path / "out", iterations=10)
+    cfg["graph"] = {"n": 10, "extra_edges": 20, "seed": 5}
+    cfg["objective"] = {"kind": "logistic", "data": "d.csv", "mu": 0.0}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: the average objective has no unique minimizer to report: its average "
+        "Hessian is singular (linearly dependent features with mu = 0?)\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "d.csv"]
 
 
 def test_cli_exit_codes(tmp_path, capsys):

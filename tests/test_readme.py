@@ -1,12 +1,14 @@
 """The README's examples run: the quick start's Python and the config
 schema's JSON, each taken from the first fenced block under its heading;
-and the config schema's prose names every config key."""
+the config schema's prose names every config key; and every call the
+prose shows names something the package has."""
 
 import json
 import math
 import re
 from pathlib import Path
 
+import pushopt
 from pushopt import experiments
 from pushopt.cli import main
 
@@ -18,6 +20,11 @@ def section(heading: str) -> str:
     text = README.read_text(encoding="utf-8")
     start = text.index(f"\n## {heading}\n")
     return text[start:text.index("\n## ", start + 1)]
+
+
+def prose(text: str) -> str:
+    """text without its fenced code blocks."""
+    return re.sub(r"^```.*?^```$", "", text, flags=re.M | re.S)
 
 
 def fenced_block(heading: str, lang: str) -> str:
@@ -53,7 +60,21 @@ def test_config_schema_names_every_key():
     """Each key the config schema declares appears in a code span of the
     prose under "Config schema" (its example block does not count), so the
     README and the schema cannot drift apart."""
-    prose = re.sub(r"^```.*?^```$", "", section("Config schema (JSON, UTF-8)"), flags=re.M | re.S)
-    words = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]+)`", prose))))
+    spans = re.findall(r"`([^`]+)`", prose(section("Config schema (JSON, UTF-8)")))
+    words = set(re.findall(r"\w+", " ".join(spans)))
     declared = {key for table in experiments._SCHEMA.values() for key in table}
     assert sorted(declared - words) == []
+
+
+def test_called_names_exist():
+    """Each code span of the form `name(...)`, which may wrap a line, names
+    an attribute of pushopt or of a class that pushopt exports."""
+    spans = re.findall(r"`([^`]+)`", prose(README.read_text(encoding="utf-8")))
+    called = [m.group(1) for m in map(re.compile(r"(\w+)\(.*\)", re.S).fullmatch, spans) if m]
+    assert "run" in called
+    classes = [obj for obj in vars(pushopt).values() if isinstance(obj, type)]
+    missing = [
+        name for name in called
+        if not hasattr(pushopt, name) and not any(hasattr(cls, name) for cls in classes)
+    ]
+    assert missing == []

@@ -15,7 +15,6 @@ from pushopt import (
     build_contraction_norm,
     build_cycle_plus_random,
     calibrate_theory_inputs,
-    centralized_agm_run,
     default_params_sc,
     default_params_smooth,
     init_state,
@@ -28,6 +27,7 @@ from pushopt.mixing import _InNeighborGather
 from pushopt.solvers import C4
 
 from conftest import strongly_connected
+from reference import centralized_agm_run
 
 SCALAR = QuadraticSuite(H=np.ones((1, 1, 1)), b=np.zeros((1, 1)), L=1.0, mu=1.0)
 MIX1 = MixingMatrix(C=np.array([[1.0]]), p=np.array([1.0]))
@@ -91,14 +91,14 @@ def test_reduction_to_centralized(small_suite):
     params = APDParams(eta=1.0, pa=0.25, wa=0.25, wb=1.0, K=500)
     states = []
     run(np.array([[1.0]]), np.array([1.0]), MIX1, suite, params, states.append)
-    agm = centralized_agm_run(np.array([1.0]), suite, params)
+    x, y, z = centralized_agm_run(np.array([1.0]), suite, params)
     dev = 0.0
     for s in states:
         dev = max(
             dev,
-            abs(s.X[0, 0] - agm.x[s.k, 0]),
-            abs(s.Y[0, 0] - agm.y[s.k, 0]),
-            abs(s.Z[0, 0] - agm.z[s.k, 0]),
+            abs(s.X[0, 0] - x[s.k, 0]),
+            abs(s.Y[0, 0] - y[s.k, 0]),
+            abs(s.Z[0, 0] - z[s.k, 0]),
         )
     assert dev <= 1e-12
 
@@ -180,13 +180,13 @@ def test_subgradient_push_constant_objective_reaches_consensus(small_mixing):
     assert np.abs(out - expected).max() <= 1e-10
 
 
-def test_apdsc_tail_decays_geometrically(small_mixing, small_init):
+def test_apdsc_tail_decays_geometrically(small_mixing, small_norm, small_init):
     from pushopt import TraceRecorder, make_quadratic_suite
 
     X0, v0 = small_init
     suite = make_quadratic_suite(10, 5, 100.0, 0.01, 3)
     xstar, _ = suite.minimizer()
-    params = default_params_sc(suite.L, suite.mu, K=900)
+    params = default_params_sc(suite.L, suite.mu, K=900, delta=small_norm.delta)
     rec = TraceRecorder(suite, small_mixing, xstar=xstar, label="apdsc")
     _, tr = run(X0, v0, small_mixing, suite, params, rec)
     assert tr.loss.min() <= 1e-12
@@ -224,10 +224,10 @@ def test_push_diging_linear_decay_strongly_convex(small_mixing, small_init):
 
 
 def test_centralized_agm_hand_values():
-    agm = centralized_agm_run(np.array([1.0]), SCALAR, APDParams(eta=1.0, K=1))
-    assert agm.y[1, 0] == pytest.approx(0.0, abs=1e-15)
-    assert agm.z[1, 0] == pytest.approx(0.75, abs=1e-15)
-    assert agm.x[1, 0] == pytest.approx(0.6, abs=1e-15)
+    x, y, z = centralized_agm_run(np.array([1.0]), SCALAR, APDParams(eta=1.0, K=1))
+    assert y[1, 0] == pytest.approx(0.0, abs=1e-15)
+    assert z[1, 0] == pytest.approx(0.75, abs=1e-15)
+    assert x[1, 0] == pytest.approx(0.6, abs=1e-15)
 
 
 def test_divergence_raises_with_iteration():
@@ -265,9 +265,9 @@ def test_v0_validation(small_mixing, small_suite):
         run(X0, bad_sum, small_mixing, small_suite, APDParams(eta=0.1, K=1))
 
 
-def test_determinism_bitwise(small_mixing, small_suite, small_init):
+def test_determinism_bitwise(small_mixing, small_norm, small_suite, small_init):
     X0, v0 = small_init
-    params = default_params_sc(small_suite.L, small_suite.mu, K=50)
+    params = default_params_sc(small_suite.L, small_suite.mu, K=50, delta=small_norm.delta)
     loss = []
     for _ in range(2):
         states = []
@@ -329,7 +329,7 @@ def test_theoretical_sc_runs_stably(small_mixing, small_suite, small_init):
     nt = build_contraction_norm(small_mixing.C, small_mixing.p)
     ti = calibrate_theory_inputs(small_mixing, nt, v0)
     assert ti.vhat >= 1.0
-    params = default_params_sc(small_suite.L, small_suite.mu, theory=ti, K=50)
+    params = default_params_sc(small_suite.L, small_suite.mu, theory=ti, K=50, delta=nt.delta)
     assert params.eta > 0
     mon = IdentityMonitor(small_mixing, params)
     run(X0, v0, small_mixing, small_suite, params, mon)
@@ -347,7 +347,7 @@ def test_param_validation():
     with pytest.raises(ValueError):
         APDSCParams(eta=0.1, alpha=1.0, beta=0.5, tau=0.2, K=1)
     with pytest.raises(ValueError):
-        default_params_sc(1.0, 2.0, K=1)  # mu > L
+        default_params_sc(1.0, 2.0, K=1, delta=0.99)  # mu > L
     with pytest.raises(ValueError, match="eta"):
         PushDIGingParams(eta=0.0, K=1)
     with pytest.raises(ValueError, match="step_c"):
@@ -383,11 +383,12 @@ def test_identities_hold_on_random_digraphs(graph):
     its push-sum mass at n to within 1e-10."""
     n, K = graph.n, 25
     mixing = uniform_out_weights(graph)
+    nt = build_contraction_norm(mixing.C, mixing.p)
     suite = make_quadratic_suite(n, 3, 10.0, 0.1, 0)
     X0, v0 = np.random.default_rng(n).standard_normal((n, 3)), np.ones(n)
     for params in (
         APDParams(eta=0.05 / suite.L, K=K),
-        default_params_sc(suite.L, suite.mu, c_prac=0.05, K=K),
+        default_params_sc(suite.L, suite.mu, c_prac=0.05, K=K, delta=nt.delta),
         PushDIGingParams(0.05 / suite.L, K),
     ):
         mon = IdentityMonitor(mixing, params)
@@ -413,11 +414,12 @@ def sparse_problem():
     return mixing, dense, suite, X0, np.ones(n)
 
 
-def _sparse_params(suite, K=60):
-    """name -> params of a K-step run on one problem."""
+def _sparse_params(suite, nt, K=60):
+    """name -> params of a K-step run on one problem whose mixing has the
+    contraction norm nt."""
     return {
         "apd": default_params_smooth(suite.L, K=K),
-        "apdsc": default_params_sc(suite.L, suite.mu, K=K),
+        "apdsc": default_params_sc(suite.L, suite.mu, K=K, delta=nt.delta),
         "pushdiging": PushDIGingParams(0.3 / suite.L, K),
         "subgradpush": SubgradPushParams(0.18, K),
     }
@@ -426,7 +428,8 @@ def _sparse_params(suite, K=60):
 @pytest.mark.parametrize("name", ["apd", "apdsc", "pushdiging", "subgradpush"])
 def test_csr_mixing_matches_dense_and_keeps_identities(sparse_problem, name):
     mixing, dense, suite, X0, v0 = sparse_problem
-    params = _sparse_params(suite)[name]
+    nt = build_contraction_norm(mixing.C, mixing.p)
+    params = _sparse_params(suite, nt)[name]
     states, again, ref = [], [], []
     run(X0, v0, mixing, suite, params, states.append)
     run(X0, v0, mixing, suite, params, again.append)
