@@ -207,13 +207,16 @@ class TraceRecorder:
     minimizer x*, exact in float64. Given a norm transform, the recorder
     adds the params' Lyapunov pair (`params.lyapunov_pair`), if it has one.
     With stride="auto" every iteration is recorded up to k = 10_000 and
-    every 10th beyond.
+    every 10th beyond. The last state passed is always recorded, so a run's
+    trace ends at k = K whatever the stride.
 
     stride is "auto" or a positive int. A call copies X, Z and G agent-last
     (X.T, ...) into a (3, B, d, n) stack, v and the estimate's field into
-    block buffers. Every column is evaluated B records at a time, when a
-    block fills and in trace(); B is 32, or fewer where the stack would
-    exceed about 0.75 MB (16 at n = 400 with d = 5).
+    block buffers. A state the stride skips is copied to the next free slot
+    too, where trace() records it if no later state came. Every column is
+    evaluated B records at a time, when a block fills and in trace(); B is
+    32, or fewer where the stack would exceed about 0.75 MB (16 at n = 400
+    with d = 5).
     The loss takes one `gap_values` call on the block's B n ratio rows;
     the other columns go through `_records`, the kernel behind
     `consensus_error` and `lyapunov`, so each equals its per-call value bit
@@ -257,6 +260,7 @@ class TraceRecorder:
         self.xstar = xstar
         self._rows = {name: [] for name in TRACE_COLUMNS}
         self._ks = []  # k of each record in the block
+        self._skipped = None  # k of a skipped state held in the next free slot
         B = _block(suite.dim, mixing.n)
         self._stack = np.empty((3, B, suite.dim, mixing.n))  # X, Z, G agent-last
         self._est = np.empty((B, mixing.n, suite.dim))  # the loss's estimate field
@@ -271,13 +275,19 @@ class TraceRecorder:
         return k % self.stride == 0
 
     def __call__(self, state: SolverState) -> None:
-        if not self._due(state.k):
-            return
-        self._rows["k"].append(state.k)
         j = len(self._ks)
         self._stack[:, j] = state.X.T, state.Z.T, state.G.T
         self._est[j], self._v[j] = getattr(state, self.estimate), state.v
-        self._ks.append(state.k)
+        if self._due(state.k):
+            self._skipped = None
+            self._keep(state.k)
+        else:
+            self._skipped = state.k
+
+    def _keep(self, k: int) -> None:
+        """Make the copy in the next free slot the record of iteration k."""
+        self._rows["k"].append(k)
+        self._ks.append(k)
         if len(self._ks) == len(self._v):
             self._flush()
 
@@ -301,6 +311,9 @@ class TraceRecorder:
         return self.suite.gap_values(rows, self.xstar).reshape(m, n).mean(axis=1)
 
     def trace(self) -> RunTrace:
+        if self._skipped is not None:
+            self._keep(self._skipped)
+            self._skipped = None
         self._flush()
         # Lyapunov columns this run did not record are None, not empty arrays.
         cols = {

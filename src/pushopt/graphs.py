@@ -36,22 +36,6 @@ class DirectedGraph:
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"edge {i}->{j} out of range for n={self.n}")
 
-    def out_neighbors(self) -> list:
-        """Sorted out-neighbor lists, indexed by sending node."""
-        return _adjacency(self.n, self.edges)
-
-    def in_neighbors(self) -> list:
-        """Sorted in-neighbor lists, indexed by receiving node."""
-        return _adjacency(self.n, ((j, i) for i, j in self.edges))
-
-
-def _adjacency(n: int, pairs) -> list:
-    """Sorted lists of the b of every pair (a, b), indexed by a."""
-    nbrs = [[] for _ in range(n)]
-    for a, b in pairs:
-        nbrs[a].append(b)
-    return [sorted(v) for v in nbrs]
-
 
 def _ring_edges(n: int) -> set:
     """Both directions of every undirected cycle edge."""
@@ -109,10 +93,11 @@ def _reachable(n: int, adj: list, start: int) -> np.ndarray:
 
 def is_strongly_connected(g: DirectedGraph) -> bool:
     """True iff every node reaches every other along directed edges."""
-    if g.n == 1:
-        return True
-    fwd = g.out_neighbors()
-    bwd = g.in_neighbors()
+    fwd = [[] for _ in range(g.n)]
+    bwd = [[] for _ in range(g.n)]
+    for i, j in g.edges:
+        fwd[i].append(j)
+        bwd[j].append(i)
     return bool(_reachable(g.n, fwd, 0).all() and _reachable(g.n, bwd, 0).all())
 
 

@@ -263,10 +263,9 @@ class SolverState:
     k: int
     grad_U: np.ndarray
 
-    def ratio(self, field: str = "Y") -> np.ndarray:
-        """Push-sum ratio estimate V^{-1} (field); each row is one agent."""
-        M = getattr(self, field)
-        return M / self.v[:, None]
+    def ratio(self) -> np.ndarray:
+        """Push-sum ratio estimate V^{-1} Y; each row is one agent."""
+        return self.Y / self.v[:, None]
 
 
 def _validate_v0(v0: np.ndarray) -> None:

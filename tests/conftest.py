@@ -1,17 +1,9 @@
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-# Allow running the suite from a fresh checkout without installing.
-SRC = Path(__file__).resolve().parents[1] / "src"
-if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
-
-from pushopt import (  # noqa: E402
+from pushopt import (
     DirectedGraph,
     build_contraction_norm,
     build_cycle_plus_random,

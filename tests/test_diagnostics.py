@@ -253,7 +253,7 @@ def test_gap_consensus_consistency(small_mixing, small_suite):
     st = _state(X, X, X.copy(), small_suite.batch_grad(X), small_mixing.p.copy())
     u_err, proj_err = consensus_error(st, small_mixing.p)
     assert u_err <= 1e-12
-    gap = optimality_gap(small_suite, st.ratio("X"), xstar, fstar)
+    gap = optimality_gap(small_suite, st.X / st.v[:, None], xstar, fstar)
     central = float(small_suite.average_value(point) - fstar)
     assert gap == pytest.approx(central, rel=1e-10)
 
@@ -288,7 +288,7 @@ def test_trace_recorder_auto_stride(small_mixing, small_suite, small_init):
     assert len(rec.trace()) == 31  # below the auto cutoff everything records
     rec2 = TraceRecorder(small_suite, small_mixing, xstar, stride=7)
     run(X0, v0, small_mixing, small_suite, APDParams(eta=0.01, K=30), rec2)
-    assert np.array_equal(rec2.trace().k, np.arange(0, 31, 7))
+    assert np.array_equal(rec2.trace().k, [0, 7, 14, 21, 28, 30])  # K = 30 always records
 
 
 @pytest.mark.parametrize("stride", [0, 2.5, -2, True, "7", None])
@@ -312,13 +312,18 @@ def test_every_gap_needs_the_minimizer(small_mixing, small_suite):
         optimality_gap(small_suite, rows, None, fstar)
 
 
+def _ratio(state, field):
+    """The push-sum ratio V^{-1} (field) of the recorder's `estimate`."""
+    return getattr(state, field) / state.v[:, None]
+
+
 def _oracle_rows(states, suite, mixing, xstar, params, nt, estimate):
     """Recorder columns from the public per-call functions, one state at a
     time: `consensus_error` and `lyapunov`."""
     rows = {name: [] for name in TRACE_COLUMNS}
     for s in states:
         rows["k"].append(s.k)
-        rows["loss"].append(optimality_gap(suite, s.ratio(estimate), xstar, None))
+        rows["loss"].append(optimality_gap(suite, _ratio(s, estimate), xstar, None))
         u_err, proj_err = consensus_error(s, mixing.p)
         rows["consensus_error"].append(u_err)
         rows["projection_error"].append(proj_err)
@@ -433,9 +438,9 @@ def test_trace_recorder_logistic_loss_bit_exact(case):
 
         run(X0, v0, mixing, suite, method, hook)
         assert len(states) == K + 1
-        far = [np.abs((s.ratio(estimate) - xstar) @ LZ.T).max() >= 1.0 for s in states]
+        far = [np.abs((_ratio(s, estimate) - xstar) @ LZ.T).max() >= 1.0 for s in states]
         assert any(far), estimate
-        gaps = [optimality_gap(suite, s.ratio(estimate), xstar, None) for s in states]
+        gaps = [optimality_gap(suite, _ratio(s, estimate), xstar, None) for s in states]
         assert np.array_equal(rec.trace().loss, gaps), estimate
 
 
@@ -471,7 +476,8 @@ def test_trace_record_depends_only_on_its_state():
 
 def test_trace_recorder_copies_the_state(small_mixing, small_suite, small_norm, small_init):
     """Overwriting a state's arrays after the call changes nothing, also for
-    records still waiting in a partial block."""
+    records still waiting in a partial block and for the last state, which
+    stride 3 skips (K = 40)."""
     X0, v0 = small_init
     xstar, _ = small_suite.minimizer()
     params = default_params_sc(small_suite.L, small_suite.mu, K=40, delta=small_norm.delta)
@@ -481,23 +487,28 @@ def test_trace_recorder_copies_the_state(small_mixing, small_suite, small_norm, 
     def copy(s):
         return replace(s, X=s.X.copy(), Y=s.Y.copy(), Z=s.Z.copy(), G=s.G.copy(), v=s.v.copy())
 
-    fed, clean = (
-        TraceRecorder(small_suite, small_mixing, xstar=xstar, params=params, norm_transform=small_norm)
-        for _ in range(2)
-    )
-    for s in states:
-        s = copy(s)
-        fed(s)
-        for a in (s.X, s.Y, s.Z, s.G, s.v):
-            a.fill(np.nan)
-    for s in states:
-        clean(s)
-    got, expect = fed.trace(), clean.trace()
-    for col in TRACE_COLUMNS:
-        if expect.column(col) is None:
-            assert got.column(col) is None, col
-        else:
-            assert np.array_equal(got.column(col), expect.column(col)), col
+    for stride in ("auto", 3):
+        fed, clean = (
+            TraceRecorder(
+                small_suite, small_mixing, xstar=xstar, params=params,
+                norm_transform=small_norm, stride=stride,
+            )
+            for _ in range(2)
+        )
+        for s in states:
+            s = copy(s)
+            fed(s)
+            for a in (s.X, s.Y, s.Z, s.G, s.v):
+                a.fill(np.nan)
+        for s in states:
+            clean(s)
+        got, expect = fed.trace(), clean.trace()
+        assert got.k[-1] == 40, stride
+        for col in TRACE_COLUMNS:
+            if expect.column(col) is None:
+                assert got.column(col) is None, col
+            else:
+                assert np.array_equal(got.column(col), expect.column(col)), col
 
 
 def test_error_map_exact_and_recorder_checks_perron_vector(small_mixing, small_suite):

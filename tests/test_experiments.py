@@ -336,6 +336,21 @@ def test_run_experiment_k1_records_both_iterations(tmp_path):
         assert list(tr.k) == [0, 1]
 
 
+def test_run_experiment_trace_ends_at_the_last_iteration(tmp_path):
+    """A stride that misses K still records k = K, and the summary's final
+    values are that row's, bit for bit, as in the same run at stride 1."""
+    runs = {}
+    for stride in (3, 1):
+        cfg = base_config(tmp_path / f"s{stride}", iterations=10)
+        cfg["run"]["record_stride"] = stride
+        runs[stride] = run_experiment(ExperimentConfig.from_dict(cfg, tmp_path))
+    (summary, traces), (_, full) = runs[3], runs[1]
+    for name, tr in traces.items():
+        assert list(tr.k) == [0, 3, 6, 9, 10]
+        assert summary["algorithms"][name]["final_k"] == 10
+        assert summary["algorithms"][name]["final_gap"] == full[name].loss[10]
+
+
 def test_run_experiment_deterministic(tmp_path):
     cfg1 = ExperimentConfig.from_dict(base_config(tmp_path / "a"), tmp_path)
     run_experiment(cfg1)

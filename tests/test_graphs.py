@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pushopt import (
     DirectedGraph,
@@ -66,6 +68,37 @@ def test_strong_connectivity_examples():
     assert not is_strongly_connected(chain)
     cycle = DirectedGraph(3, frozenset({(0, 1), (1, 2), (2, 0)}))
     assert is_strongly_connected(cycle)
+
+
+@st.composite
+def digraphs(draw):
+    """A random digraph on 1-40 nodes that need not be strongly connected:
+    random links, plus in half the draws a one-way ring in random order."""
+    n = draw(st.integers(1, 40))
+    node = st.integers(0, n - 1)
+    edges = {(i, j) for i, j in draw(st.sets(st.tuples(node, node), max_size=3 * n)) if i != j}
+    if draw(st.booleans()) and n > 1:
+        order = draw(st.permutations(range(n)))
+        edges |= {(order[i], order[(i + 1) % n]) for i in range(n)}
+    return DirectedGraph(n, frozenset(edges))
+
+
+def _closure_says_strongly_connected(g):
+    """Every entry of the transitive closure of A + I is set; the closure is
+    taken by squaring the boolean reach matrix until it stops changing."""
+    reach = np.eye(g.n, dtype=bool)
+    for i, j in g.edges:
+        reach[i, j] = True
+    while True:
+        squared = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+        if np.array_equal(squared, reach):
+            return bool(reach.all())
+        reach = squared
+
+
+@given(digraphs())
+def test_strong_connectivity_matches_transitive_closure(g):
+    assert is_strongly_connected(g) == _closure_says_strongly_connected(g)
 
 
 def test_edge_list_round_trip(tmp_path):
