@@ -308,8 +308,9 @@ def _trace_summary(trace: RunTrace, K: int) -> dict:
 def build_problem(graph: DirectedGraph, suite, x0_seed: int) -> SimpleNamespace:
     """The set-up every algorithm of one experiment shares, as `pushopt run`
     and `reproduce` build it. The namespace's fields:
-    - mixing: `uniform_out_weights(graph)`, C with its Perron vector p;
-    - nt: `build_contraction_norm(mixing.C, mixing.p)`;
+    - mixing: `uniform_out_weights(graph)`, C with its Perron vector p,
+      its `op` built (which drops the dense C where `op` is the gather);
+    - nt: `build_contraction_norm(mixing.op, mixing.p)`;
     - suite: the given objective suite;
     - xstar, fstar: `global_minimizer(suite)`;
     - X0: the (n, dim) start, standard normal from default_rng(x0_seed);
@@ -321,7 +322,7 @@ def build_problem(graph: DirectedGraph, suite, x0_seed: int) -> SimpleNamespace:
     prob.suite, params, hooks)`.
     """
     mixing = uniform_out_weights(graph)
-    nt = build_contraction_norm(mixing.C, mixing.p)
+    nt = build_contraction_norm(mixing.op, mixing.p)
     xstar, fstar = global_minimizer(suite)
     resolved = {
         "n": graph.n,
@@ -456,7 +457,6 @@ def _run_and_write(prob, algorithms, K, stride, out: Path, summary: dict, finish
     reaped on every path, and killed first if this process stops early.
     """
     plan = [(alg["name"], _resolve_params(alg, prob, K)) for alg in algorithms]
-    prob.mixing.op  # built once here rather than in every worker
     written = []
     workers = {}
     try:
@@ -641,14 +641,14 @@ def emit_csv(trace: RunTrace, path) -> None:
 
 
 def read_trace_csv(path) -> RunTrace:
-    """Parse a trace CSV written by :func:`emit_csv`.
+    """Parse a trace CSV written by :func:`emit_csv`, skipping blank lines.
 
     Raises ValueError naming the file when it is empty, when its header
     lacks a trace column, when a row's field count differs from the
     header's, or, with the data row and column, when a field does not parse.
     """
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln]
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty trace CSV")
     cols = lines[0].split(",")

@@ -18,14 +18,22 @@ __all__ = [
 ]
 
 
-def _minus_perron(p: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """A - p 1^T / n, a new array.
+def _minus_perron(p: np.ndarray, A) -> np.ndarray:
+    """A - p 1^T / n as a new array, for A dense or an in-neighbor gather.
 
-    The rank-one term is broadcast from p / n rather than formed with
-    np.outer: p_i * 1 is exact, so the entries are bitwise those of
-    A - np.outer(p, np.ones(n)) / n without the n-by-n temporary.
+    The rank-one term is broadcast from q = p / n rather than formed with
+    np.outer: q_i * 1 is exact, so the entries are bitwise those of
+    A - np.outer(p, np.ones(n)) / n without the n-by-n temporary. From a
+    gather, row i is filled with -q_i and A's nonzeros are added in place:
+    -q_i + A[i, j] is A[i, j] - q_i exactly, so both forms give the same bits
+    from one n-by-n allocation.
     """
-    return A - (p / p.shape[0])[:, None]
+    q = p / p.shape[0]
+    if not isinstance(A, _InNeighborGather):
+        return A - q[:, None]
+    M = np.empty(A.shape)
+    M[...] = -q[:, None]
+    return A.add_into(M)
 
 
 # Where the solvers switch to the in-neighbor gather; measured in
@@ -49,6 +57,25 @@ class _InNeighborGather:
     def __init__(self, index: np.ndarray, c: np.ndarray):
         self.index = index
         self.c = c
+
+    @property
+    def shape(self) -> tuple:
+        n = self.c.shape[0]
+        return (n, n)
+
+    def add_into(self, out: np.ndarray) -> np.ndarray:
+        """out += C in place, one addition per nonzero of C; returns out.
+
+        Into zeros this gives C itself bit for bit: each nonzero C[i, j] is
+        c[j] (`_in_neighbor_gather` checks it), and zeros stay +0.0.
+        """
+        m, n = self.index.shape
+        cols = self.index.T.reshape(-1)
+        keep = cols < n
+        cols = cols[keep]
+        rows = np.repeat(np.arange(n), m)[keep]
+        out[rows, cols] += self.c[cols]
+        return out
 
     def __matmul__(self, A: np.ndarray) -> np.ndarray:
         n = self.c.shape[0]
@@ -83,7 +110,6 @@ def _in_neighbor_gather(C: np.ndarray) -> _InNeighborGather | None:
     return _InNeighborGather(index, c)
 
 
-@dataclass(frozen=True)
 class MixingMatrix:
     """Column-stochastic weights C with their Perron vector p.
 
@@ -91,26 +117,42 @@ class MixingMatrix:
     column is owned by its sender and sums to one. p is the positive right
     eigenvector of C at eigenvalue 1, scaled so its entries sum to n. The
     contraction factor of C - p 1^T / n is not kept here: it belongs to the
-    norm it is measured in, `build_contraction_norm(C, p).rho`.
+    norm it is measured in, `build_contraction_norm(op, p).rho`.
 
-    C is always the dense matrix. The solvers multiply by `op` instead: a
-    read-only in-neighbor gather of C when n >= 150, at most n^2 / 16
-    entries are nonzero, each column's nonzeros are equal (as
-    `uniform_out_weights` builds them) and the padding stays bounded, so one
-    mixing round costs O(n + |E|) as in the push-sum protocol; C itself
-    otherwise, where dense BLAS is faster.
+    The solvers multiply by `op`: a read-only in-neighbor gather of C when
+    n >= 150, at most n^2 / 16 entries are nonzero, each column's nonzeros
+    are equal (as `uniform_out_weights` builds them) and the padding stays
+    bounded, so one mixing round costs O(n + |E|) as in the push-sum
+    protocol; C itself otherwise, where dense BLAS is faster.
+
+    The dense C is held until `op` is first read. Once `op` is the gather,
+    this object keeps only the gather's index table and shares, O(n + |E|)
+    memory, and each read of `C` builds a new dense copy from them, equal to
+    the given C entry for entry (zeros come back as +0.0). Nothing caches
+    that copy, so the n-by-n array lives only as long as its reader keeps
+    it. `pushopt run` at n = 2000 (ring + 3n links) thus holds no n-by-n
+    array while its solvers run.
     """
 
-    C: np.ndarray
-    p: np.ndarray
+    def __init__(self, C: np.ndarray, p: np.ndarray):
+        self._C = C  # None once op is the gather
+        self.p = p
+
+    @property
+    def C(self) -> np.ndarray:
+        """The dense weights; rebuilt from the gather on each read once `op`
+        is one."""
+        if self._C is None:
+            return self.op.add_into(np.zeros(self.op.shape))
+        return self._C
 
     @property
     def n(self) -> int:
-        return self.C.shape[0]
+        return self.p.shape[0]
 
     def error_map(self) -> np.ndarray:
         """The mixing-error matrix C - p 1^T / n."""
-        return _minus_perron(self.p, self.C)
+        return _minus_perron(self.p, self.op)
 
     @cached_property
     def op(self):
@@ -118,10 +160,12 @@ class MixingMatrix:
 
         An in-neighbor gather equal to C entry for entry when n >= 150, at
         most n^2 / 16 entries are nonzero, every column's nonzeros are equal
-        and the largest in-degree m keeps m n <= 4 nnz; else C. Both support
-        `op @ X` for a vector or an (n, d) stack. The gather sums each row in
-        column order from 0.0, as a CSR product does, so its products differ
-        from the dense ones in rounding but not from CSR's.
+        and the largest in-degree m keeps m n <= 4 nnz, and the dense C is
+        dropped then; else C. Both support `op @ X` for a vector or an
+        (n, d) stack, and `build_contraction_norm` takes either. The gather
+        sums each row in column order from 0.0, as a CSR product does, so
+        its products differ from the dense ones in rounding but not from
+        CSR's.
 
         Cost of one solver step's products (three with X of shape (n, 5)
         plus one with v; best of 15, one BLAS thread, 2-CPU x86-64 host,
@@ -142,8 +186,11 @@ class MixingMatrix:
         at m n = 4 nnz and 277-293 against 221-223 us at m n = 7.2 nnz,
         hence the bound of 4.
         """
-        gather = _in_neighbor_gather(self.C)
-        return self.C if gather is None else gather
+        gather = _in_neighbor_gather(self._C)
+        if gather is None:
+            return self._C
+        self._C = None  # C is rebuilt from the gather where it is read
+        return gather
 
 
 @dataclass(frozen=True)
@@ -222,9 +269,10 @@ def perron_vector(C: np.ndarray) -> np.ndarray:
 _RHO_GRID = 2.0**-32
 
 
-def build_contraction_norm(C: np.ndarray, p: np.ndarray) -> NormTransform:
+def build_contraction_norm(C, p: np.ndarray) -> NormTransform:
     """Construct the Perron-weighted diagonal norm under which C - p 1^T / n
-    contracts: delta = 1 - rho, theta = sqrt(p_max / p_min).
+    contracts: delta = 1 - rho, theta = sqrt(p_max / p_min). C is a dense
+    matrix or a `MixingMatrix.op`; both give the same result bit for bit.
 
     rho = ||M||_2 for M = D^-1/2 (C - p 1^T / n) D^1/2, D = diag(p), which
     equals S - u u^T with S = D^-1/2 C D^1/2 and u = sqrt(p / n). Where C
@@ -256,14 +304,23 @@ def build_contraction_norm(C: np.ndarray, p: np.ndarray) -> NormTransform:
     2.2e-16 above np.linalg.norm(M, 2), and the bound and the grid raise it
     by 3.0e-9 to rho = 0.8623.
 
-    The build holds two n-by-n float64 arrays at once, M and G; eigvalsh's
-    own copy of G replaces M. At n = 400 (one BLAS thread, 2-CPU x86-64
-    host, numpy 2.4) it takes 10.8 ms (median of 25 calls), 8.1 ms of it
-    the eigensolve.
+    Memory: M is formed in one n-by-n array, from a gather without a dense
+    C (see `_minus_perron`). G = M^T M is the second; it is then copied into
+    M's buffer and freed, so eigvalsh's internal copy of its input replaces
+    it rather than adding a third. Set-up through `build_problem` thus peaks
+    at two n-by-n arrays, and at three where the caller holds a dense C.
+    Freeing M in place of copying G keeps that count but not the resident
+    peak: at n = 2000 (ring + 3n links) `pushopt run` then peaked at
+    139.9 MB, against 110 MB with the copy. Once C's mapped block is freed,
+    glibc serves blocks of that size from the heap, and M's freed block is
+    too small for eigvalsh's buffer (its copy plus the eigenvalues). At
+    n = 400 (one BLAS thread, 2-CPU x86-64 host, numpy 2.4) the build takes
+    10.8 ms (median of 25 calls), 8.1 ms of it the eigensolve.
     """
-    C = np.asarray(C)
+    if not isinstance(C, _InNeighborGather):
+        C = np.asarray(C)
     p = np.asarray(p)
-    if C.ndim != 2 or C.shape[0] != C.shape[1] or p.shape != C.shape[:1]:
+    if len(C.shape) != 2 or C.shape[0] != C.shape[1] or p.shape != C.shape[:1]:
         raise ValueError(
             "C must be a square matrix and p a vector of its size; "
             f"got C of shape {C.shape} and p of shape {p.shape}"
@@ -278,7 +335,10 @@ def build_contraction_norm(C: np.ndarray, p: np.ndarray) -> NormTransform:
     if not np.isfinite(M).all():
         raise ValueError("array must not contain infs or NaNs")
     G = M.T @ M
-    del M
+    # eigvalsh copies its input: G moves into M's buffer and its own is freed,
+    # so that copy is the second n-by-n array, not a third.
+    M[...] = G
+    G = M
     F = 2.0 * float(np.trace(G))
     eps = np.finfo(float).eps
     top = float(np.linalg.eigvalsh(G)[-1]) + n * (n + 1) * eps * F

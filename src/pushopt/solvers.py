@@ -294,8 +294,11 @@ def init_state(X0: np.ndarray, v0: np.ndarray, suite: ObjectiveSuite) -> SolverS
 
 def _advance(state, X1, Y1, Z1, G1, v1, gU1) -> SolverState:
     k1 = state.k + 1
-    # The baselines pass X1 as X, Y and Z: scan each distinct array once.
-    for a in (X1, G1, v1) if Y1 is X1 and Z1 is X1 else (X1, Y1, Z1, G1, v1):
+    # Scanning X1 covers Y1 and Z1: the baselines pass X1 as all three, and
+    # the accelerated X1 = (1 - tau) Y1 + tau Z1 (0 < tau < 1) is inf or NaN
+    # wherever Y1 or Z1 is, as a finite multiple of inf or NaN is one (0 * inf
+    # is NaN) and so is any sum with one.
+    for a in (X1, G1, v1):
         if not np.isfinite(a).all():
             raise DivergenceError(k1)
     if v1.min() <= 0:

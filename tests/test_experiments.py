@@ -987,6 +987,22 @@ def test_cli_plot_rejects_malformed_trace(tmp_path, capsys, text):
     assert not (tmp_path / "p.svg").exists()
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_cli_plot_skips_whitespace_only_lines(tmp_path, k):
+    """A trace that ends in a line of spaces plots as the clean file does,
+    also with the one row of a K = 0 run."""
+    clean = tmp_path / "clean" / "trace_a.csv"
+    clean.parent.mkdir()
+    ones = np.ones(k)
+    emit_csv(RunTrace("a", np.arange(k), ones, ones, ones, ones, ones), clean)
+    padded = tmp_path / "padded" / "trace_a.csv"
+    padded.parent.mkdir()
+    padded.write_text(clean.read_text() + "   \n")
+    for path in (clean, padded):
+        assert main(["plot", "--in", str(path), "--out", str(path.with_suffix(".svg"))]) == 0
+    assert padded.with_suffix(".svg").read_bytes() == clean.with_suffix(".svg").read_bytes()
+
+
 @pytest.mark.parametrize("column", ["loss", "k"])
 def test_cli_plot_names_malformed_field(tmp_path, capsys, column):
     good = tmp_path / "good.csv"

@@ -352,11 +352,12 @@ def test_perron_vector_bitwise_matches_two_product_loop(graph):
 
 def test_setup_peak_memory_at_n400():
     """The build holds at most two n-by-n float64 arrays at once: the
-    weighted error map M and its Gram matrix (M is freed before the
-    eigensolver copies the Gram matrix). M's finiteness mask (n^2 bytes)
-    lives only while M is alone, and the rest is O(n) vectors, so the
-    tracemalloc peak above its start stays under 2 n^2 + 64 n float64.
-    The Schur-built norm this replaced peaked at 4.1 n^2."""
+    weighted error map M and its Gram matrix (the Gram matrix is copied
+    into M's buffer and freed before the eigensolver copies it). M's
+    finiteness mask (n^2 bytes) lives only while M is alone, and the rest
+    is O(n) vectors, so the tracemalloc peak above its start stays under
+    2 n^2 + 64 n float64. The Schur-built norm this replaced peaked at
+    4.1 n^2."""
     n = 400
     mix = uniform_out_weights(_sparse_graph(n))
     build_contraction_norm(mix.C, mix.p)  # warm-up: first-call allocations
@@ -369,6 +370,26 @@ def test_setup_peak_memory_at_n400():
     finally:
         tracemalloc.stop()
     assert peak - start <= (2 * n + 64) * n * 8
+
+
+@pytest.mark.parametrize("n", [160, 400])
+def test_run_setup_peak_memory_on_the_gather(n):
+    """`build_problem` on a graph whose `op` is the gather holds at most
+    about two n-by-n float64 arrays at once: the dense C goes when `op` is
+    built, before the norm forms M and its Gram matrix from the gather.
+    Holding C through the build peaked at 3.05 and 3.01 x 8 n^2 bytes."""
+    graph = _sparse_graph(n)
+    suite = make_quadratic_suite(n, 3, 10.0, 0.1, 2)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        prob = build_problem(graph, suite, x0_seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(prob.mixing.op, _InNeighborGather)
+    assert peak - start <= 2.5 * 8 * n * n
 
 
 @pytest.mark.parametrize(
@@ -500,6 +521,23 @@ def test_gather_bitwise_matches_csr_order_on_random_digraphs(case):
     op = MixingMatrix(C=C, p=np.ones(C.shape[0])).op  # op reads only C
     assert isinstance(op, _InNeighborGather)
     _assert_gather_matches_csr_order(op, C, seed, widths=(None, 5))
+
+
+@given(_large_sparse_weights())
+def test_gather_keeps_weights_and_norm_bitwise(case):
+    """Once `op` is the gather, `C` is rebuilt from it bit for bit on each
+    read, and the norm built from the gather is the dense build's."""
+    C, _ = case
+    p = perron_vector(C)
+    mix = MixingMatrix(C=C.copy(), p=p)
+    assert isinstance(mix.op, _InNeighborGather)
+    assert mix.C.tobytes() == C.tobytes() and mix.C is not mix.C
+    n = C.shape[0]
+    assert mix.error_map().tobytes() == (C - (p / n)[:, None]).tobytes()
+    dense, gathered = build_contraction_norm(C, p), build_contraction_norm(mix.op, p)
+    assert gathered.w.tobytes() == dense.w.tobytes()
+    for name in ("rho", "delta", "theta"):
+        assert getattr(gathered, name) == getattr(dense, name), name
 
 
 def _non_uniform_column(n):

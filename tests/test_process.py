@@ -122,6 +122,44 @@ def test_n160_outputs_independent_of_blas_threads(tmp_path):
     })
 
 
+_RSS_SCRIPT = """
+import json, resource, sys
+from pathlib import Path
+from pushopt.cli import main
+
+def peak():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024  # KiB on Linux
+
+start = peak()
+out = Path(sys.argv[1])
+n = 2000
+config = {
+    "graph": {"n": n, "extra_edges": 3 * n, "seed": 7},
+    "objective": {"kind": "quadratic", "dim": 3, "kappa": 10.0, "mu_base": 0.1, "seed": 2},
+    "init": {"x0_seed": 0},
+    "run": {"iterations": 5, "out_dir": str(out / "run")},
+    "algorithms": [{"name": "apd", "params": {"eta": 0.01}}],
+}
+(out / "config.json").write_text(json.dumps(config))
+assert main(["run", "--config", str(out / "config.json")]) == 0
+print(json.dumps({"n": n, "start": start, "peak": peak()}))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_run_peak_rss_at_n2000(tmp_path):
+    """`pushopt run` at n = 2000 (ring + 3n links, one run, so no worker)
+    adds at most 2.6 x 8 n^2 bytes of peak RSS to an imported
+    `pushopt.cli`. Its set-up holds two n-by-n arrays at a time: the dense C
+    goes when `op` becomes the gather, and eigvalsh's copy of the Gram
+    matrix replaces the matrix it was formed from. Holding C through set-up
+    added 3.37 x 8 n^2; dropping C but freeing M before the eigensolve, in
+    place of copying the Gram matrix into M, added 3.36 x 8 n^2."""
+    report = json.loads(_python(["-c", _RSS_SCRIPT, str(tmp_path)]).stdout.splitlines()[-1])
+    n = report["n"]
+    assert report["peak"] - report["start"] <= 2.6 * 8 * n * n
+
+
 @pytest.mark.parametrize("demo", ["quadratic_acceleration", "strongly_convex_scaling"])
 def test_demo_rewrites_committed_svg(tmp_path, demo):
     """The demo, run from a copy with one BLAS thread, writes the SVG that

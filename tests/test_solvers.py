@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,6 +238,27 @@ def test_divergence_raises_with_iteration():
     with pytest.raises(DivergenceError) as err:
         run(np.array([[1.0]]), np.array([1.0]), MIX1, suite, params)
     assert err.value.iteration >= 1
+
+
+@pytest.mark.parametrize(
+    "params",
+    [APDParams(eta=0.01, K=10), APDSCParams(eta=0.01, alpha=1.0, beta=0.01, tau=0.1, K=10)],
+    ids=["apd", "apdsc"],
+)
+@pytest.mark.parametrize("field", ["X", "Z"])
+def test_accelerated_step_flags_an_inf_in_any_iterate(
+    params, field, small_mixing, small_suite, small_init
+):
+    """An inf in X reaches the next X through Y, one in Z through Z; the
+    step scans only the new X, G and v, and raises at k + 1. The warnings
+    are off as in `run`."""
+    state = init_state(*small_init, small_suite)
+    bad = getattr(state, field).copy()
+    bad[3, 1] = np.inf
+    state = replace(state, k=4, **{field: bad})
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+        params.step(state, small_mixing, small_suite)
+    assert err.value.iteration == 5
 
 
 def test_non_positive_weight_is_named():
