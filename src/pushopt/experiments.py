@@ -103,10 +103,12 @@ _algorithm = _is(lambda v: v in _NAMES, f"one of {_NAMES}")
 
 
 def _file(key, value, base: Path) -> str:
-    """A path string, relative to the config's directory, to a file that exists."""
+    """A path string, relative to base (the config's directory, or the working
+    directory for `reproduce --data`), to a file that exists."""
     path = str(base / _path(key, value))
-    if not Path(path).exists():
-        raise ConfigError(f"{key}: {path} does not exist")
+    if not Path(path).is_file():
+        problem = "is not a file" if Path(path).exists() else "does not exist"
+        raise ConfigError(f"{key}: {path} {problem}")
     return path
 
 
@@ -308,8 +310,9 @@ def _trace_summary(trace: RunTrace, K: int) -> dict:
 def build_problem(graph: DirectedGraph, suite, x0_seed: int) -> SimpleNamespace:
     """The set-up every algorithm of one experiment shares, as `pushopt run`
     and `reproduce` build it. The namespace's fields:
-    - mixing: `uniform_out_weights(graph)`, C with its Perron vector p,
-      its `op` built (which drops the dense C where `op` is the gather);
+    - mixing: `uniform_out_weights(graph)`, the solvers' operator `op`
+      built from the edges (the in-neighbor gather on large sparse graphs,
+      with no dense C formed, else the dense C) and its Perron vector p;
     - nt: `build_contraction_norm(mixing.op, mixing.p)`;
     - suite: the given objective suite;
     - xstar, fstar: `global_minimizer(suite)`;
@@ -571,9 +574,7 @@ def reproduce_paper_experiment(data_path, case: str, out_dir, iters: int):
     block = REPRODUCTION_PARAMS[case]
     rows_needed = REPRO_AGENTS * EXAMPLES_PER_AGENT
     if data_path is not None:
-        if not Path(data_path).exists():
-            raise ConfigError(f"dataset {data_path} does not exist")
-        data = load_labeled_csv(data_path)
+        data = load_labeled_csv(_file("dataset", str(data_path), Path()))
         data_source = str(data_path)
         if len(data) < rows_needed:
             raise ConfigError(
@@ -644,8 +645,9 @@ def read_trace_csv(path) -> RunTrace:
     """Parse a trace CSV written by :func:`emit_csv`, skipping blank lines.
 
     Raises ValueError naming the file when it is empty, when its header
-    lacks a trace column, when a row's field count differs from the
-    header's, or, with the data row and column, when a field does not parse.
+    lacks a trace column or repeats a column, when a row's field count
+    differs from the header's, or, with the data row and column, when a
+    field does not parse.
     """
     text = Path(path).read_text(encoding="utf-8")
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -655,6 +657,9 @@ def read_trace_csv(path) -> RunTrace:
     missing = [c for c in TRACE_COLUMNS if c not in cols]
     if missing:
         raise ValueError(f"{path}: header lacks trace columns {', '.join(missing)}")
+    for c in cols:
+        if cols.count(c) > 1:
+            raise ValueError(f"{path}: header repeats column {c!r}")
     raw = {c: [] for c in cols}
     for row, ln in enumerate(lines[1:], start=1):
         fields = ln.split(",")
@@ -795,6 +800,9 @@ def emit_svg_plot(traces, path, axes: str) -> None:
     )
 
     for idx, (x, y, label) in enumerate(series):
+        # xml.sax.saxutils.escape, whose import (urllib.request, http.client)
+        # would add 2.2 MB of peak RSS to every CLI process.
+        label = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         color = PALETTE[idx % len(PALETTE)]
         pts = " ".join(f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in zip(x, y))
         parts.append(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +36,7 @@ def _minus_perron(p: np.ndarray, A) -> np.ndarray:
 
 
 # Where the solvers switch to the in-neighbor gather; measured in
-# MixingMatrix.op's docstring.
+# uniform_out_weights' docstring.
 _GATHER_MIN_N = 150
 _GATHER_MAX_FILL = 1 / 16
 _GATHER_MAX_PAD = 4
@@ -67,7 +66,7 @@ class _InNeighborGather:
         """out += C in place, one addition per nonzero of C; returns out.
 
         Into zeros this gives C itself bit for bit: each nonzero C[i, j] is
-        c[j] (`_in_neighbor_gather` checks it), and zeros stay +0.0.
+        c[j], and zeros stay +0.0.
         """
         m, n = self.index.shape
         cols = self.index.T.reshape(-1)
@@ -86,32 +85,9 @@ class _InNeighborGather:
         return terms.reshape(self.index.shape + A.shape[1:]).sum(axis=0, initial=0.0)
 
 
-def _in_neighbor_gather(C: np.ndarray) -> _InNeighborGather | None:
-    """The gather form of C, or None where `MixingMatrix.op` keeps C."""
-    n = C.shape[0]
-    if n < _GATHER_MIN_N:
-        return None
-    rows, cols = np.nonzero(C)  # row-major, so columns ascend within a row
-    nnz = rows.shape[0]
-    if nnz > _GATHER_MAX_FILL * n * n:
-        return None
-    c = C.max(axis=0)
-    if not np.array_equal(C[rows, cols], c[cols]):
-        return None
-    in_deg = np.bincount(rows, minlength=n)
-    m = int(in_deg.max())
-    if m * n > _GATHER_MAX_PAD * nnz:
-        return None
-    slot = np.arange(nnz) - (np.cumsum(in_deg) - in_deg)[rows]
-    index = np.full((m, n), n, dtype=np.intp)
-    index[slot, rows] = cols
-    for a in (index, c):
-        a.flags.writeable = False
-    return _InNeighborGather(index, c)
-
-
 class MixingMatrix:
-    """Column-stochastic weights C with their Perron vector p.
+    """Column-stochastic weights C, in the form the solvers multiply by, with
+    their Perron vector p.
 
     C[i, j] is the weight receiver i applies to sender j's message, so each
     column is owned by its sender and sums to one. p is the positive right
@@ -119,32 +95,25 @@ class MixingMatrix:
     contraction factor of C - p 1^T / n is not kept here: it belongs to the
     norm it is measured in, `build_contraction_norm(op, p).rho`.
 
-    The solvers multiply by `op`: a read-only in-neighbor gather of C when
-    n >= 150, at most n^2 / 16 entries are nonzero, each column's nonzeros
-    are equal (as `uniform_out_weights` builds them) and the padding stays
-    bounded, so one mixing round costs O(n + |E|) as in the push-sum
-    protocol; C itself otherwise, where dense BLAS is faster.
-
-    The dense C is held until `op` is first read. Once `op` is the gather,
-    this object keeps only the gather's index table and shares, O(n + |E|)
-    memory, and each read of `C` builds a new dense copy from them, equal to
-    the given C entry for entry (zeros come back as +0.0). Nothing caches
-    that copy, so the n-by-n array lives only as long as its reader keeps
-    it. `pushopt run` at n = 2000 (ring + 3n links) thus holds no n-by-n
-    array while its solvers run.
+    `op` is C as the solver products use it: the dense C, or a read-only
+    in-neighbor gather of it (`uniform_out_weights` picks the form from the
+    graph). Both support `op @ X` for a vector or an (n, d) stack, and
+    `build_contraction_norm` takes either. Where `op` is the gather, this
+    object holds O(n + |E|) memory, and each read of `C` builds a new dense
+    copy from it, which nothing keeps.
     """
 
-    def __init__(self, C: np.ndarray, p: np.ndarray):
-        self._C = C  # None once op is the gather
+    def __init__(self, op, p: np.ndarray):
+        self.op = op
         self.p = p
 
     @property
     def C(self) -> np.ndarray:
-        """The dense weights; rebuilt from the gather on each read once `op`
-        is one."""
-        if self._C is None:
+        """The dense weights: `op` itself, or a new copy built from the
+        gather on each read."""
+        if isinstance(self.op, _InNeighborGather):
             return self.op.add_into(np.zeros(self.op.shape))
-        return self._C
+        return self.op
 
     @property
     def n(self) -> int:
@@ -153,44 +122,6 @@ class MixingMatrix:
     def error_map(self) -> np.ndarray:
         """The mixing-error matrix C - p 1^T / n."""
         return _minus_perron(self.p, self.op)
-
-    @cached_property
-    def op(self):
-        """C in the form the solver products use, built on first use.
-
-        An in-neighbor gather equal to C entry for entry when n >= 150, at
-        most n^2 / 16 entries are nonzero, every column's nonzeros are equal
-        and the largest in-degree m keeps m n <= 4 nnz, and the dense C is
-        dropped then; else C. Both support `op @ X` for a vector or an
-        (n, d) stack, and `build_contraction_norm` takes either. The gather
-        sums each row in column order from 0.0, as a CSR product does, so
-        its products differ from the dense ones in rounding but not from
-        CSR's.
-
-        Cost of one solver step's products (three with X of shape (n, 5)
-        plus one with v; best of 15, one BLAS thread, 2-CPU x86-64 host,
-        numpy 2.4) on ring + 3n-link graphs, against scipy 1.17 CSR and
-        dense C:
-
-            n       CSR (us)   gather (us)   dense (us)
-            150     28         52-55         36-38
-            400     41-47      116           219
-            1000    78         292-307       3600-4100
-            2000    136-161    540-585       22000-26000
-
-        n >= 150 and the n^2 / 16 fill bound are the rule CSR products
-        had. The gather keeps them although dense is faster near n = 150,
-        so every graph gets the product form, and the bits, it had under
-        CSR. Padding costs as much as nonzeros: at n = 400 with extra links
-        into one node, the gather takes 158-186 us against 213-218 us dense
-        at m n = 4 nnz and 277-293 against 221-223 us at m n = 7.2 nnz,
-        hence the bound of 4.
-        """
-        gather = _in_neighbor_gather(self._C)
-        if gather is None:
-            return self._C
-        self._C = None  # C is rebuilt from the gather where it is read
-        return gather
 
 
 @dataclass(frozen=True)
@@ -219,30 +150,87 @@ class NormTransform:
         return float(np.linalg.norm(self.w * x))
 
 
+def _uniform_out_op(g: DirectedGraph):
+    """`uniform_out_weights`' C in the form the solvers multiply by, built
+    from the edges: the in-neighbor gather or the dense C (see there)."""
+    n = g.n
+    senders, receivers = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2).T
+    share = 1.0 / (np.bincount(senders, minlength=n) + 1)
+    in_deg = np.bincount(receivers, minlength=n) + 1  # the sender itself too
+    nnz = n + senders.shape[0]
+    m = int(in_deg.max())
+    if n < _GATHER_MIN_N or nnz > _GATHER_MAX_FILL * n * n or m * n > _GATHER_MAX_PAD * nnz:
+        C = np.diag(share)
+        C[receivers, senders] = share[senders]
+        return C
+    rows = np.concatenate([np.arange(n), receivers])
+    cols = np.concatenate([np.arange(n), senders])
+    order = np.lexsort((cols, rows))  # by row, columns ascending within one
+    rows, cols = rows[order], cols[order]
+    slot = np.arange(nnz) - (np.cumsum(in_deg) - in_deg)[rows]
+    index = np.full((m, n), n, dtype=np.intp)
+    index[slot, rows] = cols
+    for a in (index, share):
+        a.flags.writeable = False
+    return _InNeighborGather(index, share)
+
+
 def uniform_out_weights(g: DirectedGraph) -> MixingMatrix:
     """Mixing matrix where each sender splits weight evenly over itself and
-    its out-neighbors.
+    its out-neighbors, with its Perron vector.
 
     Column j carries 1/(outdeg(j)+1) at rows {j} and each receiver of j.
+    `op` is built once, straight from the edges, and p is Perron iteration
+    on it. It is an in-neighbor gather when n >= 150, C has at most n^2 / 16
+    nonzeros and the largest in-degree m (counting the sender itself) keeps
+    m n <= 4 nnz, so one mixing round costs O(n + |E|) as in the push-sum
+    protocol; no dense C is formed then. Otherwise it is the dense C, where
+    dense BLAS is faster. The gather sums each row in column order from 0.0,
+    as a CSR product does, so its products differ from the dense ones in
+    rounding but not from CSR's.
+
+    Cost of one solver step's products (three with X of shape (n, 5) plus
+    one with v; best of 15, one BLAS thread, 2-CPU x86-64 host, numpy 2.4)
+    on ring + 3n-link graphs, against scipy 1.17 CSR and dense C:
+
+        n       CSR (us)   gather (us)   dense (us)
+        150     28         52-55         36-38
+        400     41-47      116           219
+        1000    78         292-307       3600-4100
+        2000    136-161    540-585       22000-26000
+
+    n >= 150 and the n^2 / 16 fill bound are the rule CSR products had. The
+    gather keeps them although dense is faster near n = 150, so every graph
+    gets the product form, and the bits, it had under CSR. Padding costs as
+    much as nonzeros: at n = 400 with extra links into one node, the gather
+    takes 158-186 us against 213-218 us dense at m n = 4 nnz and 277-293
+    against 221-223 us at m n = 7.2 nnz, hence the bound of 4.
     """
     if not is_strongly_connected(g):
         raise ValueError("mixing weights require a strongly connected graph")
-    senders, receivers = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2).T
-    share = 1.0 / (np.bincount(senders, minlength=g.n) + 1)
-    C = np.diag(share)
-    C[receivers, senders] = share[senders]
-    return MixingMatrix(C=C, p=perron_vector(C))
+    op = _uniform_out_op(g)
+    return MixingMatrix(op, perron_vector(op))
 
 
 _PERRON_TOL = 1e-12  # perron_vector's relative residual
 
 
-def perron_vector(C: np.ndarray) -> np.ndarray:
+def perron_vector(C) -> np.ndarray:
     """Positive right eigenvector of a regular column-stochastic C at
     eigenvalue 1, normalized so its entries sum to n.
 
-    Power iteration; raises if the residual does not fall below
+    C is a dense matrix or a `MixingMatrix.op`: only `C @ x` and `C.shape`
+    are used. Power iteration; raises if the residual does not fall below
     _PERRON_TOL * ||p|| within the iteration cap (a non-regular matrix).
+    `uniform_out_weights` runs it on the form the solvers use. Its cost on
+    ring + 3n-link graphs (seed 7; median of 9 calls, one BLAS thread,
+    2-CPU x86-64 host, numpy 2.4), on the dense C and on the gather:
+
+        n       dense (ms)   gather (ms)
+        160     1.0          1.4
+        400     4.0          2.3
+        1000    42           5.6
+        2000    365          9.4
     """
     n = C.shape[0]
     cap = int(100 * n * max(np.log(n), 1.0)) + 10_000
@@ -309,13 +297,15 @@ def build_contraction_norm(C, p: np.ndarray) -> NormTransform:
     M's buffer and freed, so eigvalsh's internal copy of its input replaces
     it rather than adding a third. Set-up through `build_problem` thus peaks
     at two n-by-n arrays, and at three where the caller holds a dense C.
-    Freeing M in place of copying G keeps that count but not the resident
-    peak: at n = 2000 (ring + 3n links) `pushopt run` then peaked at
-    139.9 MB, against 110 MB with the copy. Once C's mapped block is freed,
-    glibc serves blocks of that size from the heap, and M's freed block is
-    too small for eigvalsh's buffer (its copy plus the eigenvalues). At
-    n = 400 (one BLAS thread, 2-CPU x86-64 host, numpy 2.4) the build takes
-    10.8 ms (median of 25 calls), 8.1 ms of it the eigensolve.
+    Freeing M in place of copying G keeps that count. It also kept the
+    resident peak of `pushopt run` at n = 2000 (ring + 3n links) once no
+    dense C was formed there: 2.388 against 2.384 x 8 n^2 above the
+    imported CLI. Where a dense C of that size had been freed before the
+    build, it did not (139.9 MB against 110 MB): glibc then served blocks of
+    that size from the heap, and M's freed block was too small for
+    eigvalsh's buffer (its copy plus the eigenvalues). At n = 400 (one BLAS
+    thread, 2-CPU x86-64 host, numpy 2.4) the build takes 10.8 ms (median
+    of 25 calls), 8.1 ms of it the eigensolve.
     """
     if not isinstance(C, _InNeighborGather):
         C = np.asarray(C)

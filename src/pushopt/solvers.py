@@ -2,7 +2,7 @@
 
 All solvers share the stacked-iterate layout: X, Y, Z, G are (n, dim) with
 one agent per row, v is the push-sum weight vector, and the mixing matrix
-multiplies from the left, in the form `MixingMatrix.op` picks (an
+multiplies from the left, in the form `uniform_out_weights` builds (an
 in-neighbor gather on large sparse graphs). Each step costs exactly one
 gradient batch; the previous batch is cached on the state.
 

@@ -45,7 +45,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 def test_criterion_01_exact_reduction():
     t0 = time.perf_counter()
     suite = QuadraticSuite(H=np.array([[[0.8]]]), b=np.array([[0.2]]), L=0.8, mu=0.8)
-    mix1 = MixingMatrix(C=np.array([[1.0]]), p=np.array([1.0]))
+    mix1 = MixingMatrix(np.array([[1.0]]), np.array([1.0]))
     params = APDParams(eta=1.0 / suite.L, K=500)
     states = []
     run(np.array([[1.0]]), np.array([1.0]), mix1, suite, params, states.append)

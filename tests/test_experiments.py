@@ -674,6 +674,33 @@ def test_cli_run_names_bad_edge_list_line(tmp_path, capsys, edge, token):
     )
 
 
+@pytest.mark.parametrize("make", [Path.mkdir, None], ids=["directory", "missing"])
+@pytest.mark.parametrize("key", ["graph.edge_list", "objective.data", "--data"])
+def test_cli_names_an_input_path_that_is_not_a_file(tmp_path, capsys, key, make):
+    """A directory given as an input file, or a missing path, ends `run` or
+    `reproduce` with the config exit code and one stderr line naming the
+    key and the path."""
+    path = tmp_path / "inputs"
+    if make is not None:
+        make(path)
+    cfg = base_config(tmp_path / "out")
+    if key == "graph.edge_list":
+        cfg["graph"] = {"edge_list": "inputs"}
+    else:
+        cfg["objective"] = {"kind": "logistic", "data": "inputs", "mu": 0.05}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    capsys.readouterr()
+    if key == "--data":
+        argv = ["reproduce", "--case", "strongly", "--data", str(path), "--out", str(tmp_path / "out")]
+        key = "dataset"
+    else:
+        argv = ["run", "--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == EXIT_CONFIG
+    problem = "is not a file" if make is not None else "does not exist"
+    assert capsys.readouterr().err == f"error: {key}: {path} {problem}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("field", ["x0.5", "nan", "inf"])
 def test_cli_reproduce_names_bad_dataset_field(tmp_path, capsys, field):
     """`pushopt reproduce --data` on a dataset with one non-numeric or
@@ -841,6 +868,16 @@ def test_svg_decade_ticks_and_legend_order(tmp_path):
     assert len(tree.findall(".//svg:polyline", SVG_NS)) == 3
 
 
+def test_svg_escapes_labels(tmp_path):
+    """A label with XML's special characters is written escaped: the SVG
+    parses and shows the label as given."""
+    k = np.arange(1, 5)
+    tr = RunTrace("a&b<1>", k, 1.0 / k, k * 0.0, k * 0.0, k * 0.0, k * 0.0 + 1)
+    emit_svg_plot([tr], tmp_path / "p.svg", axes="semilogy")
+    texts = [t.text for t in ET.parse(tmp_path / "p.svg").findall(".//svg:text", SVG_NS)]
+    assert "a&b<1>" in texts
+
+
 def test_svg_rejects_empty(tmp_path):
     with pytest.raises(ValueError):
         emit_svg_plot([empty_trace()], tmp_path / "p.svg", axes="semilogy")
@@ -984,6 +1021,23 @@ def test_cli_plot_rejects_malformed_trace(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err
     assert "Traceback" not in err
+    assert not (tmp_path / "p.svg").exists()
+
+
+def test_cli_plot_names_a_repeated_column(tmp_path, capsys):
+    """A header that repeats a column ends `plot` with the config exit code
+    and one stderr line naming the file and the column."""
+    good = tmp_path / "good.csv"
+    ones = np.ones(3)
+    emit_csv(RunTrace("good", np.arange(3), ones, ones, ones, ones, ones), good)
+    lines = []
+    for ln in good.read_text().splitlines():
+        fields = ln.split(",")
+        lines.append(",".join(fields[:2] + fields[1:]))
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["plot", "--in", str(good), str(bad), "--out", str(tmp_path / "p.svg")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: header repeats column 'loss'\n"
     assert not (tmp_path / "p.svg").exists()
 
 

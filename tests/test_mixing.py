@@ -17,7 +17,7 @@ from pushopt import (
     uniform_out_weights,
 )
 from pushopt.experiments import _run_and_write
-from pushopt.mixing import _InNeighborGather
+from pushopt.mixing import _InNeighborGather, _uniform_out_op
 
 from conftest import strongly_connected
 
@@ -276,14 +276,15 @@ def _eager_build(C, p):
     }
 
 
-def _eager_perron(C, tol=1e-12):
-    """Reference: power iteration as it was, two products per iterate."""
+def _eager_perron(C, tol=1e-12, product=np.matmul):
+    """Reference: power iteration as it was, two products per iterate, each
+    `product(C, p)`."""
     n = C.shape[0]
     p = np.ones(n)
     for _ in range(int(100 * n * max(np.log(n), 1.0)) + 10_000):
-        q = C @ p
+        q = product(C, p)
         q *= n / q.sum()
-        if np.linalg.norm(C @ q - q) <= tol * np.linalg.norm(q):
+        if np.linalg.norm(product(C, q) - q) <= tol * np.linalg.norm(q):
             p = q
             break
         p = q
@@ -324,8 +325,10 @@ def test_norm_transform_bitwise_matches_eager_build(graph):
 
 @pytest.mark.parametrize("graph", _REFERENCE_GRAPHS)
 def test_uniform_weights_match_sender_loop(graph):
-    """The one-pass fill gives, bit for bit, the C of a loop over senders
-    that writes 1 / (outdeg + 1) at the sender and at each receiver."""
+    """The operator built from the edges gives, bit for bit, the C of a loop
+    over senders that writes 1 / (outdeg + 1) at the sender and at each
+    receiver, and p is Perron iteration on it: dense products on a dense
+    op, CSR-order ones on the gather."""
     g = _REFERENCE_GRAPHS[graph]()
     ref = np.zeros((g.n, g.n))
     for j in range(g.n):
@@ -333,7 +336,10 @@ def test_uniform_weights_match_sender_loop(graph):
         ref[[j, *receivers], j] = 1.0 / (len(receivers) + 1)
     mix = uniform_out_weights(g)
     assert np.array_equal(mix.C, ref)
-    assert np.array_equal(mix.p, perron_vector(ref))
+    if isinstance(mix.op, _InNeighborGather):
+        assert np.array_equal(mix.p, _eager_perron(ref, product=_csr_order_product))
+    else:
+        assert np.array_equal(mix.p, perron_vector(ref))
 
 
 @given(strongly_connected())
@@ -360,12 +366,13 @@ def test_setup_peak_memory_at_n400():
     4.1 n^2."""
     n = 400
     mix = uniform_out_weights(_sparse_graph(n))
-    build_contraction_norm(mix.C, mix.p)  # warm-up: first-call allocations
+    C = mix.C  # built from the gather before tracing, so it is not counted
+    build_contraction_norm(C, mix.p)  # warm-up: first-call allocations
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        build_contraction_norm(mix.C, mix.p)
+        build_contraction_norm(C, mix.p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -375,9 +382,9 @@ def test_setup_peak_memory_at_n400():
 @pytest.mark.parametrize("n", [160, 400])
 def test_run_setup_peak_memory_on_the_gather(n):
     """`build_problem` on a graph whose `op` is the gather holds at most
-    about two n-by-n float64 arrays at once: the dense C goes when `op` is
-    built, before the norm forms M and its Gram matrix from the gather.
-    Holding C through the build peaked at 3.05 and 3.01 x 8 n^2 bytes."""
+    about two n-by-n float64 arrays at once: no dense C is formed, and the
+    norm forms M and its Gram matrix from the gather. Holding C through the
+    build peaked at 3.05 and 3.01 x 8 n^2 bytes."""
     graph = _sparse_graph(n)
     suite = make_quadratic_suite(n, 3, 10.0, 0.1, 2)
     tracemalloc.start()
@@ -502,34 +509,38 @@ def test_gather_bitwise_matches_csr_order_on_reference_graphs(n):
 
 @st.composite
 def _large_sparse_weights(draw):
-    """Uniform out-weights of a random strongly connected digraph on 150-260
-    nodes: a one-way ring in random order plus up to 3n random links. Built
-    directly, as the graph's mixing may be too slow for a Perron vector."""
+    """A random strongly connected digraph on 150-260 nodes, a one-way ring
+    in random order plus up to 3n random links, with its uniform
+    out-weights C filled densely from a 0/1 matrix. Its gather is built
+    from the edges without `uniform_out_weights`, as the graph's mixing may
+    be too slow for a Perron vector."""
     n = draw(st.integers(150, 260))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     order = rng.permutation(n)
-    A = np.eye(n)
-    A[np.roll(order, -1), order] = 1.0
     extra = draw(st.integers(0, 3 * n))
-    A[rng.integers(0, n, extra), rng.integers(0, n, extra)] = 1.0
-    return A / A.sum(axis=0), draw(st.integers(0, 2**32 - 1))
+    senders = np.concatenate([order, rng.integers(0, n, extra)])
+    receivers = np.concatenate([np.roll(order, -1), rng.integers(0, n, extra)])
+    A = np.eye(n)
+    A[receivers, senders] = 1.0
+    edges = frozenset((int(j), int(i)) for j, i in zip(senders, receivers) if i != j)
+    return DirectedGraph(n, edges), A / A.sum(axis=0), draw(st.integers(0, 2**32 - 1))
 
 
 @given(_large_sparse_weights())
 def test_gather_bitwise_matches_csr_order_on_random_digraphs(case):
-    C, seed = case
-    op = MixingMatrix(C=C, p=np.ones(C.shape[0])).op  # op reads only C
+    graph, C, seed = case
+    op = _uniform_out_op(graph)
     assert isinstance(op, _InNeighborGather)
     _assert_gather_matches_csr_order(op, C, seed, widths=(None, 5))
 
 
 @given(_large_sparse_weights())
 def test_gather_keeps_weights_and_norm_bitwise(case):
-    """Once `op` is the gather, `C` is rebuilt from it bit for bit on each
-    read, and the norm built from the gather is the dense build's."""
-    C, _ = case
+    """The gather built from the edges gives `C` bit for bit on each read,
+    and the norm built from the gather is the dense build's."""
+    graph, C, _ = case
     p = perron_vector(C)
-    mix = MixingMatrix(C=C.copy(), p=p)
+    mix = MixingMatrix(_uniform_out_op(graph), p)
     assert isinstance(mix.op, _InNeighborGather)
     assert mix.C.tobytes() == C.tobytes() and mix.C is not mix.C
     n = C.shape[0]
@@ -540,28 +551,14 @@ def test_gather_keeps_weights_and_norm_bitwise(case):
         assert getattr(gathered, name) == getattr(dense, name), name
 
 
-def _non_uniform_column(n):
-    """The ring + 3n-link weights with sender 0's share moved between two of
-    its receivers: still column-stochastic, no longer equal in column 0."""
-    C = uniform_out_weights(_sparse_graph(n)).C.copy()
-    i, k = np.flatnonzero(C[:, 0])[:2]
-    C[i, 0] *= 0.5
-    C[k, 0] += C[i, 0]
-    return C
-
-
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: uniform_out_weights(_sparse_graph(140)).C,  # n < 150
-        lambda: uniform_out_weights(build_cycle_plus_random(160, 2000, 7)).C,  # fill
-        lambda: uniform_out_weights(_hub(400)).C,  # in-degree n: m n = 134 nnz
-        lambda: _non_uniform_column(400),
+        lambda: _sparse_graph(140),  # n < 150
+        lambda: build_cycle_plus_random(160, 2000, 7),  # fill
+        lambda: _hub(400),  # in-degree n: m n = 134 nnz
     ],
-    ids=["small", "dense_fill", "hub", "non_uniform_column"],
+    ids=["small", "dense_fill", "hub"],
 )
 def test_operator_falls_back_to_dense(make):
-    C = make()
-    # op reads only C, so the Perron vector is left out.
-    mix = MixingMatrix(C=C, p=np.ones(C.shape[0]))
-    assert mix.op is C
+    assert isinstance(uniform_out_weights(make()).op, np.ndarray)

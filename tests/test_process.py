@@ -150,11 +150,10 @@ print(json.dumps({"n": n, "start": start, "peak": peak()}))
 def test_run_peak_rss_at_n2000(tmp_path):
     """`pushopt run` at n = 2000 (ring + 3n links, one run, so no worker)
     adds at most 2.6 x 8 n^2 bytes of peak RSS to an imported
-    `pushopt.cli`. Its set-up holds two n-by-n arrays at a time: the dense C
-    goes when `op` becomes the gather, and eigvalsh's copy of the Gram
-    matrix replaces the matrix it was formed from. Holding C through set-up
-    added 3.37 x 8 n^2; dropping C but freeing M before the eigensolve, in
-    place of copying the Gram matrix into M, added 3.36 x 8 n^2."""
+    `pushopt.cli`. Its set-up holds two n-by-n arrays at a time: no dense C
+    is formed, as `op` is the gather built from the edges, and eigvalsh's
+    copy of the Gram matrix replaces the matrix it was formed from. It adds
+    2.38 x 8 n^2; holding a dense C through set-up added 3.37 x 8 n^2."""
     report = json.loads(_python(["-c", _RSS_SCRIPT, str(tmp_path)]).stdout.splitlines()[-1])
     n = report["n"]
     assert report["peak"] - report["start"] <= 2.6 * 8 * n * n

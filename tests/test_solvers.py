@@ -32,7 +32,7 @@ from conftest import strongly_connected
 from reference import centralized_agm_run
 
 SCALAR = QuadraticSuite(H=np.ones((1, 1, 1)), b=np.zeros((1, 1)), L=1.0, mu=1.0)
-MIX1 = MixingMatrix(C=np.array([[1.0]]), p=np.array([1.0]))
+MIX1 = MixingMatrix(np.array([[1.0]]), np.array([1.0]))
 
 
 class CountingSuite:
@@ -264,7 +264,7 @@ def test_accelerated_step_flags_an_inf_in_any_iterate(
 def test_non_positive_weight_is_named():
     """A mixing round that leaves a finite but non-positive push-sum weight,
     v1 = (-0.5, 2.5) from v0 = (1, 1), is reported as such."""
-    mix = MixingMatrix(C=np.array([[-1.0, 0.5], [2.0, 0.5]]), p=np.ones(2))
+    mix = MixingMatrix(np.array([[-1.0, 0.5], [2.0, 0.5]]), np.ones(2))
     suite = make_quadratic_suite(2, 3, 10.0, 0.1, 0)
     with pytest.raises(DivergenceError) as err:
         run(np.ones((2, 3)), np.ones(2), mix, suite, PushDIGingParams(0.01, 5))
@@ -430,8 +430,7 @@ def sparse_problem():
     mixing = uniform_out_weights(build_cycle_plus_random(n, 480, 1))
     assert isinstance(mixing.op, _InNeighborGather)
     # The same matrix with the dense product, as the reference.
-    dense = MixingMatrix(C=mixing.C, p=mixing.p)
-    vars(dense)["op"] = dense.C
+    dense = MixingMatrix(mixing.C, mixing.p)
     suite = make_quadratic_suite(n, 5, 100.0, 0.01, 3)
     X0 = np.random.default_rng(11).standard_normal((n, 5))
     return mixing, dense, suite, X0, np.ones(n)
